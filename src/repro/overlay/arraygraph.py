@@ -21,19 +21,25 @@ the dict graph (the source of truth), which lazily rebuilds its cached
 twin via :meth:`OverlayGraph.to_array` — incrementally
 (:meth:`ArrayOverlayGraph.from_overlay_incremental`) when the mutation
 log since the previous twin touched only a fraction of the rows, as churn
-does.
+does.  The other direction is lazy too: overlay builders emit a twin
+first, and the graph :meth:`to_overlay` returns builds its dict from
+:meth:`iter_rows` only when first needed.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .graph import GraphError, OverlayGraph
 
 __all__ = ["ArrayOverlayGraph"]
+
+#: Rows decoded per block by :meth:`ArrayOverlayGraph.iter_rows`: bounds the
+#: temporaries of a full decode at a few MB whatever the graph size.
+_ROW_BLOCK = 1 << 14
 
 
 def _member_mask(ids: Iterable[int], size: int) -> np.ndarray:
@@ -224,8 +230,30 @@ class ArrayOverlayGraph:
         Node order, per-node neighbour order and ``next_id`` all carry
         over, so the result is indistinguishable from the graph this twin
         was taken from — for every future mutation, sample and snapshot.
+        The result is backed by this twin
+        (:meth:`OverlayGraph.from_array`): its dict is built from
+        :meth:`iter_rows` only when first needed.
         """
-        return OverlayGraph.restore(self.snapshot())
+        return OverlayGraph.from_array(self)
+
+    def iter_rows(self) -> Iterator[Tuple[int, List[int]]]:
+        """Yield ``(node id, neighbour ids)`` per row, in insertion order.
+
+        Rows are decoded in bounded blocks, so a full pass never holds
+        more than one block's temporaries.  Every yielded id is the same
+        int object as that node's entry in one shared id list: a dict
+        graph or snapshot built from the rows costs one int object per
+        node, not one per half-edge.
+        """
+        ids: List[int] = self.nodes.tolist()
+        get = ids.__getitem__
+        for lo in range(0, len(ids), _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, len(ids))
+            bounds: List[int] = (self.indptr[lo : hi + 1] - self.indptr[lo]).tolist()
+            start = int(self.indptr[lo])
+            flat = list(map(get, self.indices[start : start + bounds[-1]].tolist()))
+            for u, a, b in zip(ids[lo:hi], bounds, bounds[1:]):
+                yield u, flat[a:b]
 
     def snapshot(self) -> Dict[str, Any]:
         """The *same* pure-data payload :meth:`OverlayGraph.snapshot` yields.
@@ -234,11 +262,9 @@ class ArrayOverlayGraph:
         graph's snapshot is the structural half of the backend
         cross-validation gate.
         """
-        flat: List[int] = self.nodes[self.indices].tolist()
-        bounds: List[int] = self.indptr.tolist()
         return {
             "nodes": self.nodes.tolist(),
-            "adj": [flat[bounds[k] : bounds[k + 1]] for k in range(self.n)],
+            "adj": [nbrs for _, nbrs in self.iter_rows()],
             "next_id": self.next_id,
         }
 

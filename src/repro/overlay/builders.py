@@ -24,11 +24,13 @@ are deterministic given it.
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from typing import List, Optional
 
 import numpy as np
 
 from ..sim.rng import RngLike, as_generator
+from .arraygraph import ArrayOverlayGraph
 from .graph import GraphError, OverlayGraph
 
 __all__ = [
@@ -38,6 +40,10 @@ __all__ = [
     "erdos_renyi",
     "ring_lattice",
 ]
+
+
+#: Values the builders' block draws take per generator call.
+_DRAW_BLOCK = 1 << 12
 
 
 def _require_positive_n(n: int) -> None:
@@ -77,6 +83,10 @@ def heterogeneous_random(
     value (otherwise other random nodes are chosen)".  Because wiring is
     sequential and links are bidirectional, earlier nodes accumulate inbound
     links, producing heterogeneous final degrees in ``[min_degree‥max_degree]``.
+
+    The wiring fills plain lists and emits the array twin directly; the
+    returned graph is backed by it and builds its adjacency dict only on
+    first dict-only use (:mod:`repro.overlay.graph`).
     """
     _require_positive_n(n)
     if not (0 < min_degree <= max_degree):
@@ -87,28 +97,70 @@ def heterogeneous_random(
         max_degree = n - 1
         min_degree = min(min_degree, max_degree)
     gen = as_generator(rng, "overlay.heterogeneous")
-    g = OverlayGraph()
-    g.add_nodes(n)
-    if n == 1:
-        return g
+    rows: List[List[int]] = [[] for _ in range(n)]
+    if n > 1:
+        _wire_heterogeneous(rows, gen, max_degree, min_degree, max_attempts_factor)
+    degrees = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    # Ids are 0..n-1 in insertion order, so raw ids already are positions.
+    indices = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+    )
+    del rows
+    nodes = np.arange(n, dtype=np.int64)
+    return OverlayGraph.from_array(ArrayOverlayGraph(nodes, indptr, indices, next_id=n))
 
-    targets = gen.integers(min_degree, max_degree + 1, size=n)
-    degrees = np.zeros(n, dtype=np.int64)
-    adj = g  # alias; we go through graph API to keep invariants authoritative
 
-    for u in range(n):
-        want = int(targets[u])
+def _wire_heterogeneous(
+    rows: List[List[int]],
+    gen: np.random.Generator,
+    max_degree: int,
+    min_degree: int,
+    max_attempts_factor: int,
+) -> None:
+    """The §IV-A wiring loop over plain lists (``rows[u]``: u's neighbours).
+
+    Each attempt draws one candidate id.  Candidates come in blocks of
+    ``integers(n, size=_DRAW_BLOCK)``, which yields the same values as one
+    ``integers(n)`` call per attempt; at the end the generator is rewound
+    to the start of the last block and advanced by exactly the draws used,
+    leaving it where per-attempt scalar draws would have.
+    """
+    n = len(rows)
+    ids = list(range(n))  # one shared int object per node id
+    targets = gen.integers(min_degree, max_degree + 1, size=n).tolist()
+    block: List[int] = []
+    used = 0
+    mark = None  # generator state before the current block
+    # owner[v] == u: v is u itself or already u's neighbour (an O(1) test
+    # at any degree that never needs clearing between nodes).
+    owner = [-1] * n
+    for u, row, want in zip(ids, rows, targets):
+        if len(row) >= want:
+            continue
+        owner[u] = u
+        for w in row:
+            owner[w] = u
         attempts = 0
         budget = max_attempts_factor * max(want, 1)
-        while degrees[u] < want and attempts < budget:
+        while len(row) < want and attempts < budget:
             attempts += 1
-            v = int(gen.integers(n))
-            if v == u or degrees[v] >= max_degree or adj.has_edge(u, v):
+            if used == len(block):
+                mark = gen.bit_generator.state
+                block = gen.integers(n, size=_DRAW_BLOCK).tolist()
+                used = 0
+            v = block[used]
+            used += 1
+            other = rows[v]
+            if owner[v] == u or len(other) >= max_degree:
                 continue
-            adj.add_edge(u, v)
-            degrees[u] += 1
-            degrees[v] += 1
-    return g
+            row.append(ids[v])
+            other.append(u)
+            owner[v] = u
+    if mark is not None:
+        gen.bit_generator.state = mark
+        gen.integers(n, size=used)
 
 
 def homogeneous_random(
@@ -123,7 +175,9 @@ def homogeneous_random(
     until no progress can be made.  For even ``n·k`` almost every node ends
     with degree exactly ``k``; a handful may fall short when the residual
     candidates are already mutually adjacent (documented, and irrelevant at
-    the paper's scales).
+    the paper's scales).  In that end game every remaining attempt is a
+    rejected pair of draws, so they are drawn in blocks and discarded: the
+    generator ends exactly where attempt-by-attempt draws would leave it.
     """
     _require_positive_n(n)
     if k < 1:
@@ -152,9 +206,22 @@ def homogeneous_random(
         g.add_edge(u, v)
         degrees[u] += 1
         degrees[v] += 1
-        # compact the open list lazily; remove saturated entries
-        if degrees[u] >= k or degrees[v] >= k:
-            open_nodes = [w for w in open_nodes if degrees[w] < k]
+        # Only u and v can have just saturated.
+        if degrees[u] >= k:
+            open_nodes.remove(u)
+        if degrees[v] >= k:
+            open_nodes.remove(v)
+        # Pairwise-linked open nodes have degree >= len - 1 (and < k), so
+        # the end game can only start once len(open_nodes) <= k.
+        if 1 < len(open_nodes) <= k and all(
+            g.has_edge(a, b) for a, b in itertools.combinations(open_nodes, 2)
+        ):
+            left = 2 * (budget - attempts)  # two draws per attempt
+            while left:
+                step = min(left, _DRAW_BLOCK)
+                gen.integers(len(open_nodes), size=step)
+                left -= step
+            break
     return g
 
 

@@ -10,11 +10,28 @@ links with other nodes").
 Two representations are kept in sync:
 
 * a mutable adjacency map (``dict[int, dict[int, None]]``) supporting O(1)
-  joins, leaves and link edits — the source of truth;
-* an immutable CSR snapshot (:class:`CsrView`) rebuilt lazily after
-  mutations, used by every vectorized kernel (gossip spread, BFS, neighbour
-  sampling).  Per the HPC guides, all hot loops operate on these flat,
-  contiguous arrays rather than on Python dictionaries.
+  joins, leaves and link edits — the source of truth once it exists;
+* immutable flat-array views rebuilt lazily after mutations: the sorted
+  :class:`CsrView` and the insertion-ordered array twin
+  (:meth:`OverlayGraph.to_array`), used by every vectorized kernel (gossip
+  spread, BFS, neighbour sampling, walker batches).  Per the HPC guides,
+  all hot loops operate on these flat, contiguous arrays rather than on
+  Python dictionaries.
+
+Overlays are built array-first:
+:func:`~repro.overlay.builders.heterogeneous_random` wires straight into
+an array twin and returns :meth:`OverlayGraph.from_array`, a
+*twin-backed* graph whose adjacency dict does not exist yet.  ``size``,
+``len()``, ``num_edges``, ``next_id``, :meth:`~OverlayGraph.to_array`,
+:meth:`~OverlayGraph.snapshot` and :meth:`~OverlayGraph.copy` answer from
+the twin; every other call — membership, iteration, neighbour and degree
+queries, ``csr()``, random sampling, invariant checks and every mutation
+— builds the dict first, once, in bounded row blocks (one shared int
+object per node id).  From then on the dict is the source of truth and
+costs nothing extra per access; the twin stays cached until the first
+mutation drops it, and no mutation log is kept for it (the next
+``to_array()`` encodes afresh).  An array-backend run on a static
+overlay therefore never builds the dict.
 
 Node identifiers are opaque non-negative integers.  Identifiers of departed
 nodes are never reused within one graph's lifetime, which lets churn traces
@@ -217,6 +234,9 @@ class OverlayGraph:
         # None), NOT sets: iteration order must be a restorable part of the
         # graph's deterministic contract (module docstring).
         self._adj: Dict[int, Dict[int, None]] = {}
+        # The array twin the dict has not been built from yet (module
+        # docstring); None once ``_adj`` exists.
+        self._twin: Optional["ArrayOverlayGraph"] = None
         self._next_id = 0
         self._csr: Optional[CsrView] = None
         self._array: Optional["ArrayOverlayGraph"] = None
@@ -237,6 +257,23 @@ class OverlayGraph:
             for u, v in edges:
                 self.add_edge(u, v)
 
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails.  The one attribute that may
+        # legitimately be missing is ``_adj`` on a twin-backed graph: build
+        # it now, once; from then on it sits in the instance dict and no
+        # access comes back here.  (setdefault and the re-read keep two
+        # concurrent first readers on one dict.)
+        state = self.__dict__
+        twin = state.get("_twin")
+        if name == "_adj" and twin is not None:
+            state.setdefault(
+                "_adj", {u: dict.fromkeys(nbrs) for u, nbrs in twin.iter_rows()}
+            )
+            state["_twin"] = None
+        if name == "_adj" and "_adj" in state:
+            return state["_adj"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
@@ -244,7 +281,8 @@ class OverlayGraph:
     @property
     def size(self) -> int:
         """Number of alive nodes — the quantity every estimator targets."""
-        return len(self._adj)
+        twin = self._twin
+        return len(self._adj) if twin is None else twin.n
 
     @property
     def num_edges(self) -> int:
@@ -262,7 +300,7 @@ class OverlayGraph:
         return self._next_id
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return self.size
 
     def __contains__(self, node: int) -> bool:
         return node in self._adj
@@ -517,8 +555,18 @@ class OverlayGraph:
 
     @classmethod
     def from_array(cls, array: "ArrayOverlayGraph") -> "OverlayGraph":
-        """Rebuild a dict graph from its array twin (inverse of :meth:`to_array`)."""
-        return array.to_overlay()
+        """A graph backed by ``array`` (inverse of :meth:`to_array`).
+
+        Nothing is decoded up front: ``array`` becomes the cached twin,
+        and the adjacency dict is built from it on the first dict-only
+        access or mutation (module docstring).
+        """
+        g = cls()
+        del g._adj  # rebuilt from the twin by __getattr__ when first needed
+        g._twin = g._array = array
+        g._next_id = array.next_id
+        g._edge_count = array.m
+        return g
 
     def _build_csr(self) -> CsrView:
         n = len(self._adj)
@@ -565,11 +613,14 @@ class OverlayGraph:
             )
 
     def copy(self) -> "OverlayGraph":
-        """Deep copy (snapshot caches are not shared).
+        """Deep copy (snapshot caches are not shared, except an unbuilt
+        graph's immutable twin, which backs the copy too).
 
         The copy preserves node and neighbour iteration order, so it is
         behaviorally identical to the original for all future operations.
         """
+        if self._twin is not None:  # the twin is immutable: share it
+            return OverlayGraph.from_array(self._twin)
         g = OverlayGraph()
         g._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
         g._next_id = self._next_id
@@ -591,6 +642,8 @@ class OverlayGraph:
         on the original — which is the invariant the chunk hand-off
         protocol (``repro.runtime.snapshots``) relies on.
         """
+        if self._twin is not None:
+            return self._twin.snapshot()
         return {
             "nodes": list(self._adj),
             "adj": [list(nbrs) for nbrs in self._adj.values()],

@@ -25,9 +25,11 @@ Fallbacks are graceful and explicit: ``workers <= 1`` never spawns a
 process; batches holding live objects (graphs, closures) are not picklable
 and run serially in one chunk (the single replay loop *is* the direct
 serial hand-off — state simply persists across indices); and any
-pool-level failure to *dispatch* (pickling error, missing multiprocessing
-support) downgrades to the serial path after reporting via the progress
-callback.
+pool-level failure — to *dispatch* (pickling error, missing
+multiprocessing support) or a worker process dying mid-batch
+(``BrokenProcessPool``, e.g. killed by the OS) — keeps the chunks that
+already finished and re-runs only the rest serially, after reporting via
+the progress callback.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import math
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, List, Mapping, Optional, Sequence
 
 from .progress import NullProgress, ProgressReporter
@@ -245,7 +248,7 @@ class TrialExecutor:
                     self.progress.on_chunk_done(index_of[future], part)
                     self.progress.on_progress(done, len(specs))
             return [r for i in sorted(completed) for r in completed[i]]
-        except (pickle.PicklingError, ImportError, OSError) as exc:
+        except (pickle.PicklingError, ImportError, OSError, BrokenProcessPool) as exc:
             # Keep whatever chunks already finished; only the remainder is
             # re-run serially.  Any regrouping of specs into chunks is
             # bit-identical (every trial derives from (hub_seed, index)

@@ -11,11 +11,15 @@ distributional half lives in ``tests/core/test_kernel_distributions.py``.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.churn.models import shrinking_trace, steady_churn_trace
 from repro.churn.scheduler import ChurnScheduler
+from repro.core.hops_sampling import HopsSamplingEstimator
+from repro.core.sample_collide import SampleCollideEstimator
 from repro.overlay.arraygraph import ArrayOverlayGraph
 from repro.overlay.builders import heterogeneous_random
 from repro.overlay.graph import GraphError, OverlayGraph
@@ -91,6 +95,86 @@ class TestStaticEquivalence:
         ids = [7, 10_000_003, 51, 92_000_017]
         g = OverlayGraph(nodes=ids, edges=[(7, 51), (51, 92_000_017)])
         assert_twin_matches(g)
+
+
+def _dict_built(graph: OverlayGraph) -> bool:
+    """Whether ``graph`` has built its adjacency dict (white-box probe)."""
+    return "_adj" in vars(graph)
+
+
+class TestTwinBackedGraph:
+    """``OverlayGraph.from_array``: the dict is built only when needed."""
+
+    def test_twin_answers_without_building_the_dict(self, small_het_graph):
+        twin = small_het_graph.to_array()
+        g = OverlayGraph.from_array(twin)
+        assert not _dict_built(g)
+        assert g.size == len(g) == small_het_graph.size
+        assert g.num_edges == small_het_graph.num_edges
+        assert g.next_id == small_het_graph.next_id
+        assert g.to_array() is twin
+        assert g.snapshot() == small_het_graph.snapshot()
+        assert not _dict_built(g)
+
+    def test_builders_return_twin_backed_graphs(self):
+        g = heterogeneous_random(300, rng=3)
+        assert not _dict_built(g)
+        g.to_array().check_invariants()
+        assert g.snapshot() == OverlayGraph.restore(g.snapshot()).snapshot()
+
+    @pytest.mark.parametrize("estimator", [HopsSamplingEstimator, SampleCollideEstimator])
+    def test_array_estimates_leave_the_dict_unbuilt(self, estimator):
+        g = heterogeneous_random(500, rng=4)
+        estimator(g, rng=np.random.default_rng(1), backend="array").estimate()
+        assert not _dict_built(g)
+
+    def test_first_mutation_builds_the_dict(self, small_het_graph):
+        g = OverlayGraph.from_array(small_het_graph.to_array())
+        reference = OverlayGraph.restore(small_het_graph.snapshot())
+        for graph in (g, reference):
+            graph.add_node()
+            graph.remove_node(0)
+        assert _dict_built(g)
+        assert g._array_base is None and not g._array_dirty  # no mutation log
+        g.check_invariants()
+        assert g.snapshot() == reference.snapshot()
+        assert g.to_array().snapshot() == reference.snapshot()
+
+    def test_first_read_builds_the_dict_and_keeps_the_twin(self, small_het_graph):
+        twin = small_het_graph.to_array()
+        g = OverlayGraph.from_array(twin)
+        assert list(g.neighbors(1)) == list(small_het_graph.neighbors(1))
+        assert _dict_built(g)
+        assert g.to_array() is twin  # no mutation: the twin is still current
+
+    def test_built_dict_shares_id_objects(self, small_het_graph):
+        g = OverlayGraph.from_array(small_het_graph.to_array())
+        ids = {u: u for u in g}
+        assert all(v is ids[v] for u in g for v in g.neighbors(u))
+
+    def test_copy_is_independent(self, small_het_graph):
+        g = OverlayGraph.from_array(small_het_graph.to_array())
+        clone = g.copy()
+        assert not _dict_built(clone)
+        clone.remove_node(0)
+        assert 0 in g and 0 not in clone
+        assert g.snapshot() == small_het_graph.snapshot()
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_pickle_round_trip(self, small_het_graph, built):
+        g = OverlayGraph.from_array(small_het_graph.to_array())
+        if built:
+            g.degree(0)
+        back = pickle.loads(pickle.dumps(g))
+        assert _dict_built(back) == built
+        assert back.snapshot() == small_het_graph.snapshot()
+        back.add_edge(*_non_edge(back))
+        back.check_invariants()
+        assert back.num_edges == small_het_graph.num_edges + 1
+
+
+def _non_edge(g: OverlayGraph):
+    return next((0, v) for v in g if v != 0 and not g.has_edge(0, v))
 
 
 class TestChurnEquivalence:

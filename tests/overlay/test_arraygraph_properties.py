@@ -114,3 +114,24 @@ def test_twin_cache_matches_fresh_encoding(ops, seed):
         np.testing.assert_array_equal(
             cached.sample_neighbors(pos, rng_a), fresh.sample_neighbors(pos, rng_b)
         )
+
+
+@given(_ops, _ops)
+@settings(max_examples=120, deadline=None)
+def test_twin_backed_graph_behaves_like_dict_graph(setup, ops):
+    """A graph backed by its twin (dict built on first use) and one built
+    from the same state's snapshot end every op sequence identically."""
+    base = OverlayGraph()
+    _apply(base, setup)
+    twin_backed = OverlayGraph.from_array(base.to_array())
+    dict_built = OverlayGraph.restore(base.snapshot())
+    _apply(twin_backed, ops)
+    _apply(dict_built, ops)
+    twin_backed.check_invariants()
+    assert twin_backed.snapshot() == dict_built.snapshot()
+    assert (twin_backed.size, twin_backed.num_edges, twin_backed.next_id) == (
+        dict_built.size,
+        dict_built.num_edges,
+        dict_built.next_id,
+    )
+    assert _snapshot_hash(twin_backed.to_array()) == _snapshot_hash(dict_built)

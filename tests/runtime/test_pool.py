@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+
 import pytest
 
+import repro.runtime.pool as pool_module
+from repro.analysis.obs_report import read_journal, validate_journal
 from repro.core.sample_collide import SampleCollideEstimator
+from repro.runtime.obs import JournalReporter
 from repro.runtime.pool import TrialExecutor, chunk_specs
 from repro.runtime.progress import TelemetryCollector
-from repro.runtime.trials import EstimatorSpec, OverlaySpec, TrialSpec
+from repro.runtime.trials import EstimatorSpec, OverlaySpec, TrialSpec, run_chunk
 from repro.sim.rng import RngHub
 
 
@@ -77,3 +84,41 @@ class TestExecution:
         assert telemetry.count("start") == 1
         assert telemetry.count("finish") == 1
         assert telemetry.count("progress") >= 1
+
+
+#: Trial index whose chunk kills the pool worker running it.
+KILL_INDEX = 7
+
+
+def _run_chunk_or_die(specs, snapshot=None):
+    """``run_chunk`` that SIGKILLs its own pool worker on one chunk.
+
+    The kill is keyed on chunk identity (the chunk holding
+    :data:`KILL_INDEX`), so it fires on every run whatever the scheduling;
+    the serial re-run of that chunk in the parent process is left alone.
+    """
+    in_worker = multiprocessing.parent_process() is not None
+    if in_worker and any(spec.index == KILL_INDEX for spec in specs):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_chunk(specs, snapshot)
+
+
+class TestWorkerDeath:
+    def test_killed_worker_takes_partial_fallback(self, monkeypatch, tmp_path):
+        """A worker killed by the OS breaks the pool (``BrokenProcessPool``);
+        the batch must still finish through the partial fallback."""
+        monkeypatch.setattr(pool_module, "run_chunk", _run_chunk_or_die)
+        journal = tmp_path / "run.jsonl"
+        with JournalReporter(journal) as reporter:
+            results = TrialExecutor(workers=2, chunk_size=3, progress=reporter).run(
+                _static_specs(12)
+            )
+        serial = TrialExecutor(workers=1).run(_static_specs(12))
+        assert [(r.index, r.stream, r.value, r.true_size) for r in results] == [
+            (r.index, r.stream, r.value, r.true_size) for r in serial
+        ]
+        events = read_journal(journal)
+        assert validate_journal(events) == []
+        [event] = [e for e in events if e["event"] == "partial_fallback"]
+        assert event["total"] == 12
+        assert event["done"] <= 9  # the killed chunk never counts as done
