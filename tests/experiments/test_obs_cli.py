@@ -8,6 +8,7 @@ their batches must land in the results store like every figure's.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -112,6 +113,23 @@ class TestObsFlow:
         assert main(["obs", "validate", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "problem(s)" in out
+
+
+DATA = pathlib.Path(__file__).parents[1] / "runtime" / "data"
+
+
+@pytest.mark.parametrize("name", ["golden_cluster", "golden_heartbeat"])
+class TestGoldenOutput:
+    """`obs summary` and `obs trace` of the committed cluster journals."""
+
+    def test_summary_matches(self, name, capsys):
+        assert main(["obs", "summary", str(DATA / f"{name}_journal.jsonl")]) == 0
+        assert capsys.readouterr().out == (DATA / f"{name}_summary.txt").read_text()
+
+    def test_trace_matches(self, name, capsys):
+        assert main(["obs", "trace", str(DATA / f"{name}_journal.jsonl")]) == 0
+        trace = json.loads(capsys.readouterr().out)
+        assert trace == json.loads((DATA / f"{name}_trace.json").read_text())
 
 
 class TestRoutedExperiments:
