@@ -9,8 +9,10 @@ Three views over one journal file:
 * :func:`journal_to_trace` — Chrome trace-event JSON for
   chrome://tracing / https://ui.perfetto.dev (``repro-experiment obs
   trace``): one track per process (driver + each worker PID), complete
-  ``"X"`` spans for chunks and trials, instant ``"i"`` events for cache
-  hits, fallbacks and snapshot-save errors.
+  ``"X"`` spans for batches, snapshot boundaries, chunks and trials, and
+  instant ``"i"`` markers for the events that have an ``instant`` in
+  :data:`~repro.runtime.progress.EVENTS` (cache hits, fallbacks, save
+  errors, the cluster lifecycle).
 
 All timestamps in the journal are epoch seconds (the only clock
 comparable across processes); the trace converter rebases them onto the
@@ -21,48 +23,19 @@ from __future__ import annotations
 
 import json
 import pathlib
+from collections import Counter
 from typing import Any, Dict, List, Mapping, Sequence, Union
 
 from ..runtime.obs import JOURNAL_SCHEMA_VERSION, PHASES
+from ..runtime.progress import EVENTS
 from ..sim.metrics import PhaseBreakdown
 
 __all__ = [
-    "EVENT_FIELDS",
     "journal_to_trace",
     "read_journal",
     "render_obs_summary",
     "validate_journal",
 ]
-
-#: Required fields per journal event type (beyond the universal ``ts``).
-EVENT_FIELDS: Dict[str, Sequence[str]] = {
-    "journal": ("schema", "pid"),
-    "batch_meta": ("batch", "kind", "trials", "tag"),
-    "batch_start": ("batch", "total", "workers"),
-    "progress": ("done", "total"),
-    "cache_hit": ("trials",),
-    "fallback": ("reason",),
-    "partial_fallback": ("done", "total", "reason"),
-    "chunk_start": ("chunk", "trials"),
-    "chunk_done": ("chunk", "trials"),
-    "trial": ("chunk", "index", "stream"),
-    "snapshot_boundary": ("target", "seconds", "outcome"),
-    "snapshot_save_error": ("error",),
-    "batch_finish": ("done", "elapsed"),
-    # Cluster lifecycle (repro.runtime.cluster, docs/DISTRIBUTED.md).
-    "worker_connect": ("host", "pid"),
-    "worker_lost": ("host", "reason"),
-    "chunk_migrated": ("chunk", "from_host", "to_host"),
-    "steal": ("chunk", "from_host", "to_host"),
-    # Liveness + chaos harness (heartbeat monitor, fault injection).
-    "heartbeat_miss": ("host", "misses", "threshold"),
-    "fault_injected": ("host", "kind"),
-    # Service lifecycle (repro.service, docs/SERVICE.md).
-    "service_start": ("families", "size", "seed", "round"),
-    "estimate_served": ("families", "round", "staleness"),
-    "ingest_dropped": ("dropped", "queued"),
-    "snapshot_checkpoint": ("round", "path", "bytes", "seconds"),
-}
 
 
 def read_journal(
@@ -106,10 +79,10 @@ def validate_journal(events: Sequence[Mapping[str, Any]]) -> List[str]:
         kind = event.get("event")
         if not isinstance(event.get("ts"), (int, float)):
             problems.append(f"line {pos}: missing numeric 'ts'")
-        if kind not in EVENT_FIELDS:
+        if kind not in EVENTS:
             problems.append(f"line {pos}: unknown event type {kind!r}")
             continue
-        for field in EVENT_FIELDS[kind]:
+        for field in EVENTS[kind].fields:
             if field not in event:
                 problems.append(f"line {pos}: {kind} event missing {field!r}")
         if kind == "journal" and event.get("schema") != JOURNAL_SCHEMA_VERSION:
@@ -130,6 +103,13 @@ def validate_journal(events: Sequence[Mapping[str, Any]]) -> List[str]:
 # ----------------------------------------------------------------------
 
 
+class _Fields(dict):
+    """An event's fields for formatting; a missing field reads as ``None``."""
+
+    def __missing__(self, key: str) -> None:
+        return None
+
+
 def _us(epoch: float, origin: float) -> int:
     return int(round((epoch - origin) * 1_000_000))
 
@@ -139,10 +119,11 @@ def journal_to_trace(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
 
     The result is the JSON-object form (``{"traceEvents": [...]}``) that
     chrome://tracing and Perfetto both load.  Layout: the driver's events
-    sit on its own pid track (batches as spans; cache hits, fallbacks and
-    save errors as instants; snapshot-boundary resolutions as spans ending
-    at their journal timestamp), while each worker PID gets a track with
-    chunk spans and nested trial spans from the worker-side profiles.
+    sit on its own pid track (batches as spans; the events with an
+    ``instant`` in :data:`~repro.runtime.progress.EVENTS` as instant
+    markers; snapshot-boundary resolutions as spans ending at their
+    journal timestamp), while each worker PID gets a track with chunk
+    spans and nested trial spans from the worker-side profiles.
     """
     origin = min(
         (float(e["ts"]) for e in events if isinstance(e.get("ts"), (int, float))),
@@ -177,25 +158,30 @@ def journal_to_trace(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
             )
         return pid
 
-    def instant(event: Mapping[str, Any], name: str, **args: Any) -> None:
-        trace.append(
-            {
-                "ph": "i",
-                "s": "p",
-                "name": name,
-                "pid": driver_pid,
-                "tid": 0,
-                "ts": _us(float(event["ts"]), origin),
-                "args": args,
-            }
-        )
-
     batch_start: Dict[Any, Mapping[str, Any]] = {}
     batch_meta: Dict[Any, Mapping[str, Any]] = {}
     for event in events:
         kind = event.get("event")
         batch = event.get("batch")
-        if kind == "batch_meta":
+        spec = EVENTS.get(str(kind))
+        if spec is not None and spec.instant is not None:
+            name, args = spec.instant
+            fields = _Fields(event)
+            trace.append(
+                {
+                    "ph": "i",
+                    "s": "p",
+                    "name": name.format_map(fields),
+                    "pid": driver_pid,
+                    "tid": 0,
+                    "ts": _us(float(event["ts"]), origin),
+                    "args": {
+                        arg: fields[field or arg]
+                        for arg, _, field in (a.partition("=") for a in args.split())
+                    },
+                }
+            )
+        elif kind == "batch_meta":
             batch_meta[batch] = event
         elif kind == "batch_start":
             batch_start[batch] = event
@@ -219,66 +205,6 @@ def journal_to_trace(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
                         "key": meta.get("key"),
                     },
                 }
-            )
-        elif kind == "cache_hit":
-            instant(event, "cache hit", trials=event.get("trials"))
-        elif kind == "fallback":
-            instant(event, "serial fallback", reason=event.get("reason"))
-        elif kind == "partial_fallback":
-            instant(
-                event,
-                "partial fallback",
-                done=event.get("done"),
-                total=event.get("total"),
-                reason=event.get("reason"),
-            )
-        elif kind == "snapshot_save_error":
-            instant(event, "snapshot save error", error=event.get("error"))
-        elif kind == "worker_connect":
-            instant(
-                event,
-                f"worker connect {event.get('host')}",
-                host=event.get("host"),
-                worker_pid=event.get("pid"),
-            )
-        elif kind == "worker_lost":
-            instant(
-                event,
-                f"worker lost {event.get('host')}",
-                host=event.get("host"),
-                reason=event.get("reason"),
-            )
-        elif kind == "chunk_migrated":
-            instant(
-                event,
-                f"chunk {event.get('chunk')} migrated",
-                chunk=event.get("chunk"),
-                from_host=event.get("from_host"),
-                to_host=event.get("to_host"),
-            )
-        elif kind == "steal":
-            instant(
-                event,
-                f"chunk {event.get('chunk')} stolen",
-                chunk=event.get("chunk"),
-                from_host=event.get("from_host"),
-                to_host=event.get("to_host"),
-            )
-        elif kind == "heartbeat_miss":
-            instant(
-                event,
-                f"heartbeat miss {event.get('host')}",
-                host=event.get("host"),
-                misses=event.get("misses"),
-                threshold=event.get("threshold"),
-            )
-        elif kind == "fault_injected":
-            instant(
-                event,
-                f"fault {event.get('kind')} on {event.get('host')}",
-                host=event.get("host"),
-                fault=event.get("kind"),
-                detail=event.get("detail"),
             )
         elif kind == "snapshot_boundary":
             seconds = float(event.get("seconds", 0.0))
@@ -352,89 +278,51 @@ def _fmt_seconds(value: float) -> str:
 def render_obs_summary(events: Sequence[Mapping[str, Any]]) -> str:
     """ASCII phase-breakdown and runtime counters for a parsed journal."""
     breakdown = PhaseBreakdown()
-    batches = trials = chunks = cache_hits = fallbacks = partials = 0
-    save_errors = 0
+    counts = Counter(str(event.get("event")) for event in events)
+    trials = 0
     wall = 0.0
     boundary_counts: Dict[str, int] = {}
     workers: set = set()
     cluster_hosts: set = set()
-    lost_hosts = migrations = steals = 0
-    heartbeat_misses = faults_injected = 0
     for event in events:
         kind = event.get("event")
         if kind in ("chunk_done", "trial"):
             breakdown.add(event.get("phases") or {})
         if kind == "batch_finish":
-            batches += 1
             wall += float(event.get("elapsed", 0.0))
             trials += int(event.get("done", 0))
         elif kind == "chunk_done":
-            chunks += 1
             if event.get("pid") is not None:
                 workers.add(event["pid"])
-        elif kind == "cache_hit":
-            cache_hits += 1
-        elif kind == "fallback":
-            fallbacks += 1
-        elif kind == "partial_fallback":
-            partials += 1
-        elif kind == "snapshot_save_error":
-            save_errors += 1
         elif kind == "snapshot_boundary":
             outcome = str(event.get("outcome"))
             boundary_counts[outcome] = boundary_counts.get(outcome, 0) + 1
         elif kind == "worker_connect":
             cluster_hosts.add(event.get("host"))
-        elif kind == "worker_lost":
-            lost_hosts += 1
-        elif kind == "chunk_migrated":
-            migrations += 1
-        elif kind == "steal":
-            steals += 1
-        elif kind == "heartbeat_miss":
-            heartbeat_misses += 1
-        elif kind == "fault_injected":
-            faults_injected += 1
+    bits = {
+        "runtime": [f"cache hits: {counts['cache_hit']}"],
+        "cluster": [f"cluster hosts: {len(cluster_hosts)}"],
+    }
+    for name, spec in EVENTS.items():
+        if spec.counter is not None and counts[name]:
+            line, label = spec.counter
+            bits[line].append(f"{label}: {counts[name]}")
+    if boundary_counts:
+        bits["runtime"].append(
+            "snapshot boundaries: "
+            + ", ".join(f"{k}={v}" for k, v in sorted(boundary_counts.items()))
+        )
 
     lines: List[str] = []
     lines.append("run journal summary")
     lines.append(
-        f"  batches: {batches}   trials: {trials}   chunks: {chunks}   "
+        f"  batches: {counts['batch_finish']}   trials: {trials}   "
+        f"chunks: {counts['chunk_done']}   "
         f"workers seen: {len(workers)}   wall: {_fmt_seconds(wall)}"
     )
-    counter_bits = [f"cache hits: {cache_hits}"]
-    if fallbacks:
-        counter_bits.append(f"serial fallbacks: {fallbacks}")
-    if partials:
-        counter_bits.append(f"partial fallbacks: {partials}")
-    if save_errors:
-        counter_bits.append(f"snapshot save errors: {save_errors}")
-    if boundary_counts:
-        counter_bits.append(
-            "snapshot boundaries: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(boundary_counts.items()))
-        )
-    lines.append("  " + "   ".join(counter_bits))
-    if (
-        cluster_hosts
-        or lost_hosts
-        or migrations
-        or steals
-        or heartbeat_misses
-        or faults_injected
-    ):
-        cluster_bits = [f"cluster hosts: {len(cluster_hosts)}"]
-        if lost_hosts:
-            cluster_bits.append(f"workers lost: {lost_hosts}")
-        if migrations:
-            cluster_bits.append(f"chunks migrated: {migrations}")
-        if steals:
-            cluster_bits.append(f"steals: {steals}")
-        if heartbeat_misses:
-            cluster_bits.append(f"heartbeat misses: {heartbeat_misses}")
-        if faults_injected:
-            cluster_bits.append(f"faults injected: {faults_injected}")
-        lines.append("  " + "   ".join(cluster_bits))
+    lines.append("  " + "   ".join(bits["runtime"]))
+    if cluster_hosts or len(bits["cluster"]) > 1:
+        lines.append("  " + "   ".join(bits["cluster"]))
     lines.append("")
     header = f"  {'phase':<12} {'total':>10} {'share':>7} {'spans':>7} {'mean':>10}"
     lines.append(header)

@@ -237,11 +237,11 @@ def run_trials(
         if config is not None:
             meta["key"] = content_key(config)
             meta["group"] = group_key(config)
-        progress.on_batch_meta(meta)
+        progress.on_event("batch_meta", **meta)
     if store is not None and config is not None and not force:
         cached = store.load(config)
         if cached is not None:
-            progress.on_cache_hit(len(cached))
+            progress.on_event("cache_hit", trials=len(cached))
             return cached
 
     if runtime.hosts:

@@ -71,10 +71,10 @@ failure is retried with exponential backoff; once retries are exhausted
 with its retained boundary snapshot — to the surviving hosts
 (``chunk_migrated``).  If every host dies, the remaining chunks re-run
 serially in the driver (``partial_fallback``), keeping completed chunks.
-All of these events flow through the normal
-:class:`~repro.runtime.progress.ProgressReporter` protocol, so journals,
-``obs summary|trace|validate`` and the telemetry used in tests cover
-distributed runs exactly like local ones.
+All of these events flow through the same
+:meth:`~repro.runtime.progress.ProgressReporter.on_event` stream as the
+pool's, so journals, ``obs summary|trace|validate`` and the telemetry
+used in tests cover distributed runs exactly like local ones.
 
 Fault injection
 ---------------
@@ -83,8 +83,7 @@ Fault injection
 :class:`~repro.runtime.faults.FaultPlan`) and reports every fault it
 fires as a ``fault_injected`` event, so chaos tests can hold the
 injected cause and the observed recovery on one validated journal
-timeline.  The legacy ``crash_after``/``delay`` knobs remain as aliases
-for the ``kill_worker``/``slow_host`` fault kinds.
+timeline.
 """
 
 from __future__ import annotations
@@ -98,11 +97,10 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .faults import WorkerFaults
-from .pool import CHUNKS_PER_WORKER, SnapshotBackbone, chunk_specs
+from .pool import CHUNKS_PER_WORKER, SnapshotBackbone, TrialExecutor, chunk_specs
 from .progress import NullProgress, ProgressReporter
 from .snapshots import SNAPSHOT_KINDS
 from .trials import TrialResult, TrialSpec, run_chunk
@@ -240,13 +238,10 @@ class WorkerServer:
         :class:`~repro.runtime.faults.FaultPlan`).  Every fault that
         fires is reported once per kind through ``progress`` as a
         ``fault_injected`` event.
-    crash_after / delay:
-        Legacy aliases for the ``kill_worker`` / ``slow_host`` fault
-        kinds, merged into ``faults`` (explicit ``faults`` fields win).
     progress:
         Optional :class:`~repro.runtime.progress.ProgressReporter`
-        receiving ``on_fault_injected`` callbacks — in-process chaos
-        tests pass the same collector the driver uses, putting cause and
+        receiving the ``fault_injected`` events — in-process chaos tests
+        pass the same collector the driver uses, putting cause and
         recovery on one timeline.
     """
 
@@ -256,20 +251,11 @@ class WorkerServer:
         port: int = 0,
         *,
         max_sessions: Optional[int] = None,
-        crash_after: Optional[int] = None,
-        delay: float = 0.0,
         faults: Optional[WorkerFaults] = None,
         progress: Optional[ProgressReporter] = None,
     ) -> None:
         self.max_sessions = max_sessions
-        self.crash_after = crash_after
-        self.delay = delay
-        merged = faults if faults is not None else WorkerFaults()
-        if crash_after is not None and merged.kill_after_chunks is None:
-            merged = replace(merged, kill_after_chunks=int(crash_after))
-        if delay and not merged.slow_seconds:
-            merged = replace(merged, slow_seconds=float(delay))
-        self.faults = merged
+        self.faults = faults if faults is not None else WorkerFaults()
         self.progress = progress if progress is not None else NullProgress()
         self._mutex = threading.Lock()
         self._conns: set = set()
@@ -333,7 +319,9 @@ class WorkerServer:
             if kind in self._reported_faults:
                 return
             self._reported_faults.add(kind)
-        self.progress.on_fault_injected(self.address, kind, detail)
+        self.progress.on_event(
+            "fault_injected", host=self.address, kind=kind, detail=detail
+        )
 
     def serve_forever(self) -> None:
         """Accept and serve sessions until closed (or the driver-session cap).
@@ -734,10 +722,9 @@ class ClusterExecutor:
         or latency-proportional per-host sizes once adaptation has
         history; an explicit value disables adaptation).
     progress:
-        Optional :class:`ProgressReporter`; cluster events are reported
-        through the ``on_worker_connect`` / ``on_worker_lost`` /
-        ``on_chunk_migrated`` / ``on_steal`` / ``on_heartbeat_miss``
-        hooks.
+        Optional :class:`ProgressReporter`; besides the pool's batch and
+        chunk events it receives ``worker_connect``, ``worker_lost``,
+        ``chunk_migrated``, ``steal`` and ``heartbeat_miss``.
     snapshots / snapshot_store:
         Boundary-snapshot hand-off, exactly as on the pool executor.
     retries:
@@ -815,22 +802,18 @@ class ClusterExecutor:
         specs = list(specs)
         if not specs:
             return []
-        started = time.perf_counter()
         if not all(spec.portable for spec in specs):
             # Live objects cannot travel over the wire; same downgrade as
             # the pool, so cluster options are always safe to pass.
-            self.progress.on_fallback(
-                "batch holds live objects that cannot be shipped to cluster workers"
+            self.progress.on_event(
+                "fallback",
+                reason="batch holds live objects that cannot be shipped "
+                "to cluster workers",
             )
-            self.progress.on_start(len(specs), 1)
-            self.progress.on_chunk_start(0, len(specs))
-            results = run_chunk(specs)
-            self.progress.on_chunk_done(0, results)
-            results.sort(key=lambda r: (r.index, r.stream))
-            self.progress.on_finish(len(results), time.perf_counter() - started)
-            return results
+            return TrialExecutor(progress=self.progress).run(specs)
 
-        self.progress.on_start(len(specs), len(self.hosts))
+        started = time.perf_counter()
+        self.progress.on_event("batch_start", total=len(specs), workers=len(self.hosts))
         chunks, dealt = self._plan(specs)
         boundaries, payloads = self._boundary_payloads(chunks)
         state = _RunState(chunks, self.hosts, dealt)
@@ -882,26 +865,24 @@ class ClusterExecutor:
             # Every host died: finish in-driver, keeping completed chunks —
             # the cluster analogue of the pool's mid-batch partial fallback.
             remaining = sum(len(chunks[i]) for i in leftover)
-            self.progress.on_partial_fallback(
-                state.done_trials,
-                len(specs),
-                f"all {len(self.hosts)} cluster worker(s) lost; "
+            self.progress.on_event(
+                "partial_fallback",
+                done=state.done_trials,
+                total=len(specs),
+                reason=f"all {len(self.hosts)} cluster worker(s) lost; "
                 f"re-running {remaining} of {len(specs)} trials locally",
             )
             for chunk_id in leftover:
                 if chunk_id not in state.announced:
-                    self.progress.on_chunk_start(
-                        chunk_id, len(chunks[chunk_id]), boundary=boundaries[chunk_id]
-                    )
+                    self._chunk_start(chunk_id, chunks, boundaries)
                 part = run_chunk(chunks[chunk_id], payloads.get(chunk_id))
-                state.completed[chunk_id] = part
-                state.done_trials += len(part)
-                self.progress.on_chunk_done(chunk_id, part)
-                self.progress.on_progress(state.done_trials, len(specs))
+                self._record(state, None, chunk_id, part)
 
         results = [r for i in sorted(state.completed) for r in state.completed[i]]
         results.sort(key=lambda r: (r.index, r.stream))
-        self.progress.on_finish(len(results), time.perf_counter() - started)
+        self.progress.on_event(
+            "batch_finish", done=len(results), elapsed=time.perf_counter() - started
+        )
         return results
 
     # -- chunk planning ----------------------------------------------------
@@ -1008,7 +989,7 @@ class ClusterExecutor:
         """Liveness monitor thread: ping ``host`` until the batch drains.
 
         Counts consecutive misses (timeout, refused dial, transport
-        error); every miss is reported via ``on_heartbeat_miss`` and at
+        error); every miss is reported as a ``heartbeat_miss`` event and at
         :attr:`heartbeat_misses` the host goes through the same
         :meth:`_host_lost` path as a dispatch failure.  Legacy v1 workers
         (no heartbeat role) disable the monitor for their host.  Each
@@ -1059,7 +1040,9 @@ class ClusterExecutor:
                     with state.cond:
                         if host not in state.live:
                             return
-                    self.progress.on_heartbeat_miss(host, misses, threshold)
+                    self.progress.on_event(
+                        "heartbeat_miss", host=host, misses=misses, threshold=threshold
+                    )
                     if misses >= threshold:
                         self._host_lost(
                             state,
@@ -1100,7 +1083,9 @@ class ClusterExecutor:
                         session = _WorkerSession.connect(host, self.connect_timeout)
                         with state.cond:
                             state.sessions[host] = session
-                            self.progress.on_worker_connect(host, session.pid)
+                            self.progress.on_event(
+                                "worker_connect", host=host, pid=session.pid
+                            )
                     dispatched = time.perf_counter()
                     reply = session.request(
                         {
@@ -1191,14 +1176,12 @@ class ClusterExecutor:
                     chunk_id = queue.popleft()
                     state.in_flight[host] = chunk_id
                     if stolen_from is not None:
-                        self.progress.on_steal(chunk_id, stolen_from, host)
+                        self.progress.on_event(
+                            "steal", chunk=chunk_id, from_host=stolen_from, to_host=host
+                        )
                     if chunk_id not in state.announced:
                         state.announced.add(chunk_id)
-                        self.progress.on_chunk_start(
-                            chunk_id,
-                            len(chunks[chunk_id]),
-                            boundary=boundaries[chunk_id],
-                        )
+                        self._chunk_start(chunk_id, chunks, boundaries)
                     return chunk_id
                 if len(state.completed) == state.total_chunks:
                     return None
@@ -1245,13 +1228,15 @@ class ClusterExecutor:
                 session = registry.pop(host, None)
                 if session is not None:
                     sessions.append(session)
-            self.progress.on_worker_lost(host, str(reason))
+            self.progress.on_event("worker_lost", host=host, reason=str(reason))
             survivors = sorted(state.live)
             if survivors:
                 for i, orphan in enumerate(orphans):
                     target = survivors[i % len(survivors)]
                     state.queues[target].append(orphan)
-                    self.progress.on_chunk_migrated(orphan, host, target)
+                    self.progress.on_event(
+                        "chunk_migrated", chunk=orphan, from_host=host, to_host=target
+                    )
             state.cond.notify_all()
         # Closed outside the lock: severing the dispatch session unblocks
         # a thread parked in recv on it, which then observes the host is
@@ -1259,15 +1244,39 @@ class ClusterExecutor:
         for session in sessions:
             session.close()
 
-    def _record(
-        self, state: _RunState, host: str, chunk_id: int, results: List[TrialResult]
+    def _chunk_start(
+        self,
+        chunk_id: int,
+        chunks: Sequence[Sequence[TrialSpec]],
+        boundaries: Mapping[int, Optional[int]],
     ) -> None:
-        """Record a completed chunk exactly once and wake waiting peers."""
+        self.progress.on_event(
+            "chunk_start",
+            chunk=chunk_id,
+            trials=len(chunks[chunk_id]),
+            boundary=boundaries[chunk_id],
+        )
+
+    def _record(
+        self,
+        state: _RunState,
+        host: Optional[str],
+        chunk_id: int,
+        results: List[TrialResult],
+    ) -> None:
+        """Record a completed chunk exactly once and wake waiting peers.
+
+        ``host`` is ``None`` for a chunk the driver ran itself.
+        """
         with state.cond:
             state.in_flight.pop(host, None)
             if chunk_id not in state.completed:
                 state.completed[chunk_id] = results
                 state.done_trials += len(results)
-                self.progress.on_chunk_done(chunk_id, results)
-                self.progress.on_progress(state.done_trials, state.total_trials)
+                self.progress.on_event(
+                    "chunk_done", chunk=chunk_id, trials=len(results), results=results
+                )
+                self.progress.on_event(
+                    "progress", done=state.done_trials, total=state.total_trials
+                )
             state.cond.notify_all()

@@ -11,9 +11,9 @@ a test suite.  This module is the declarative half of the chaos harness
 :class:`WorkerFaults` knobs honoured by
 :class:`~repro.runtime.cluster.WorkerServer`.
 
-Every injected fault is reported through the normal
-:class:`~repro.runtime.progress.ProgressReporter` protocol as a
-``fault_injected`` event, so chaos-run journals record both the injected
+Every injected fault is reported as a ``fault_injected`` event through
+the same :meth:`~repro.runtime.progress.ProgressReporter.on_event` stream
+as the driver's, so chaos-run journals record both the injected
 cause and the observed recovery (``heartbeat_miss``, ``worker_lost``,
 ``chunk_migrated``, ...) on one validated timeline — ``obs validate``
 gates them in CI exactly like production journals.

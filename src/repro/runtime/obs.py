@@ -14,10 +14,11 @@ telemetry path (the progress/diagnostics split of the Mercury RPC runtime):
 
 * **Driver side** — a :class:`JournalReporter`, a
   :class:`~repro.runtime.progress.ProgressReporter` that serialises every
-  callback (batch → chunk → trial, snapshot-boundary resolutions, store
-  hits, fallbacks, and the cluster lifecycle of
-  :mod:`~repro.runtime.cluster` — worker connects/losses, chunk
-  migrations, steals) to one JSON object per line.  The journal is append-only
+  event of the one ``on_event`` stream (batch → chunk → trial,
+  snapshot-boundary resolutions, store hits, fallbacks, the cluster
+  lifecycle of :mod:`~repro.runtime.cluster` and the service lifecycle)
+  to one JSON object per line, named and shaped as
+  :data:`~repro.runtime.progress.EVENTS` lists them.  The journal is append-only
   JSONL so a crashed run still leaves a readable prefix, and every line
   carries a wall-clock timestamp so events from different worker processes
   can be aligned on one timeline (worker ``perf_counter`` origins differ
@@ -58,7 +59,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, IO, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, IO, Iterator, Optional, Tuple, Union
 
 from .progress import ProgressReporter
 
@@ -209,15 +210,11 @@ class JournalReporter(ProgressReporter):
     def _emit(self, event: str, **data: Any) -> None:
         with self._write_lock:
             record: Dict[str, Any] = {"ts": float(self._clock()), "event": event}
-            if self._in_batch or event in ("batch_meta", "batch_start"):
+            if self._in_batch:
                 record["batch"] = self._batch
             record.update(data)
             self._stream.write(json.dumps(record, sort_keys=False) + "\n")
             self._stream.flush()
-
-    def _next_batch(self) -> None:
-        self._batch += 1
-        self._in_batch = True
 
     def close(self) -> None:
         """Close the underlying file if this reporter opened it."""
@@ -230,143 +227,50 @@ class JournalReporter(ProgressReporter):
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    # -- ProgressReporter callbacks ----------------------------------------
+    def on_event(self, event: str, **fields: Any) -> None:
+        """Journal one event; ``chunk_done`` adds one ``trial`` line per result.
 
-    def on_batch_meta(self, meta: Mapping[str, Any]) -> None:
-        """Open a new batch scope and journal its spec identity."""
-        self._next_batch()
-        self._emit("batch_meta", **dict(meta))
-
-    def on_start(self, total: int, workers: int) -> None:
-        """Journal the start of batch execution."""
-        if not self._in_batch:
-            self._next_batch()
-        self._emit("batch_start", total=total, workers=workers)
-
-    def on_progress(self, done: int, total: int) -> None:
-        """Journal a completed-trials progress tick."""
-        self._emit("progress", done=done, total=total)
-
-    def on_cache_hit(self, total: int) -> None:
-        """Journal a whole-batch store hit and close the batch scope."""
-        if not self._in_batch:
-            self._next_batch()
-        self._emit("cache_hit", trials=total)
-        self._in_batch = False
-
-    def on_fallback(self, reason: str) -> None:
-        """Journal a whole-batch serial fallback."""
-        self._emit("fallback", reason=reason)
-
-    def on_partial_fallback(self, done: int, total: int, reason: str) -> None:
-        """Journal a mid-batch pool failure with the surviving trial count."""
-        self._emit("partial_fallback", done=done, total=total, reason=reason)
-
-    def on_finish(self, done: int, elapsed: float) -> None:
-        """Journal batch completion and close the batch scope."""
-        self._emit("batch_finish", done=done, elapsed=elapsed)
-        self._in_batch = False
-
-    def on_chunk_start(self, chunk: int, trials: int, boundary: Optional[int] = None) -> None:
-        """Journal a chunk submission (with its snapshot boundary, if any)."""
-        self._emit("chunk_start", chunk=chunk, trials=trials, boundary=boundary)
-
-    def on_chunk_done(self, chunk: int, results: Sequence[Any]) -> None:
-        """Journal chunk completion plus one ``trial`` line per result.
-
-        Worker-side profiles (pid, epoch start, phase timings) are folded
-        in when present; trial start offsets are rebased onto the worker's
-        epoch start so all journal timestamps share one timeline.
+        ``batch_meta`` opens a batch scope, as do ``batch_start`` and
+        ``cache_hit`` outside one; ``batch_finish`` and ``cache_hit`` close
+        it.  A ``chunk_done`` line folds in the worker-side chunk profile
+        (pid, epoch start, elapsed, shared phases), and trial start offsets
+        are rebased onto the worker's epoch start so all journal timestamps
+        share one timeline.
         """
-        summary: Dict[str, Any] = {}
-        for result in results:
-            profile = getattr(result, "profile", None) or {}
-            if "chunk" in profile:
-                summary = profile["chunk"]
-                break
+        if event == "batch_meta" or (
+            event in ("batch_start", "cache_hit") and not self._in_batch
+        ):
+            self._batch += 1
+            self._in_batch = True
+        if event != "chunk_done":
+            self._emit(event, **fields)
+            if event in ("batch_finish", "cache_hit"):
+                self._in_batch = False
+            return
+        results = fields.pop("results")
+        profiles = [result.profile or {} for result in results]
+        summary = next((p["chunk"] for p in profiles if "chunk" in p), {})
+        chunk_started = summary.get("started")
         self._emit(
-            "chunk_done",
-            chunk=chunk,
-            trials=len(results),
+            event,
+            **fields,
             pid=summary.get("pid"),
-            started=summary.get("started"),
+            started=chunk_started,
             elapsed=summary.get("elapsed"),
             phases=summary.get("phases") or {},
         )
-        chunk_started = summary.get("started")
-        for result in results:
-            profile = getattr(result, "profile", None) or {}
+        for result, profile in zip(results, profiles):
             started = profile.get("started")
             if started is not None and chunk_started is not None:
                 started = chunk_started + started
             self._emit(
                 "trial",
-                chunk=chunk,
-                index=getattr(result, "index", None),
-                stream=getattr(result, "stream", 0),
-                ok=getattr(result, "ok", True),
+                chunk=fields["chunk"],
+                index=result.index,
+                stream=result.stream,
+                ok=result.ok,
                 pid=summary.get("pid"),
                 started=started,
                 elapsed=profile.get("elapsed"),
                 phases=profile.get("phases") or {},
             )
-
-    def on_snapshot_boundary(self, target: int, seconds: float, outcome: str) -> None:
-        """Journal a snapshot-backbone boundary resolution."""
-        self._emit("snapshot_boundary", target=target, seconds=seconds, outcome=outcome)
-
-    def on_snapshot_save_error(self, error: str) -> None:
-        """Journal a failed best-effort snapshot save."""
-        self._emit("snapshot_save_error", error=error)
-
-    # -- cluster events (repro.runtime.cluster) ----------------------------
-
-    def on_worker_connect(self, host: str, pid: int) -> None:
-        """Journal a completed cluster-worker handshake."""
-        self._emit("worker_connect", host=host, pid=pid)
-
-    def on_worker_lost(self, host: str, reason: str) -> None:
-        """Journal a cluster worker declared dead after exhausted retries."""
-        self._emit("worker_lost", host=host, reason=reason)
-
-    def on_chunk_migrated(self, chunk: int, from_host: str, to_host: str) -> None:
-        """Journal a chunk migrating off a dead host with its snapshot."""
-        self._emit("chunk_migrated", chunk=chunk, from_host=from_host, to_host=to_host)
-
-    def on_steal(self, chunk: int, from_host: str, to_host: str) -> None:
-        """Journal an idle host stealing a queued chunk from a busy peer."""
-        self._emit("steal", chunk=chunk, from_host=from_host, to_host=to_host)
-
-    def on_heartbeat_miss(self, host: str, misses: int, threshold: int) -> None:
-        """Journal a missed liveness ping (consecutive count vs threshold)."""
-        self._emit("heartbeat_miss", host=host, misses=misses, threshold=threshold)
-
-    def on_fault_injected(self, host: str, kind: str, detail: str) -> None:
-        """Journal a chaos-harness fault firing on a worker."""
-        self._emit("fault_injected", host=host, kind=kind, detail=detail)
-
-    # -- service events (repro.service) -------------------------------------
-
-    def on_service_start(self, meta: Mapping[str, Any]) -> None:
-        """Journal an estimation-service boot or checkpoint restore."""
-        self._emit("service_start", **dict(meta))
-
-    def on_estimate_served(
-        self, families: Sequence[str], round: int, staleness: Optional[int]
-    ) -> None:
-        """Journal an admitted estimate read with its worst staleness."""
-        self._emit(
-            "estimate_served", families=list(families), round=round, staleness=staleness
-        )
-
-    def on_ingest_dropped(self, dropped: int, queued: int) -> None:
-        """Journal ingest load-shedding (events dropped, queue depth)."""
-        self._emit("ingest_dropped", dropped=dropped, queued=queued)
-
-    def on_snapshot_checkpoint(
-        self, round: int, path: str, bytes: int, seconds: float
-    ) -> None:
-        """Journal a service checkpoint write (size and duration)."""
-        self._emit(
-            "snapshot_checkpoint", round=round, path=path, bytes=bytes, seconds=seconds
-        )

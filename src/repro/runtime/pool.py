@@ -28,8 +28,8 @@ serial hand-off — state simply persists across indices); and any
 pool-level failure — to *dispatch* (pickling error, missing
 multiprocessing support) or a worker process dying mid-batch
 (``BrokenProcessPool``, e.g. killed by the OS) — keeps the chunks that
-already finished and re-runs only the rest serially, after reporting via
-the progress callback.
+already finished and re-runs only the rest serially, after reporting a
+``partial_fallback`` event.
 """
 
 from __future__ import annotations
@@ -106,23 +106,23 @@ class SnapshotBackbone:
         chunk layouts the backbone cannot serve — the chunk then falls
         back to prefix replay, which is always correct.
 
-        Every resolution is reported via ``on_snapshot_boundary``; a
+        Every resolution is reported as a ``snapshot_boundary`` event; a
         failed best-effort save (read-only store) is surfaced once per
-        backbone via ``on_snapshot_save_error`` instead of being silently
-        dropped.
+        backbone as a ``snapshot_save_error`` event instead of being
+        silently dropped.
         """
         begin = time.perf_counter()
         if target < 0:
-            self.progress.on_snapshot_boundary(target, 0.0, "skipped")
+            self.progress.on_event(
+                "snapshot_boundary", target=target, seconds=0.0, outcome="skipped"
+            )
             return None
         config = snapshot_config(self.spec, target)
         if self.store is not None:
             cached = self.store.load_snapshot(config)
             if cached is not None:
                 self._adopt = cached
-                self.progress.on_snapshot_boundary(
-                    target, time.perf_counter() - begin, "hit"
-                )
+                self._report_boundary(target, begin, "hit")
                 return cached
         if self._adopt is not None:
             self._state = self.state_cls.restore(self.spec, self._adopt)
@@ -130,9 +130,7 @@ class SnapshotBackbone:
         if self._state is None:
             self._state = self.state_cls.boot(self.spec)
         if target < self._state.position:
-            self.progress.on_snapshot_boundary(
-                target, time.perf_counter() - begin, "skipped"
-            )
+            self._report_boundary(target, begin, "skipped")
             return None
         self._state.advance(target)
         payload = self._state.snapshot()
@@ -144,11 +142,17 @@ class SnapshotBackbone:
             except OSError as exc:  # read-only store: snapshots are best-effort
                 if not self._save_error_reported:
                     self._save_error_reported = True
-                    self.progress.on_snapshot_save_error(str(exc))
-        self.progress.on_snapshot_boundary(
-            target, time.perf_counter() - begin, "computed"
-        )
+                    self.progress.on_event("snapshot_save_error", error=str(exc))
+        self._report_boundary(target, begin, "computed")
         return payload
+
+    def _report_boundary(self, target: int, begin: float, outcome: str) -> None:
+        self.progress.on_event(
+            "snapshot_boundary",
+            target=target,
+            seconds=time.perf_counter() - begin,
+            outcome=outcome,
+        )
 
 
 class TrialExecutor:
@@ -202,21 +206,33 @@ class TrialExecutor:
         portable = all(spec.portable for spec in specs)
         workers = self.workers if portable else 1
         if not portable and self.workers > 1:
-            self.progress.on_fallback(
-                "batch holds live objects that cannot be shipped to workers"
+            self.progress.on_event(
+                "fallback",
+                reason="batch holds live objects that cannot be shipped to workers",
             )
         started = time.perf_counter()
-        self.progress.on_start(len(specs), workers)
+        self.progress.on_event("batch_start", total=len(specs), workers=workers)
 
         if workers <= 1 or len(specs) == 1:
-            self.progress.on_chunk_start(0, len(specs))
-            results = run_chunk(specs)
-            self.progress.on_chunk_done(0, results)
+            results = self._run_local(0, specs)
         else:
             results = self._run_parallel(specs, workers)
 
         results.sort(key=lambda r: (r.index, r.stream))
-        self.progress.on_finish(len(results), time.perf_counter() - started)
+        self.progress.on_event(
+            "batch_finish", done=len(results), elapsed=time.perf_counter() - started
+        )
+        return results
+
+    def _run_local(self, chunk: int, specs: List[TrialSpec]) -> List[TrialResult]:
+        """Run ``specs`` in this process as chunk ``chunk``, reporting it."""
+        self.progress.on_event(
+            "chunk_start", chunk=chunk, trials=len(specs), boundary=None
+        )
+        results = run_chunk(specs)
+        self.progress.on_event(
+            "chunk_done", chunk=chunk, trials=len(results), results=results
+        )
         return results
 
     def _run_parallel(
@@ -224,10 +240,7 @@ class TrialExecutor:
     ) -> List[TrialResult]:
         chunks = chunk_specs(specs, self._auto_chunk_size(len(specs)))
         if len(chunks) == 1:
-            self.progress.on_chunk_start(0, len(specs))
-            results = run_chunk(specs)
-            self.progress.on_chunk_done(0, results)
-            return results
+            return self._run_local(0, specs)
         pipelined = self.snapshots and specs[0].kind in SNAPSHOT_KINDS
         completed: dict = {}
         done = 0
@@ -238,15 +251,22 @@ class TrialExecutor:
                 else:
                     futures = []
                     for i, chunk in enumerate(chunks):
-                        self.progress.on_chunk_start(i, len(chunk))
+                        self.progress.on_event(
+                            "chunk_start", chunk=i, trials=len(chunk), boundary=None
+                        )
                         futures.append(pool.submit(run_chunk, chunk))
                 index_of = {future: i for i, future in enumerate(futures)}
                 for future in as_completed(futures):
                     part = future.result()
                     completed[index_of[future]] = part
                     done += len(part)
-                    self.progress.on_chunk_done(index_of[future], part)
-                    self.progress.on_progress(done, len(specs))
+                    self.progress.on_event(
+                        "chunk_done",
+                        chunk=index_of[future],
+                        trials=len(part),
+                        results=part,
+                    )
+                    self.progress.on_event("progress", done=done, total=len(specs))
             return [r for i in sorted(completed) for r in completed[i]]
         except (pickle.PicklingError, ImportError, OSError, BrokenProcessPool) as exc:
             # Keep whatever chunks already finished; only the remainder is
@@ -259,17 +279,15 @@ class TrialExecutor:
                 if i not in completed
                 for spec in chunk
             ]
-            self.progress.on_partial_fallback(
-                done,
-                len(specs),
-                f"process pool failed ({exc}); "
+            self.progress.on_event(
+                "partial_fallback",
+                done=done,
+                total=len(specs),
+                reason=f"process pool failed ({exc}); "
                 f"re-running {len(remaining)} of {len(specs)} trials serially",
             )
             kept = [r for i in sorted(completed) for r in completed[i]]
-            self.progress.on_chunk_start(len(chunks), len(remaining))
-            rerun = run_chunk(remaining)
-            self.progress.on_chunk_done(len(chunks), rerun)
-            return kept + rerun
+            return kept + self._run_local(len(chunks), remaining)
 
     def _submit_pipelined(self, pool: ProcessPoolExecutor, chunks) -> List:
         """Submit chunks with snapshot hand-off (churn-replay kinds).
@@ -286,6 +304,8 @@ class TrialExecutor:
         futures = []
         for i, chunk in enumerate(chunks):
             target = min(spec.index for spec in chunk) - 1
-            self.progress.on_chunk_start(i, len(chunk), boundary=target)
+            self.progress.on_event(
+                "chunk_start", chunk=i, trials=len(chunk), boundary=target
+            )
             futures.append(pool.submit(run_chunk, chunk, backbone.payload_at(target)))
         return futures

@@ -1,19 +1,42 @@
-"""Lightweight progress/telemetry callbacks for trial execution.
+"""The runtime's event stream: one :data:`EVENTS` table, one reporter hook.
 
-The executor reports through a :class:`ProgressReporter`; the default
-:class:`NullProgress` costs nothing, :class:`LogProgress` writes one-line
-updates to a stream (stderr by default, so CSV/chart output on stdout
-stays clean), and :class:`TelemetryCollector` records every event for
-tests and tooling.
+The trials API, the process pool, the cluster executor and the
+estimation service report everything through
+``progress.on_event(event, **fields)``, using the run journal's own
+event names and fields.  :data:`EVENTS` catalogues every event: the
+fields a journal line of it must carry, and the renderings something
+reads — the :class:`LogProgress` line, the ``obs trace`` instant marker
+and the ``obs summary`` counter (:mod:`repro.analysis.obs_report`).
+Adding an event is one table row plus one ``on_event`` call.
+
+The default :class:`NullProgress` costs nothing, :class:`LogProgress`
+writes one-line updates to a stream (stderr by default, so CSV/chart
+output on stdout stays clean), :class:`TelemetryCollector` records every
+event for tests and tooling, and :class:`TeeProgress` fans events out to
+several reporters (e.g. a log and the
+:class:`~repro.runtime.obs.JournalReporter`).
 """
 
 from __future__ import annotations
 
 import sys
-import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 __all__ = [
+    "EVENTS",
+    "Event",
     "LogProgress",
     "NullProgress",
     "ProgressReporter",
@@ -22,146 +45,129 @@ __all__ = [
 ]
 
 
+class Event(NamedTuple):
+    """One row of :data:`EVENTS`."""
+
+    #: Fields every journal line of the event carries (beyond ``ts``);
+    #: ``obs validate`` enforces them.
+    fields: Tuple[str, ...]
+    #: :class:`LogProgress` line: a ``str.format`` template over the
+    #: event's fields, or a function of the fields (``None``: not logged).
+    log: Union[None, str, Callable[[Mapping[str, Any]], str]] = None
+    #: ``obs trace`` instant marker on the driver track: a name template
+    #: and its space-separated args, each ``field`` or ``arg=field``.
+    instant: Optional[Tuple[str, str]] = None
+    #: ``obs summary`` counter: its line (``"runtime"`` or ``"cluster"``)
+    #: and label, shown when the event occurred.
+    counter: Optional[Tuple[str, str]] = None
+
+
+def _running(fields: Mapping[str, Any]) -> str:
+    workers = fields["workers"]
+    mode = f"{workers} workers" if workers > 1 else "serial"
+    return f"running {fields['total']} trials ({mode})"
+
+
+def _partial_fallback(fields: Mapping[str, Any]) -> str:
+    done, total = fields["done"], fields["total"]
+    return (
+        f"pool failed after {done}/{total} trials; "
+        f"re-running the remaining {total - done} serially: {fields['reason']}"
+    )
+
+
+#: Every runtime event, in the order of the journal schema table in
+#: ``docs/OBSERVABILITY.md``.  Events between a ``batch_meta`` /
+#: ``batch_start`` and the matching ``batch_finish`` (or ``cache_hit``)
+#: belong to one batch; the cluster rows come from
+#: :mod:`repro.runtime.cluster` and the last four from :mod:`repro.service`.
+EVENTS: Dict[str, Event] = {
+    "journal": Event(("schema", "pid")),
+    "batch_meta": Event(("batch", "kind", "trials", "tag")),
+    "batch_start": Event(("batch", "total", "workers"), log=_running),
+    "progress": Event(("done", "total"), log="{done}/{total} trials done"),
+    "cache_hit": Event(
+        ("trials",),
+        log="cache hit: {trials} trials loaded from store",
+        instant=("cache hit", "trials"),
+    ),
+    "fallback": Event(
+        ("reason",),
+        log="falling back to serial execution: {reason}",
+        instant=("serial fallback", "reason"),
+        counter=("runtime", "serial fallbacks"),
+    ),
+    "partial_fallback": Event(
+        ("done", "total", "reason"),
+        log=_partial_fallback,
+        instant=("partial fallback", "done total reason"),
+        counter=("runtime", "partial fallbacks"),
+    ),
+    "chunk_start": Event(("chunk", "trials")),
+    "chunk_done": Event(("chunk", "trials")),
+    "trial": Event(("chunk", "index", "stream")),
+    "snapshot_boundary": Event(("target", "seconds", "outcome")),
+    "snapshot_save_error": Event(
+        ("error",),
+        log="snapshot save failed (results unaffected): {error}",
+        instant=("snapshot save error", "error"),
+        counter=("runtime", "snapshot save errors"),
+    ),
+    "worker_connect": Event(
+        ("host", "pid"),
+        log="connected to worker {host} (pid {pid})",
+        instant=("worker connect {host}", "host worker_pid=pid"),
+    ),
+    "worker_lost": Event(
+        ("host", "reason"),
+        log="lost worker {host}: {reason}",
+        instant=("worker lost {host}", "host reason"),
+        counter=("cluster", "workers lost"),
+    ),
+    "chunk_migrated": Event(
+        ("chunk", "from_host", "to_host"),
+        log="chunk {chunk} migrated {from_host} -> {to_host}",
+        instant=("chunk {chunk} migrated", "chunk from_host to_host"),
+        counter=("cluster", "chunks migrated"),
+    ),
+    "steal": Event(
+        ("chunk", "from_host", "to_host"),
+        instant=("chunk {chunk} stolen", "chunk from_host to_host"),
+        counter=("cluster", "steals"),
+    ),
+    "heartbeat_miss": Event(
+        ("host", "misses", "threshold"),
+        log="heartbeat miss {misses}/{threshold} for worker {host}",
+        instant=("heartbeat miss {host}", "host misses threshold"),
+        counter=("cluster", "heartbeat misses"),
+    ),
+    "fault_injected": Event(
+        ("host", "kind"),
+        log="fault injected on {host}: {kind} ({detail})",
+        instant=("fault {kind} on {host}", "host fault=kind detail"),
+        counter=("cluster", "faults injected"),
+    ),
+    "batch_finish": Event(
+        ("done", "elapsed"), log="finished {done} trials in {elapsed:.1f}s"
+    ),
+    "service_start": Event(("families", "size", "seed", "round")),
+    "estimate_served": Event(("families", "round", "staleness")),
+    "ingest_dropped": Event(("dropped", "queued")),
+    "snapshot_checkpoint": Event(("round", "path", "bytes", "seconds")),
+}
+
+
 class ProgressReporter:
-    """Callback interface invoked by the executor and the trials API.
+    """Receives the runtime's events; this base class ignores them."""
 
-    The original protocol is the five coarse batch-level callbacks
-    (``on_start`` … ``on_finish``); third-party subclasses that override
-    only those keep working unchanged.  The chunk-/trial-granular hooks
-    below were added for the observability layer (:mod:`repro.runtime.obs`)
-    and all default to no-ops — except :meth:`on_partial_fallback`, whose
-    default delegates to :meth:`on_fallback` so five-method reporters still
-    hear about mid-batch pool failures.
-    """
+    def on_event(self, event: str, **fields: Any) -> None:
+        """Handle one :data:`EVENTS` event.
 
-    def on_start(self, total: int, workers: int) -> None:
-        """A batch of ``total`` trials is about to run on ``workers`` workers."""
-
-    def on_progress(self, done: int, total: int) -> None:
-        """``done`` of ``total`` trials have completed."""
-
-    def on_cache_hit(self, total: int) -> None:
-        """The whole batch was served from the results store."""
-
-    def on_fallback(self, reason: str) -> None:
-        """Parallel execution was abandoned in favour of the serial path."""
-
-    def on_finish(self, done: int, elapsed: float) -> None:
-        """The batch finished (``elapsed`` wall-clock seconds)."""
-
-    # -- observability extensions (all optional to override) ---------------
-
-    def on_batch_meta(self, meta: Mapping[str, Any]) -> None:
-        """Identity of the batch about to run (kind, trials, tag, key, group).
-
-        Fired by :func:`~repro.runtime.api.run_trials` before the cache
-        lookup, so journals can attribute the subsequent events (including
-        a cache hit) to a spec identity.  Not fired when the executor is
-        driven directly.
+        ``fields`` are the journal line's fields, less ``batch`` (the
+        journal numbers batches itself).  ``chunk_done`` also carries
+        ``results``: the chunk's :class:`~repro.runtime.trials.TrialResult`
+        list, with the worker-side phase profiles.
         """
-
-    def on_chunk_start(self, chunk: int, trials: int, boundary: Optional[int] = None) -> None:
-        """Chunk ``chunk`` (``trials`` specs) was submitted for execution.
-
-        ``boundary`` is the snapshot hand-off index the chunk resumes from
-        (pipelined replay kinds only; ``None`` otherwise).
-        """
-
-    def on_chunk_done(self, chunk: int, results: Sequence[Any]) -> None:
-        """Chunk ``chunk`` completed with ``results`` (list of TrialResult).
-
-        Results carry worker-side phase profiles on their ``profile``
-        attribute when produced by :func:`~repro.runtime.trials.run_chunk`.
-        """
-
-    def on_snapshot_boundary(self, target: int, seconds: float, outcome: str) -> None:
-        """The snapshot backbone resolved boundary ``target``.
-
-        ``outcome`` is ``"hit"`` (loaded from the snapshot store),
-        ``"computed"`` (advanced from the previous boundary) or
-        ``"skipped"`` (no hand-off produced for this boundary — the chunk
-        prefix-replays instead).
-        """
-
-    def on_snapshot_save_error(self, error: str) -> None:
-        """A best-effort snapshot save failed (e.g. read-only store).
-
-        Reported at most once per backbone — subsequent failures of the
-        same store are suppressed.
-        """
-
-    def on_partial_fallback(self, done: int, total: int, reason: str) -> None:
-        """The pool failed mid-batch; ``done`` of ``total`` trials survive.
-
-        Only the remaining ``total - done`` trials are re-run serially.
-        The default implementation delegates to :meth:`on_fallback` so
-        legacy five-method reporters still observe the event.
-        """
-        self.on_fallback(reason)
-
-    # -- cluster extensions (repro.runtime.cluster; all optional) -----------
-
-    def on_worker_connect(self, host: str, pid: int) -> None:
-        """The driver completed a handshake with cluster worker ``host``.
-
-        ``pid`` is the worker's process id, reported by the handshake so
-        journals and traces can attribute remote chunk profiles.
-        """
-
-    def on_worker_lost(self, host: str, reason: str) -> None:
-        """Cluster worker ``host`` was declared dead after exhausting retries."""
-
-    def on_chunk_migrated(self, chunk: int, from_host: str, to_host: str) -> None:
-        """Chunk ``chunk`` of a lost host was reassigned to a survivor.
-
-        The chunk re-ships with its retained boundary snapshot, so the
-        migration never changes results — only placement.
-        """
-
-    def on_steal(self, chunk: int, from_host: str, to_host: str) -> None:
-        """An idle host stole queued chunk ``chunk`` from a busy peer's tail."""
-
-    def on_heartbeat_miss(self, host: str, misses: int, threshold: int) -> None:
-        """Cluster worker ``host`` missed a liveness ping.
-
-        ``misses`` is the consecutive-miss count so far; reaching
-        ``threshold`` declares the host lost (``on_worker_lost`` follows
-        through the normal migration path).
-        """
-
-    def on_fault_injected(self, host: str, kind: str, detail: str) -> None:
-        """The chaos harness fired an injected fault on worker ``host``.
-
-        ``kind`` is one of :data:`~repro.runtime.faults.FAULT_KINDS`;
-        reported by the worker itself (once per kind) so journals hold
-        the injected cause and the observed recovery on one timeline.
-        """
-
-    # -- service extensions (repro.service; all optional) --------------------
-
-    def on_service_start(self, meta: Mapping[str, Any]) -> None:
-        """An estimation service booted (or restored from a checkpoint).
-
-        ``meta`` carries at least ``families`` (the warm estimator list),
-        ``size`` (overlay size), ``seed`` and the current ``round``.
-        """
-
-    def on_estimate_served(
-        self, families: Sequence[str], round: int, staleness: Optional[int]
-    ) -> None:
-        """The service admitted and answered one estimate request.
-
-        ``staleness`` is the worst round-distance across the served
-        families' estimates (``None`` before any estimate exists).
-        """
-
-    def on_ingest_dropped(self, dropped: int, queued: int) -> None:
-        """The bounded ingest queue shed ``dropped`` events (``queued`` held)."""
-
-    def on_snapshot_checkpoint(
-        self, round: int, path: str, bytes: int, seconds: float
-    ) -> None:
-        """The service wrote a checkpoint of ``bytes`` bytes at ``round``."""
 
 
 class NullProgress(ProgressReporter):
@@ -174,168 +180,26 @@ class LogProgress(ProgressReporter):
     def __init__(self, label: str = "trials", stream: Optional[TextIO] = None) -> None:
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
-        self._started = 0.0
 
-    def _emit(self, message: str) -> None:
-        self.stream.write(f"[{self.label}] {message}\n")
+    def on_event(self, event: str, **fields: Any) -> None:
+        """Write the event's :data:`EVENTS` log line, if it has one."""
+        log = EVENTS[event].log
+        if log is None:
+            return
+        line = log(fields) if callable(log) else log.format(**fields)
+        self.stream.write(f"[{self.label}] {line}\n")
         self.stream.flush()
-
-    def on_start(self, total: int, workers: int) -> None:
-        """Log the batch size and execution mode."""
-        self._started = time.perf_counter()
-        mode = f"{workers} workers" if workers > 1 else "serial"
-        self._emit(f"running {total} trials ({mode})")
-
-    def on_progress(self, done: int, total: int) -> None:
-        """Log completed-trial counts as chunks finish."""
-        self._emit(f"{done}/{total} trials done")
-
-    def on_cache_hit(self, total: int) -> None:
-        """Log that the batch was served from the store."""
-        self._emit(f"cache hit: {total} trials loaded from store")
-
-    def on_fallback(self, reason: str) -> None:
-        """Log a downgrade to the serial path and why."""
-        self._emit(f"falling back to serial execution: {reason}")
-
-    def on_finish(self, done: int, elapsed: float) -> None:
-        """Log the final count and wall-clock."""
-        self._emit(f"finished {done} trials in {elapsed:.1f}s")
-
-    def on_snapshot_save_error(self, error: str) -> None:
-        """Log a failed best-effort snapshot save (once per backbone)."""
-        self._emit(f"snapshot save failed (results unaffected): {error}")
-
-    def on_partial_fallback(self, done: int, total: int, reason: str) -> None:
-        """Log a mid-batch pool failure and how much work survives."""
-        self._emit(
-            f"pool failed after {done}/{total} trials; "
-            f"re-running the remaining {total - done} serially: {reason}"
-        )
-
-    def on_worker_connect(self, host: str, pid: int) -> None:
-        """Log a completed cluster-worker handshake."""
-        self._emit(f"connected to worker {host} (pid {pid})")
-
-    def on_worker_lost(self, host: str, reason: str) -> None:
-        """Log a cluster worker declared dead after exhausted retries."""
-        self._emit(f"lost worker {host}: {reason}")
-
-    def on_chunk_migrated(self, chunk: int, from_host: str, to_host: str) -> None:
-        """Log a chunk migrating off a dead host."""
-        self._emit(f"chunk {chunk} migrated {from_host} -> {to_host}")
-
-    def on_heartbeat_miss(self, host: str, misses: int, threshold: int) -> None:
-        """Log a missed liveness ping with the running miss count."""
-        self._emit(f"heartbeat miss {misses}/{threshold} for worker {host}")
-
-    def on_fault_injected(self, host: str, kind: str, detail: str) -> None:
-        """Log an injected chaos fault firing on a worker."""
-        self._emit(f"fault injected on {host}: {kind} ({detail})")
 
 
 class TelemetryCollector(ProgressReporter):
-    """Records every callback as an event dict — for tests and tooling."""
+    """Records every event as a dict — for tests and tooling."""
 
     def __init__(self) -> None:
         self.events: List[Dict[str, Any]] = []
 
-    def _record(self, event: str, **data: Any) -> None:
-        # ``event`` deliberately avoids colliding with batch-meta field names
-        # ("kind", "tag", ...), which are splatted in via ``**data``.
-        self.events.append({"event": event, **data})
-
-    def on_start(self, total: int, workers: int) -> None:
-        """Record a start event."""
-        self._record("start", total=total, workers=workers)
-
-    def on_progress(self, done: int, total: int) -> None:
-        """Record a progress event."""
-        self._record("progress", done=done, total=total)
-
-    def on_cache_hit(self, total: int) -> None:
-        """Record a cache-hit event."""
-        self._record("cache_hit", total=total)
-
-    def on_fallback(self, reason: str) -> None:
-        """Record a fallback event."""
-        self._record("fallback", reason=reason)
-
-    def on_finish(self, done: int, elapsed: float) -> None:
-        """Record a finish event."""
-        self._record("finish", done=done, elapsed=elapsed)
-
-    def on_batch_meta(self, meta: Mapping[str, Any]) -> None:
-        """Record a batch-identity event."""
-        self._record("batch_meta", **dict(meta))
-
-    def on_chunk_start(self, chunk: int, trials: int, boundary: Optional[int] = None) -> None:
-        """Record a chunk-submission event."""
-        self._record("chunk_start", chunk=chunk, trials=trials, boundary=boundary)
-
-    def on_chunk_done(self, chunk: int, results: Sequence[Any]) -> None:
-        """Record a chunk-completion event (result count only)."""
-        self._record("chunk_done", chunk=chunk, trials=len(results))
-
-    def on_snapshot_boundary(self, target: int, seconds: float, outcome: str) -> None:
-        """Record a snapshot-boundary resolution event."""
-        self._record("snapshot_boundary", target=target, seconds=seconds, outcome=outcome)
-
-    def on_snapshot_save_error(self, error: str) -> None:
-        """Record a failed best-effort snapshot save."""
-        self._record("snapshot_save_error", error=error)
-
-    def on_partial_fallback(self, done: int, total: int, reason: str) -> None:
-        """Record a mid-batch partial fallback."""
-        self._record("partial_fallback", done=done, total=total, reason=reason)
-
-    def on_worker_connect(self, host: str, pid: int) -> None:
-        """Record a cluster-worker handshake."""
-        self._record("worker_connect", host=host, pid=pid)
-
-    def on_worker_lost(self, host: str, reason: str) -> None:
-        """Record a cluster worker declared dead."""
-        self._record("worker_lost", host=host, reason=reason)
-
-    def on_chunk_migrated(self, chunk: int, from_host: str, to_host: str) -> None:
-        """Record a chunk migration off a dead host."""
-        self._record("chunk_migrated", chunk=chunk, from_host=from_host, to_host=to_host)
-
-    def on_steal(self, chunk: int, from_host: str, to_host: str) -> None:
-        """Record a work-steal between hosts."""
-        self._record("steal", chunk=chunk, from_host=from_host, to_host=to_host)
-
-    def on_heartbeat_miss(self, host: str, misses: int, threshold: int) -> None:
-        """Record a missed liveness ping."""
-        self._record("heartbeat_miss", host=host, misses=misses, threshold=threshold)
-
-    def on_fault_injected(self, host: str, kind: str, detail: str) -> None:
-        """Record an injected chaos fault."""
-        self._record("fault_injected", host=host, kind=kind, detail=detail)
-
-    def on_service_start(self, meta: Mapping[str, Any]) -> None:
-        """Record a service boot/restore."""
-        self._record("service_start", **dict(meta))
-
-    def on_estimate_served(
-        self, families: Sequence[str], round: int, staleness: Optional[int]
-    ) -> None:
-        """Record an admitted estimate read."""
-        self._record(
-            "estimate_served", families=list(families), round=round, staleness=staleness
-        )
-
-    def on_ingest_dropped(self, dropped: int, queued: int) -> None:
-        """Record ingest load-shedding."""
-        self._record("ingest_dropped", dropped=dropped, queued=queued)
-
-    def on_snapshot_checkpoint(
-        self, round: int, path: str, bytes: int, seconds: float
-    ) -> None:
-        """Record a service checkpoint write."""
-        self._record(
-            "snapshot_checkpoint", round=round, path=path, bytes=bytes, seconds=seconds
-        )
+    def on_event(self, event: str, **fields: Any) -> None:
+        """Record ``{"event": event, **fields}``."""
+        self.events.append({"event": event, **fields})
 
     def count(self, kind: str) -> int:
         """Number of recorded events of ``kind``."""
@@ -343,116 +207,12 @@ class TelemetryCollector(ProgressReporter):
 
 
 class TeeProgress(ProgressReporter):
-    """Fan every callback out to several reporters (e.g. log + journal)."""
+    """Fan every event out to several reporters (e.g. log + journal)."""
 
     def __init__(self, reporters: Sequence[ProgressReporter]) -> None:
         self.reporters = list(reporters)
 
-    def on_start(self, total: int, workers: int) -> None:
+    def on_event(self, event: str, **fields: Any) -> None:
         """Forward to every reporter."""
         for r in self.reporters:
-            r.on_start(total, workers)
-
-    def on_progress(self, done: int, total: int) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_progress(done, total)
-
-    def on_cache_hit(self, total: int) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_cache_hit(total)
-
-    def on_fallback(self, reason: str) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_fallback(reason)
-
-    def on_finish(self, done: int, elapsed: float) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_finish(done, elapsed)
-
-    def on_batch_meta(self, meta: Mapping[str, Any]) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_batch_meta(meta)
-
-    def on_chunk_start(self, chunk: int, trials: int, boundary: Optional[int] = None) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_chunk_start(chunk, trials, boundary)
-
-    def on_chunk_done(self, chunk: int, results: Sequence[Any]) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_chunk_done(chunk, results)
-
-    def on_snapshot_boundary(self, target: int, seconds: float, outcome: str) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_snapshot_boundary(target, seconds, outcome)
-
-    def on_snapshot_save_error(self, error: str) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_snapshot_save_error(error)
-
-    def on_partial_fallback(self, done: int, total: int, reason: str) -> None:
-        """Forward to every reporter (no on_fallback double-delegation)."""
-        for r in self.reporters:
-            r.on_partial_fallback(done, total, reason)
-
-    def on_worker_connect(self, host: str, pid: int) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_worker_connect(host, pid)
-
-    def on_worker_lost(self, host: str, reason: str) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_worker_lost(host, reason)
-
-    def on_chunk_migrated(self, chunk: int, from_host: str, to_host: str) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_chunk_migrated(chunk, from_host, to_host)
-
-    def on_steal(self, chunk: int, from_host: str, to_host: str) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_steal(chunk, from_host, to_host)
-
-    def on_heartbeat_miss(self, host: str, misses: int, threshold: int) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_heartbeat_miss(host, misses, threshold)
-
-    def on_fault_injected(self, host: str, kind: str, detail: str) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_fault_injected(host, kind, detail)
-
-    def on_service_start(self, meta: Mapping[str, Any]) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_service_start(meta)
-
-    def on_estimate_served(
-        self, families: Sequence[str], round: int, staleness: Optional[int]
-    ) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_estimate_served(families, round, staleness)
-
-    def on_ingest_dropped(self, dropped: int, queued: int) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_ingest_dropped(dropped, queued)
-
-    def on_snapshot_checkpoint(
-        self, round: int, path: str, bytes: int, seconds: float
-    ) -> None:
-        """Forward to every reporter."""
-        for r in self.reporters:
-            r.on_snapshot_checkpoint(round, path, bytes, seconds)
+            r.on_event(event, **fields)

@@ -383,13 +383,12 @@ class EstimationService:
     # -- construction helpers ------------------------------------------
 
     def _announce(self) -> None:
-        self.progress.on_service_start(
-            {
-                "families": list(self.config.estimators),
-                "size": self.graph.size,
-                "seed": int(self.config.seed),
-                "round": int(self.round),
-            }
+        self.progress.on_event(
+            "service_start",
+            families=list(self.config.estimators),
+            size=self.graph.size,
+            seed=int(self.config.seed),
+            round=int(self.round),
         )
 
     @property
@@ -428,7 +427,9 @@ class EstimationService:
             self.stats.ingest_accepted += accepted
             self.stats.ingest_dropped += dropped
             if dropped:
-                self.progress.on_ingest_dropped(dropped, len(self._queue))
+                self.progress.on_event(
+                    "ingest_dropped", dropped=dropped, queued=len(self._queue)
+                )
         return accepted, dropped
 
     def tick(self, rounds: int = 1) -> int:
@@ -536,10 +537,11 @@ class EstimationService:
             staleness = [
                 e["staleness"] for e in estimates.values() if e["staleness"] is not None
             ]
-            self.progress.on_estimate_served(
-                sorted(estimates),
-                int(self.round),
-                max(staleness) if staleness else None,
+            self.progress.on_event(
+                "estimate_served",
+                families=sorted(estimates),
+                round=int(self.round),
+                staleness=max(staleness) if staleness else None,
             )
             return True, {"round": int(self.round), "estimates": estimates}
 
@@ -685,10 +687,11 @@ class EstimationService:
                 fh.write(payload)
             os.replace(tmp, target)
             self.stats.checkpoints += 1
-            self.progress.on_snapshot_checkpoint(
-                int(self.round),
-                target,
-                len(payload),
-                time.perf_counter() - began,
+            self.progress.on_event(
+                "snapshot_checkpoint",
+                round=int(self.round),
+                path=target,
+                bytes=len(payload),
+                seconds=time.perf_counter() - began,
             )
             return target

@@ -37,11 +37,11 @@ class TimedTelemetry(TelemetryCollector):
     Chaos tests reason about *when* recovery happened relative to the
     injected cause (e.g. the heartbeat detection bound), which the plain
     collector cannot answer.  The stamp is stored under ``"at"`` — no
-    progress callback uses that field name.
+    runtime event has a field of that name.
     """
 
-    def _record(self, event: str, **data: Any) -> None:
-        super()._record(event, at=time.monotonic(), **data)
+    def on_event(self, event: str, **fields: Any) -> None:
+        super().on_event(event, at=time.monotonic(), **fields)
 
     def at(self, kind: str) -> Optional[float]:
         """Monotonic stamp of the first event of ``kind`` (None if absent)."""

@@ -90,7 +90,7 @@ class TestCaching:
         telemetry = TelemetryCollector()
         run_trials(_specs(), store=store, force=True, progress=telemetry)
         assert telemetry.count("cache_hit") == 0
-        assert telemetry.count("start") == 1
+        assert telemetry.count("batch_start") == 1
 
     def test_different_params_different_entry(self, tmp_path):
         store = ResultsStore(tmp_path)

@@ -196,7 +196,7 @@ class TestHeartbeatDetectionBound:
         bound = misses * max(interval, 0.02)
         assert detected - stalled <= bound + 0.6
         kinds = [e["event"] for e in run.telemetry.events]
-        assert kinds.index("worker_lost") < kinds.index("finish")
+        assert kinds.index("worker_lost") < kinds.index("batch_finish")
 
 
 class TestChunkSizeAdaptation:
@@ -235,7 +235,7 @@ class TestChunkSizeAdaptation:
     def test_executor_reuse_adapts_and_stays_bit_exact(self):
         specs = _specs(count=16)
         serial = run_chunk(list(specs))
-        slow = WorkerServer(delay=0.3)
+        slow = WorkerServer(faults=WorkerFaults(slow_seconds=0.3))
         fast = WorkerServer()
         servers = [slow, fast]
         threads = [

@@ -2,8 +2,9 @@
 
 The harness spawns real :class:`WorkerServer` instances on loopback
 sockets inside threads — the full wire protocol runs, only the "hosts"
-share one process.  Fault-injection knobs on the server (``crash_after``,
-``delay``) make worker loss and work-stealing deterministic to test.
+share one process.  Fault-injection knobs on the server
+(:class:`WorkerFaults`) make worker loss and work-stealing deterministic
+to test.
 
 The acceptance bar mirrors the pool's: results **bit-identical** to
 serial at any host count, with unchanged content addresses — including
@@ -40,6 +41,7 @@ from repro.runtime import (
     RuntimeOptions,
     TelemetryCollector,
     TrialSpec,
+    WorkerFaults,
     WorkerServer,
     parse_hosts,
     run_chunk,
@@ -71,8 +73,8 @@ def cluster(count, **server_kwargs):
     """Spawn ``count`` loopback workers on threads; yields their addresses.
 
     ``server_kwargs`` may be a single dict applied to every worker or a
-    per-worker list under the key ``each`` (e.g. ``each=[{"crash_after":
-    1}, {}, {}]`` to kill only the first).
+    per-worker list under the key ``each`` (e.g. ``each=[{"faults":
+    WorkerFaults(kill_after_chunks=1)}, {}, {}]`` to kill only the first).
     """
     each = server_kwargs.pop("each", None)
     kwargs = each if each is not None else [dict(server_kwargs)] * count
@@ -92,6 +94,9 @@ def cluster(count, **server_kwargs):
 
 
 N, COUNT = 300, 15
+
+#: Server kwargs for a worker that dies after serving one chunk.
+KILL_AFTER_ONE = {"faults": WorkerFaults(kill_after_chunks=1)}
 
 
 def _static_specs(count=40, seed=7):
@@ -381,7 +386,7 @@ class TestWorkerLoss:
         specs = _replay_specs()
         serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
         telemetry = TelemetryCollector()
-        with cluster(3, each=[{"crash_after": 1}, {}, {}]) as hosts:
+        with cluster(3, each=[KILL_AFTER_ONE, {}, {}]) as hosts:
             executor = ClusterExecutor(
                 hosts, chunk_size=3, progress=telemetry, retries=1, backoff=0.01
             )
@@ -418,7 +423,7 @@ class TestWorkerLoss:
         assert_results_equal(serial, results)
         assert telemetry.count("worker_lost") == 2
         assert telemetry.count("partial_fallback") == 1
-        assert telemetry.count("finish") == 1
+        assert telemetry.count("batch_finish") == 1
 
     def test_idle_worker_death_detected_by_heartbeat(self):
         """Regression for the silent-failure window: a worker that dies
@@ -428,7 +433,7 @@ class TestWorkerLoss:
         specs = _static_specs(count=8)
         serial = run_chunk(list(specs))
         telemetry = TelemetryCollector()
-        slow = WorkerServer(delay=1.0)
+        slow = WorkerServer(faults=WorkerFaults(slow_seconds=1.0))
         fast = WorkerServer()
         servers = [slow, fast]
         threads = [
@@ -473,7 +478,7 @@ class TestWorkerLoss:
         # The loss must be observed mid-batch — before the batch finish —
         # not discovered after the fact.
         kinds = [e["event"] for e in telemetry.events]
-        assert kinds.index("worker_lost") < kinds.index("finish")
+        assert kinds.index("worker_lost") < kinds.index("batch_finish")
 
     def test_worker_side_exception_aborts_the_batch(self):
         """A deterministic chunk error must raise, not migrate forever."""
@@ -497,7 +502,8 @@ class TestScheduling:
         specs = _static_specs(count=40)
         serial = run_chunk(list(specs))
         telemetry = TelemetryCollector()
-        with cluster(2, each=[{"delay": 0.3}, {}]) as hosts:
+        slow = {"faults": WorkerFaults(slow_seconds=0.3)}
+        with cluster(2, each=[slow, {}]) as hosts:
             executor = ClusterExecutor(hosts, chunk_size=4, progress=telemetry)
             results = executor.run(list(specs))
         assert_results_equal(serial, results)
@@ -552,7 +558,7 @@ class TestClusterJournal:
         journal_path = tmp_path / "cluster.jsonl"
         specs = _replay_specs()
         with JournalReporter(journal_path) as journal:
-            with cluster(3, each=[{"crash_after": 1}, {}, {}]) as hosts:
+            with cluster(3, each=[KILL_AFTER_ONE, {}, {}]) as hosts:
                 # retries=0 so the crashed host is declared lost on first
                 # failure — with backoff, healthy peers can steal all of
                 # its work before retries exhaust and the loss never fires.

@@ -56,7 +56,7 @@ def test_cached_rerun_matches_and_skips_execution(tiny_scale, tmp_path):
     )
     _assert_figures_equal(first, second)
     assert telemetry.count("cache_hit") == 1
-    assert telemetry.count("start") == 0  # nothing executed
+    assert telemetry.count("batch_start") == 0  # nothing executed
 
     # a different seed is a different content address, not a stale hit
     third = fig01_sample_collide_100k(

@@ -4,8 +4,8 @@ Covers the guarantees docs/OBSERVABILITY.md makes:
 
 * profiling observes only — results (and stored payloads) are
   bit-identical with or without a journal attached;
-* legacy five-method :class:`ProgressReporter` subclasses keep working,
-  including hearing partial fallbacks through ``on_fallback``;
+* every reporter hears the one ``on_event`` stream, and a tee forwards
+  all of it;
 * a journal written by a real run validates against the schema;
 * the Chrome trace-event export is stable (golden file) and well-formed;
 * a mid-batch pool failure keeps completed chunks and re-runs only the
@@ -39,7 +39,7 @@ from repro.runtime import (
 )
 from repro.runtime.obs import PhaseAccumulator, chunk_profiler, phase
 from repro.runtime.pool import SnapshotBackbone
-from repro.runtime.progress import ProgressReporter, TelemetryCollector
+from repro.runtime.progress import TelemetryCollector
 from repro.runtime.trials import EstimatorSpec, OverlaySpec, TrialSpec, run_chunk
 from repro.runtime.api import RuntimeOptions
 
@@ -133,63 +133,36 @@ class TestProfileAttachment:
         assert _results_key(plain) == _results_key(observed)
 
 
-class LegacyReporter(ProgressReporter):
-    """A pre-observability reporter overriding only the original five."""
-
-    def __init__(self):
-        self.calls = []
-
-    def on_start(self, total, workers):
-        self.calls.append(("start", total, workers))
-
-    def on_progress(self, done, total):
-        self.calls.append(("progress", done, total))
-
-    def on_cache_hit(self, total):
-        self.calls.append(("cache_hit", total))
-
-    def on_fallback(self, reason):
-        self.calls.append(("fallback", reason))
-
-    def on_finish(self, done, elapsed):
-        self.calls.append(("finish", done))
-
-
-class TestReporterBackwardCompat:
-    def test_five_method_reporter_still_works(self):
-        reporter = LegacyReporter()
-        TrialExecutor(workers=2, chunk_size=2, progress=reporter).run(
+class TestEventStream:
+    def test_batch_events_bracket_the_run(self):
+        telemetry = TelemetryCollector()
+        TrialExecutor(workers=2, chunk_size=2, progress=telemetry).run(
             _static_specs(6)
         )
-        kinds = [c[0] for c in reporter.calls]
-        assert kinds[0] == "start"
-        assert kinds[-1] == "finish"
+        kinds = [e["event"] for e in telemetry.events]
+        assert kinds[0] == "batch_start"
+        assert kinds[-1] == "batch_finish"
         assert "progress" in kinds
-
-    def test_partial_fallback_defaults_to_on_fallback(self):
-        reporter = LegacyReporter()
-        reporter.on_partial_fallback(3, 10, "pool died")
-        assert reporter.calls == [("fallback", "pool died")]
 
     def test_tee_forwards_everything(self):
         a, b = TelemetryCollector(), TelemetryCollector()
         tee = TeeProgress([a, b])
-        tee.on_start(4, 2)
-        tee.on_chunk_start(0, 2, boundary=1)
-        tee.on_chunk_done(0, [])
-        tee.on_snapshot_boundary(1, 0.5, "computed")
-        tee.on_snapshot_save_error("disk full")
-        tee.on_partial_fallback(2, 4, "boom")
-        tee.on_finish(4, 1.0)
+        tee.on_event("batch_start", total=4, workers=2)
+        tee.on_event("chunk_start", chunk=0, trials=2, boundary=1)
+        tee.on_event("chunk_done", chunk=0, trials=0, results=[])
+        tee.on_event("snapshot_boundary", target=1, seconds=0.5, outcome="computed")
+        tee.on_event("snapshot_save_error", error="disk full")
+        tee.on_event("partial_fallback", done=2, total=4, reason="boom")
+        tee.on_event("batch_finish", done=4, elapsed=1.0)
         assert a.events == b.events
         assert [e["event"] for e in a.events] == [
-            "start",
+            "batch_start",
             "chunk_start",
             "chunk_done",
             "snapshot_boundary",
             "snapshot_save_error",
             "partial_fallback",
-            "finish",
+            "batch_finish",
         ]
 
 
@@ -233,8 +206,8 @@ class TestJournal:
         stream = io.StringIO()
         ticks = iter(range(100))
         reporter = JournalReporter(stream, clock=lambda: float(next(ticks)))
-        reporter.on_start(2, 1)
-        reporter.on_finish(2, 0.5)
+        reporter.on_event("batch_start", total=2, workers=1)
+        reporter.on_event("batch_finish", done=2, elapsed=0.5)
         events = [json.loads(line) for line in stream.getvalue().splitlines()]
         assert [e["ts"] for e in events] == [0.0, 1.0, 2.0]
 
@@ -242,8 +215,8 @@ class TestJournal:
         journal = tmp_path / "run.jsonl"
         for _ in range(2):
             with JournalReporter(journal) as reporter:
-                reporter.on_start(1, 1)
-                reporter.on_finish(1, 0.1)
+                reporter.on_event("batch_start", total=1, workers=1)
+                reporter.on_event("batch_finish", done=1, elapsed=0.1)
         events = read_journal(journal)
         assert [e["event"] for e in events].count("journal") == 2
         assert validate_journal(events) == []
@@ -299,6 +272,12 @@ class TestTraceExport:
         for name in PHASES:
             if name in ("boot", "restore", "churn", "estimation"):
                 assert name in text
+
+
+def test_renderers_skip_malformed_event_names():
+    events = [{"ts": 1.0, "event": ["not", "a", "name"]}, {"ts": 2.0}]
+    assert [e["ph"] for e in journal_to_trace(events)["traceEvents"]] == ["M"]
+    assert "batches: 0" in render_obs_summary(events)
 
 
 class _FailingFakePool:
@@ -363,18 +342,8 @@ class TestPartialFallback:
         assert event["done"] == 9
         assert event["total"] == 12
         assert "re-running 3 of 12" in event["reason"]
-        # The legacy whole-batch fallback did not fire.
+        # The whole-batch fallback did not fire.
         assert telemetry.count("fallback") == 0
-
-    def test_partial_fallback_reaches_legacy_reporters(self, fake_pool):
-        reporter = LegacyReporter()
-        results = TrialExecutor(workers=4, chunk_size=3, progress=reporter).run(
-            _static_specs(12)
-        )
-        assert len(results) == 12
-        fallbacks = [c for c in reporter.calls if c[0] == "fallback"]
-        assert len(fallbacks) == 1
-        assert "re-running 3 of 12" in fallbacks[0][1]
 
     def test_partial_fallback_journaled(self, fake_pool, tmp_path):
         journal = tmp_path / "run.jsonl"

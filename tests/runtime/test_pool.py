@@ -81,8 +81,8 @@ class TestExecution:
         TrialExecutor(workers=2, chunk_size=2, progress=telemetry).run(
             _static_specs(6)
         )
-        assert telemetry.count("start") == 1
-        assert telemetry.count("finish") == 1
+        assert telemetry.count("batch_start") == 1
+        assert telemetry.count("batch_finish") == 1
         assert telemetry.count("progress") >= 1
 
 
