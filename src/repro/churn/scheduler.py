@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
+from ..overlay.arraygraph import ArrayOverlayGraph
 from ..overlay.graph import OverlayGraph
 from ..overlay.membership import MembershipPolicy
 from ..sim.rng import RngLike, generator_from_state, generator_state
@@ -164,8 +165,18 @@ class ChurnScheduler:
         cursor.  The restored scheduler's :meth:`advance_to` calls mutate
         the overlay bit-identically to the captured one's; its audit log
         starts empty (see :meth:`snapshot`).
+
+        ``snap["graph"]`` is either :meth:`OverlayGraph.snapshot`'s lists
+        or, in a replay hand-off payload (``repro.runtime.snapshots``),
+        the packed twin of :meth:`ArrayOverlayGraph.pack`.  A packed twin
+        is validated and becomes a twin-backed graph, whose dict is built
+        only when the first churn event mutates it.
         """
-        graph = OverlayGraph.restore(snap["graph"])
+        graph_snap = snap["graph"]
+        if "indptr" in graph_snap:
+            graph = OverlayGraph.from_array(ArrayOverlayGraph.unpack(graph_snap))
+        else:
+            graph = OverlayGraph.restore(graph_snap)
         sched = cls(
             graph,
             trace,

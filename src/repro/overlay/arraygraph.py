@@ -24,6 +24,12 @@ log since the previous twin touched only a fraction of the rows, as churn
 does.  The other direction is lazy too: overlay builders emit a twin
 first, and the graph :meth:`to_overlay` returns builds its dict from
 :meth:`iter_rows` only when first needed.
+
+:meth:`ArrayOverlayGraph.pack` and :meth:`ArrayOverlayGraph.unpack` are
+the twin's hand-off form (``docs/SNAPSHOTS.md``): the replay-state
+payloads that pool workers, cluster hosts and store artifacts carry hold
+the overlay as narrowed arrays, and ``unpack`` validates them before a
+twin is built from them.
 """
 
 from __future__ import annotations
@@ -40,6 +46,17 @@ __all__ = ["ArrayOverlayGraph"]
 #: Rows decoded per block by :meth:`ArrayOverlayGraph.iter_rows`: bounds the
 #: temporaries of a full decode at a few MB whatever the graph size.
 _ROW_BLOCK = 1 << 14
+
+#: Array dtypes :meth:`ArrayOverlayGraph.unpack` accepts.
+_PACKED_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
+_INT32 = np.iinfo(np.int32)
+
+
+def _narrow(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as ``int32`` when every value fits, else as ``int64``."""
+    if not arr.size or (_INT32.min <= arr.min() and arr.max() <= _INT32.max):
+        return arr.astype(np.int32)
+    return arr.astype(np.int64, copy=False)
 
 
 def _member_mask(ids: Iterable[int], size: int) -> np.ndarray:
@@ -273,6 +290,44 @@ class ArrayOverlayGraph:
         """Build a twin straight from a :meth:`snapshot` payload."""
         return cls.from_overlay(OverlayGraph.restore(snap))
 
+    def pack(self) -> Dict[str, Any]:
+        """The twin as its hand-off payload: three arrays plus ``next_id``.
+
+        ``nodes``, ``indptr`` and ``indices`` are ``int32`` when their
+        values fit and ``int64`` otherwise, which halves what a 100k-node
+        overlay costs on the wire and on disk.  :meth:`unpack` is the
+        inverse.
+        """
+        return {
+            "nodes": _narrow(self.nodes),
+            "indptr": _narrow(self.indptr),
+            "indices": _narrow(self.indices),
+            "next_id": self.next_id,
+        }
+
+    @classmethod
+    def unpack(cls, packed: Mapping[str, Any]) -> "ArrayOverlayGraph":
+        """Validate a :meth:`pack` payload and widen it back into a twin.
+
+        The payload may come off the wire or out of a store artifact, so
+        every structural property the twin relies on is checked before
+        use; a violation raises :class:`GraphError`.
+        """
+        arrays = []
+        for name in ("nodes", "indptr", "indices"):
+            arr = packed.get(name)
+            if not isinstance(arr, np.ndarray) or arr.dtype not in _PACKED_DTYPES:
+                raise GraphError(f"packed {name} must be an int32 or int64 array")
+            if arr.ndim != 1:
+                raise GraphError(f"packed {name} must be 1-D, got shape {arr.shape}")
+            arrays.append(arr.astype(np.int64, copy=False))
+        next_id = packed.get("next_id")
+        if not isinstance(next_id, (int, np.integer)) or isinstance(next_id, bool):
+            raise GraphError(f"packed next_id must be an integer, got {next_id!r}")
+        twin = cls(*arrays, next_id=int(next_id))
+        twin._check_structure()
+        return twin
+
     # ------------------------------------------------------------------
     # accessors (kernel-facing)
     # ------------------------------------------------------------------
@@ -352,21 +407,31 @@ class ArrayOverlayGraph:
     # integrity
     # ------------------------------------------------------------------
 
+    def _check_structure(self) -> None:
+        """Raise :class:`GraphError` unless the arrays form a valid CSR
+        twin: row pointer, neighbour range, node ids and ``next_id``."""
+        n = self.n
+        indptr, indices, nodes = self.indptr, self.indices, self.nodes
+        if indptr.shape[0] != n + 1 or indptr[0] != 0:
+            raise GraphError("indptr must have n + 1 entries starting at 0")
+        if np.any(indptr[1:] < indptr[:-1]):
+            raise GraphError("indptr must be non-decreasing")
+        if indptr[-1] != indices.shape[0]:
+            raise GraphError("indptr tail must equal len(indices)")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise GraphError("neighbour position out of range")
+        if n and nodes.min() < 0:
+            raise GraphError("node ids must be non-negative")
+        ordered = np.sort(nodes)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise GraphError("duplicate node ids")
+        if self.next_id < 0 or (n and self.next_id <= nodes.max()):
+            raise GraphError("next_id must exceed every node id")
+
     def check_invariants(self) -> None:
         """Assert CSR well-formedness and undirected symmetry."""
+        self._check_structure()
         n = self.n
-        if self.indptr.shape[0] != n + 1:
-            raise GraphError("indptr length must be n + 1")
-        if int(self.indptr[0]) != 0 or np.any(np.diff(self.indptr) < 0):
-            raise GraphError("indptr must be non-decreasing from 0")
-        if int(self.indptr[-1]) != self.indices.shape[0]:
-            raise GraphError("indptr tail must equal len(indices)")
-        if n and len(set(self.nodes.tolist())) != n:
-            raise GraphError("duplicate node ids")
-        if self.indices.size and (
-            int(self.indices.min()) < 0 or int(self.indices.max()) >= n
-        ):
-            raise GraphError("neighbour position out of range")
         # Symmetry: each (row, neighbour) pair must appear mirrored.
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
         forward = set(zip(rows.tolist(), self.indices.tolist()))

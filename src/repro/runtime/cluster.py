@@ -129,8 +129,9 @@ MIN_PROTOCOL_VERSION = 1
 _HEADER = struct.Struct(">Q")
 
 #: Upper bound on a single framed message — far above any real chunk
-#: (specs + a ~1MB snapshot), low enough to reject garbage prefixes from
-#: a confused peer before attempting a giant allocation.
+#: (specs + a snapshot whose packed overlay arrays take ~5 MB at n = 100k),
+#: low enough to reject garbage prefixes from a confused peer before
+#: attempting a giant allocation.
 MAX_MESSAGE_BYTES = 1 << 31
 
 

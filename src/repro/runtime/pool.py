@@ -43,6 +43,7 @@ from typing import Any, List, Mapping, Optional, Sequence
 
 from .progress import NullProgress, ProgressReporter
 from .snapshots import SNAPSHOT_KINDS, snapshot_config
+from .store import SnapshotRejected
 from .trials import TrialResult, TrialSpec, run_chunk
 
 __all__ = ["SnapshotBackbone", "TrialExecutor", "chunk_specs"]
@@ -76,13 +77,14 @@ class SnapshotBackbone:
     churn-replay batch drives one of these for its hand-off payloads.
     One instance serves one pipelined batch: it advances a single replay
     state through the chunk boundaries in order (O(horizon) total work)
-    and captures a pure-data snapshot at each.  When a store is attached,
-    boundaries are looked up before computing and saved after — the
-    content address (:func:`~repro.runtime.snapshots.snapshot_config`)
-    covers only the scenario prefix, so any batch replaying the same
-    scenario shares them.  Store hits are adopted lazily: the payload is
-    handed out immediately and only materialized into a live state if a
-    later boundary misses and must be advanced to.
+    and captures a hand-off snapshot at each (JSON data plus the packed
+    overlay arrays).  When a store is attached, boundaries are looked up
+    before computing and saved after — the content address
+    (:func:`~repro.runtime.snapshots.snapshot_config`) covers only the
+    scenario prefix, so any batch replaying the same scenario shares
+    them.  Store hits are adopted lazily: the payload is handed out
+    immediately and only materialized into a live state if a later
+    boundary misses and must be advanced to.
     """
 
     def __init__(
@@ -100,16 +102,18 @@ class SnapshotBackbone:
         """Snapshot payload at boundary ``target`` (``None`` = no hand-off).
 
         Boundary 0 is the freshly built scenario before any churn — worth
-        handing off too, because restoring an overlay from pure data is an
-        order of magnitude cheaper than rebuilding it from its RNG stream.
+        handing off too, because restoring an overlay from its packed
+        arrays is far cheaper than rebuilding it from its RNG stream.
         Returns ``None`` for negative boundaries and for non-monotone
         chunk layouts the backbone cannot serve — the chunk then falls
         back to prefix replay, which is always correct.
 
         Every resolution is reported as a ``snapshot_boundary`` event; a
-        failed best-effort save (read-only store) is surfaced once per
-        backbone as a ``snapshot_save_error`` event instead of being
-        silently dropped.
+        stored artifact that fails its checks is journaled as a
+        ``snapshot_rejected`` event with the reason, then recomputed (and
+        overwritten) like a miss; a failed best-effort save (read-only
+        store) is surfaced once per backbone as a ``snapshot_save_error``
+        event instead of being silently dropped.
         """
         begin = time.perf_counter()
         if target < 0:
@@ -119,7 +123,11 @@ class SnapshotBackbone:
             return None
         config = snapshot_config(self.spec, target)
         if self.store is not None:
-            cached = self.store.load_snapshot(config)
+            try:
+                cached = self.store.load_snapshot(config)
+            except SnapshotRejected as exc:
+                cached = None
+                self.progress.on_event("snapshot_rejected", target=target, reason=str(exc))
             if cached is not None:
                 self._adopt = cached
                 self._report_boundary(target, begin, "hit")

@@ -107,6 +107,12 @@ EVENTS: Dict[str, Event] = {
     "chunk_done": Event(("chunk", "trials")),
     "trial": Event(("chunk", "index", "stream")),
     "snapshot_boundary": Event(("target", "seconds", "outcome")),
+    "snapshot_rejected": Event(
+        ("target", "reason"),
+        log="stored snapshot at boundary {target} rejected, recomputing: {reason}",
+        instant=("snapshot rejected", "target reason"),
+        counter=("runtime", "snapshot rejections"),
+    ),
     "snapshot_save_error": Event(
         ("error",),
         log="snapshot save failed (results unaffected): {error}",

@@ -15,13 +15,16 @@ This module makes the scenario state an explicit, transferable object:
   ``repair_replay`` the repair policy, aggregation monitor, message meter
   and round driver — and advances them step by step exactly as the serial
   loop did;
-* :meth:`ReplayState.snapshot` captures the state as **pure data**
-  (JSON-able, picklable, content-hashable — the same contract as the
-  PR 4 spec classes), and :meth:`ReplayState.restore` rebuilds a state
-  whose future steps are *bit-identical* to the uninterrupted run's
-  (every component guarantees this individually: see
-  ``OverlayGraph.snapshot``, ``ChurnScheduler.snapshot``,
-  ``AggregationProtocol.snapshot``, ``generator_state``);
+* :meth:`ReplayState.snapshot` captures the state as a **hand-off
+  payload**: JSON data plus the overlay as its packed CSR twin
+  (:meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.pack`, numpy
+  arrays), picklable as it is and stored as a JSON header beside an
+  ``.npz``; :meth:`ReplayState.restore` rebuilds a state whose future
+  steps are *bit-identical* to the uninterrupted run's (every component
+  guarantees this individually: see ``OverlayGraph.snapshot``,
+  ``ChurnScheduler.snapshot``, ``AggregationProtocol.snapshot``,
+  ``generator_state``), over a twin-backed overlay whose dict is built
+  only when churn first mutates it;
 * :func:`snapshot_config` derives the content address a boundary snapshot
   is stored under — the *scenario prefix* configuration (overlay, seed,
   churn trace, scenario params, boundary index), deliberately excluding
@@ -47,7 +50,7 @@ from ..core.aggregation import AggregationMonitor
 from ..overlay.graph import OverlayGraph
 from ..overlay.repair import RepairPolicySpec
 from ..sim.messages import MessageMeter
-from ..sim.rng import RngHub, generator_from_state
+from ..sim.rng import RngHub, generator_from_state, generator_state
 from ..sim.rounds import RoundDriver
 
 __all__ = [
@@ -61,8 +64,23 @@ __all__ = [
 
 #: Bump when snapshot payload layout or replay semantics change; mixed into
 #: every snapshot's content address so stale payloads become misses, never
-#: wrong restores.
-SNAPSHOT_SCHEMA_VERSION = 1
+#: wrong restores.  Version 2 carries the overlay as packed CSR arrays.
+SNAPSHOT_SCHEMA_VERSION = 2
+
+
+def _scheduler_payload(scheduler: ChurnScheduler) -> Dict[str, Any]:
+    """:meth:`ChurnScheduler.snapshot` with the overlay packed as arrays.
+
+    Same keys, which :meth:`ChurnScheduler.restore` reads either way; the
+    ``graph`` entry is the overlay's CSR twin
+    (:meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.pack`) instead of
+    per-node lists.
+    """
+    return {
+        "graph": scheduler.graph.to_array().pack(),
+        "rng": generator_state(scheduler.policy.rng),
+        "cursor": scheduler.trace.cursor,
+    }
 
 
 def _fresh_trace(payload: Any) -> ChurnTrace:
@@ -159,12 +177,12 @@ class ProbeReplayState:
     # -- hand-off ------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """Pure-data capture of the scenario at the current position."""
+        """Hand-off capture of the scenario at the current position."""
         return {
             "schema": SNAPSHOT_SCHEMA_VERSION,
             "index": self.position,
             "dead": self.dead,
-            "scheduler": self.scheduler.snapshot(),
+            "scheduler": _scheduler_payload(self.scheduler),
         }
 
     @classmethod
@@ -278,11 +296,11 @@ class RepairReplayState:
         return False
 
     def snapshot(self) -> Dict[str, Any]:
-        """Pure-data capture: scheduler + policy + monitor + meter state."""
+        """Hand-off capture: scheduler + policy + monitor + meter state."""
         return {
             "schema": SNAPSHOT_SCHEMA_VERSION,
             "index": self.position,
-            "scheduler": self.scheduler.snapshot(),
+            "scheduler": _scheduler_payload(self.scheduler),
             "policy": self.policy.snapshot(),
             "monitor": self.monitor.snapshot(),
             "meter": dict(self.meter.snapshot().counts),

@@ -46,6 +46,8 @@ Besides result batches the store holds replay-state *snapshots*
 ``payload: "snapshot"`` in their headers, accounted apart from result
 bytes by :meth:`ResultsStore.stats`, and reclaimed by ``gc`` like
 anything else — they are recomputable accelerators, never source data.
+A snapshot is two files: the JSON header ``<key>.json`` and its arrays
+in ``<key>.npz``, checked against the header's manifest on every load.
 """
 
 from __future__ import annotations
@@ -57,9 +59,13 @@ import os
 import pathlib
 import tempfile
 import time
+import zipfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, BinaryIO, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
+from ..overlay.arraygraph import ArrayOverlayGraph
 from .provenance import detect_git_revision, summarize_results
 from .trials import TrialResult
 
@@ -68,6 +74,7 @@ __all__ = [
     "ArtifactInfo",
     "GCReport",
     "ResultsStore",
+    "SnapshotRejected",
     "StoreStats",
     "canonical_json",
     "content_key",
@@ -108,7 +115,8 @@ def _encode_floats(obj: Any) -> Any:
 
 
 def _decode_floats(obj: Any) -> Any:
-    """Inverse of :func:`_encode_floats` (applied to loaded results)."""
+    """Inverse of :func:`_encode_floats` (applied to loaded results and
+    snapshot headers)."""
     if obj in ("NaN", "Infinity", "-Infinity"):
         return float(obj)
     if isinstance(obj, list):
@@ -116,6 +124,116 @@ def _decode_floats(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {k: _decode_floats(v) for k, v in obj.items()}
     return obj
+
+
+class SnapshotRejected(Exception):
+    """A stored snapshot artifact exists but failed a check; the message
+    says which.  :meth:`ResultsStore.load_snapshot` raises it instead of
+    restoring anything from the artifact."""
+
+
+def _dumps(artifact: Any) -> bytes:
+    return json.dumps(artifact, allow_nan=False).encode("utf-8")
+
+
+def _write_atomic(path: pathlib.Path, write: Callable[[BinaryIO], Any]) -> None:
+    """Run ``write`` on a sibling temp file opened for binary writing, then
+    ``os.replace`` it onto ``path``, so a crash never leaves a torn file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _unlink(path: pathlib.Path) -> bool:
+    """Delete ``path``; False when it was already gone."""
+    try:
+        path.unlink()
+        return True
+    except FileNotFoundError:
+        return False
+
+
+def _file_size(path: pathlib.Path) -> int:
+    """Size of ``path`` in bytes (0 when it does not exist)."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
+def _sha256(arr: np.ndarray) -> str:
+    """SHA-256 of an array's buffer, hashed in place (no ``tobytes`` copy)."""
+    return hashlib.sha256(np.ascontiguousarray(arr)).hexdigest()
+
+
+def _split_arrays(
+    payload: Mapping[str, Any], prefix: str = ""
+) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """Split a snapshot payload into its JSON part and its arrays.
+
+    Arrays may sit at any depth of nested mappings; each leaves the JSON
+    part and is named by its key path (``"scheduler/graph/nodes"``).
+    """
+    header: Dict[str, Any] = {}
+    arrays: Dict[str, np.ndarray] = {}
+    for key, value in payload.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, np.ndarray):
+            arrays[name] = value
+        elif isinstance(value, Mapping):
+            header[key], inner = _split_arrays(value, name + "/")
+            arrays.update(inner)
+        else:
+            header[key] = value
+    return header, arrays
+
+
+def _checked_arrays(manifest: List[Mapping[str, Any]], npz) -> Dict[str, np.ndarray]:
+    """The arrays of an open ``.npz``, each checked against its manifest entry."""
+    names = [entry["name"] for entry in manifest]
+    if sorted(names) != sorted(npz.files):
+        raise SnapshotRejected(
+            f"array file holds {sorted(npz.files)}, manifest lists {sorted(names)}"
+        )
+    arrays = {}
+    for entry in manifest:
+        name = entry["name"]
+        arr = npz[name]
+        if arr.dtype.str != entry["dtype"] or list(arr.shape) != entry["shape"]:
+            raise SnapshotRejected(
+                f"array {name} is {arr.dtype.str}{list(arr.shape)}, "
+                f"manifest says {entry['dtype']}{entry['shape']}"
+            )
+        if _sha256(arr) != entry["sha256"]:
+            raise SnapshotRejected(f"array {name} does not match its sha256")
+        arrays[name] = arr
+    return arrays
+
+
+def _join_arrays(payload: Dict[str, Any], arrays: Mapping[str, np.ndarray]) -> None:
+    """Put checked arrays back at their key paths in ``payload``.
+
+    Snapshot arrays come only from packed overlays, so every mapping that
+    receives arrays must pass
+    :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.unpack`'s
+    structural checks (raising ``GraphError`` otherwise).
+    """
+    groups: Dict[str, Dict[str, Any]] = {}
+    for name, arr in arrays.items():
+        *parents, leaf = name.split("/")
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[leaf] = arr
+        groups["/".join(parents)] = node
+    for group in groups.values():
+        ArrayOverlayGraph.unpack(group)
 
 
 def canonical_json(config: Any) -> str:
@@ -245,8 +363,9 @@ class GCReport:
 class ResultsStore:
     """Directory-backed store mapping experiment configs to trial results.
 
-    Layout: ``<root>/<key[:2]>/<key>.json`` (two-level fan-out keeps
-    directories small at tens of thousands of artifacts).  Writes are
+    Layout: ``<root>/<key[:2]>/<key>.json``, plus ``<key>.npz`` beside
+    a snapshot's header (two-level fan-out keeps directories small at
+    tens of thousands of artifacts).  Writes are
     atomic (tempfile + ``os.replace``) so a crashed run never leaves a
     torn artifact behind.
     """
@@ -299,15 +418,7 @@ class ResultsStore:
             "config": _normalize(config),
             "results": _encode_floats([r.as_dict() for r in results]),
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(artifact, fh, allow_nan=False)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomic(path, lambda fh: fh.write(_dumps(artifact)))
         return path
 
     def load(self, config: Any) -> Optional[List[TrialResult]]:
@@ -364,6 +475,13 @@ class ResultsStore:
         can account snapshot bytes separately from result bytes; ``gc``
         treats both uniformly — snapshots are pure accelerators that can
         always be recomputed.
+
+        The payload's numpy arrays (the packed overlay,
+        :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.pack`) go to
+        ``<key>.npz``, named by their key path; the JSON header keeps the
+        rest plus an ``arrays`` manifest (name, dtype, shape, sha256 per
+        array).  The array file is written first, so a header on disk
+        always has its arrays beside it unless something removed them.
         """
         path = self.path_for(config)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -372,61 +490,85 @@ class ResultsStore:
         meta.setdefault("git_revision", detect_git_revision())
         meta.setdefault("store_schema_version", SCHEMA_VERSION)
         meta.setdefault("saved_at", time.time())
+        header, arrays = _split_arrays(payload)
         artifact = {
             "schema": SCHEMA_VERSION,
             "meta": meta,
             "config": _normalize(config),
-            "snapshot": _encode_floats(payload),
+            "arrays": [
+                {
+                    "name": name,
+                    "dtype": arr.dtype.str,
+                    "shape": list(arr.shape),
+                    "sha256": _sha256(arr),
+                }
+                for name, arr in arrays.items()
+            ],
+            "snapshot": _encode_floats(header),
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(artifact, fh, allow_nan=False)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomic(path.with_suffix(".npz"), lambda fh: np.savez(fh, **arrays))
+        _write_atomic(path, lambda fh: fh.write(_dumps(artifact)))
         return path
 
     def load_snapshot(self, config: Any) -> Optional[Any]:
         """A snapshot previously saved for ``config``, or ``None`` on a miss.
 
-        Like :meth:`load`, unreadable or schema-mismatched artifacts are
-        misses, never errors, and a hit bumps the artifact's atime.
+        An artifact that exists but fails a check raises
+        :class:`SnapshotRejected` with the reason: an unreadable header,
+        a missing or unreadable array file (read with
+        ``allow_pickle=False``), arrays that differ from the manifest in
+        name, dtype, shape or sha256, or an overlay that
+        :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.unpack`
+        refuses.  Callers treat it as a miss, as
+        :class:`~repro.runtime.pool.SnapshotBackbone` does after
+        journaling it; a bad artifact is never restored.  A hit bumps the
+        header's atime.
         """
         path = self.path_for(config)
+        if not path.exists():
+            return None
         try:
-            with path.open() as fh:
-                artifact = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if artifact.get("schema") != SCHEMA_VERSION or "snapshot" not in artifact:
-            return None
+            artifact = json.loads(path.read_bytes())
+            if artifact.get("schema") != SCHEMA_VERSION or "snapshot" not in artifact:
+                raise SnapshotRejected(f"not a schema-{SCHEMA_VERSION} snapshot artifact")
+            payload = _decode_floats(artifact["snapshot"])
+            with np.load(path.with_suffix(".npz"), allow_pickle=False) as npz:
+                _join_arrays(payload, _checked_arrays(artifact["arrays"], npz))
+        except (
+            OSError,
+            ValueError,
+            KeyError,
+            TypeError,
+            AttributeError,
+            EOFError,
+            zipfile.BadZipFile,
+        ) as exc:
+            raise SnapshotRejected(f"{type(exc).__name__}: {exc}") from exc
         self._record_hit(path)
-        return _decode_floats(artifact["snapshot"])
+        return payload
 
     def contains(self, config: Any) -> bool:
         """True when an artifact for ``config`` exists on disk."""
         return self.path_for(config).exists()
 
     def invalidate(self, config: Any) -> bool:
-        """Delete the artifact for ``config``; returns True if one existed."""
+        """Delete the artifact for ``config`` (and its array file, if any);
+        returns True if one existed."""
         path = self.path_for(config)
-        try:
-            path.unlink()
-            return True
-        except FileNotFoundError:
-            return False
+        _unlink(path.with_suffix(".npz"))
+        return _unlink(path)
 
     def clear(self) -> int:
-        """Delete every artifact under the root; returns the count removed."""
+        """Delete every artifact under the root, array files included;
+        returns the count of artifacts removed."""
         removed = 0
         if not self.root.exists():
             return removed
         for path in self.root.glob("*/*.json"):
             path.unlink()
             removed += 1
+        for path in self.root.glob("*/*.npz"):
+            path.unlink()
         return removed
 
     # -- lifecycle -----------------------------------------------------
@@ -462,10 +604,11 @@ class ResultsStore:
 
         Reads only each artifact's header (schema + meta), not the trial
         payload, so ``cache ls``/``stats``/``gc`` stay cheap on large
-        stores.  Unreadable files are skipped (consistent with
-        :meth:`load` treating them as misses); artifacts written under a
-        different schema version are still listed — with their recorded
-        ``schema`` — so ``gc`` can reclaim them.
+        stores.  A snapshot's ``size_bytes`` counts its ``.npz`` too.
+        Unreadable files are skipped (consistent with :meth:`load`
+        treating them as misses); artifacts written under a different
+        schema version are still listed — with their recorded ``schema``
+        — so ``gc`` can reclaim them.
         """
         out: List[ArtifactInfo] = []
         if not self.root.exists():
@@ -483,6 +626,7 @@ class ResultsStore:
                 continue
             if not isinstance(artifact, Mapping):
                 continue
+            size = st.st_size + _file_size(path.with_suffix(".npz"))
             meta = artifact.get("meta")
             if not isinstance(meta, Mapping):
                 meta = {}
@@ -497,7 +641,7 @@ class ResultsStore:
                 ArtifactInfo(
                     key=path.stem,
                     path=path,
-                    size_bytes=int(st.st_size),
+                    size_bytes=int(size),
                     created=float(st.st_mtime),
                     last_access=float(st.st_atime),
                     tag=str(meta.get("tag", "")),
@@ -557,8 +701,9 @@ class ResultsStore:
            survivors are evicted until the store fits the budget.
 
         With ``dry_run=True`` the same selection is computed and reported
-        but nothing is deleted.  Empty fan-out directories left behind by a
-        real pass are removed.
+        but nothing is deleted.  A real pass deletes each evicted
+        artifact's ``.npz`` with it, reclaims every orphan ``.npz`` whose
+        header is gone, and removes emptied fan-out directories.
         """
         if max_age_seconds is not None and max_age_seconds < 0:
             raise ValueError(f"max_age_seconds must be >= 0, got {max_age_seconds}")
@@ -584,10 +729,11 @@ class ResultsStore:
             kept = kept[cut:]
         if not dry_run:
             for info in evicted:
-                try:
-                    info.path.unlink()
-                except FileNotFoundError:
-                    pass
+                _unlink(info.path.with_suffix(".npz"))
+                _unlink(info.path)
+            for orphan in self.root.glob("*/*.npz"):
+                if not orphan.with_suffix(".json").exists():
+                    _unlink(orphan)
             self._prune_empty_dirs()
         return GCReport(
             evicted=evicted,

@@ -173,6 +173,31 @@ class TestTwinBackedGraph:
         assert back.num_edges == small_het_graph.num_edges + 1
 
 
+#: Edits of a valid ``pack()`` payload that ``unpack`` must refuse (the
+#: store fault tests in tests/runtime/test_snapshots.py cover the rest).
+_BAD_PACKS = {
+    "float_dtype": lambda p: p.update(nodes=p["nodes"].astype(float)),
+    "two_dimensional": lambda p: p.update(indices=p["indices"].reshape(-1, 1)),
+    "missing_array": lambda p: p.pop("indptr"),
+    "bool_next_id": lambda p: p.update(next_id=True),
+    "short_indptr": lambda p: p.update(indptr=p["indptr"][:-1]),
+    "indptr_not_from_zero": lambda p: p.update(indptr=p["indptr"] + 1),
+    "indptr_tail": lambda p: p.update(indices=p["indices"][:-1]),
+    "negative_id": lambda p: p["nodes"].__setitem__(0, -1),
+    "duplicate_ids": lambda p: p["nodes"].__setitem__(1, p["nodes"][0]),
+}
+
+
+class TestUnpackValidation:
+    @pytest.mark.parametrize("fault", sorted(_BAD_PACKS))
+    def test_unpack_refuses_malformed_payloads(self, small_het_graph, fault):
+        packed = small_het_graph.to_array().pack()
+        ArrayOverlayGraph.unpack(packed)  # the untouched payload is valid
+        _BAD_PACKS[fault](packed)
+        with pytest.raises(GraphError):
+            ArrayOverlayGraph.unpack(packed)
+
+
 def _non_edge(g: OverlayGraph):
     return next((0, v) for v in g if v != 0 and not g.has_edge(0, v))
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.overlay.arraygraph import ArrayOverlayGraph
@@ -30,8 +30,9 @@ _ops = st.lists(
 )
 
 
-def _apply(g: OverlayGraph, ops) -> None:
+def _apply(g: OverlayGraph, ops, offset: int = 0) -> None:
     for kind, a, b in ops:
+        a, b = a + offset, b + offset
         if kind == "add_node":
             if a not in g:
                 g.add_node(a)
@@ -54,11 +55,14 @@ def _snapshot_hash(g_or_twin) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@given(_ops)
+@given(_ops, st.sampled_from([0, 2**31]))
+@example([], 0)
+@example([], 2**31)
+@example([("add_node", 3, 0), ("join", 0, 0)], 2**31)
 @settings(max_examples=120, deadline=None)
-def test_round_trip_is_identity(ops):
+def test_round_trip_is_identity(ops, offset):
     g = OverlayGraph()
-    _apply(g, ops)
+    _apply(g, ops, offset)
     twin = ArrayOverlayGraph.from_overlay(g)
     twin.check_invariants()
     back = twin.to_overlay()
@@ -67,6 +71,15 @@ def test_round_trip_is_identity(ops):
     for u in g:
         assert list(back.neighbors(u)) == list(g.neighbors(u))
     np.testing.assert_array_equal(back.degrees(), g.degrees())
+    # The hand-off form: narrow arrays (int64 only for ids >= 2**31) that
+    # unpack to int64 and to the same graph.
+    packed = g.to_array().pack()
+    wide = g.size and max(g) >= 2**31
+    assert packed["nodes"].dtype == (np.int64 if wide else np.int32)
+    unpacked = ArrayOverlayGraph.unpack(packed)
+    for arr in (unpacked.nodes, unpacked.indptr, unpacked.indices):
+        assert arr.dtype == np.int64
+    assert OverlayGraph.from_array(unpacked).snapshot() == g.snapshot()
 
 
 @given(_ops)

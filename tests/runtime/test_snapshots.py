@@ -7,17 +7,23 @@ Two layers of guarantees (docs/SNAPSHOTS.md):
   an uninterrupted ``advance``;
 * **batch bit-identity** — every churn-replay trial kind produces the same
   results at workers 1 and 4, with snapshot hand-off on or off, cold or
-  warm cache.
+  warm cache;
+* **trust boundary** — a stored snapshot artifact that fails any check
+  is rejected with its reason, journaled and recomputed, never restored.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
+import shutil
 
 import numpy as np
 import pytest
 
+from repro.analysis.obs_report import read_journal, render_obs_summary, validate_journal
 from repro.churn.models import catastrophic_trace, shrinking_trace
 from repro.churn.scheduler import ChurnScheduler
 from repro.core.aggregation import AggregationMonitor, AggregationProtocol
@@ -27,6 +33,7 @@ from repro.overlay.membership import MembershipPolicy
 from repro.overlay.repair import RepairPolicySpec
 from repro.runtime import (
     EstimatorSpec,
+    JournalReporter,
     OverlaySpec,
     ResultsStore,
     RuntimeOptions,
@@ -40,6 +47,7 @@ from repro.runtime.snapshots import (
     RepairReplayState,
     snapshot_config,
 )
+from repro.runtime.store import SnapshotRejected
 from repro.sim.messages import MessageKind, MessageMeter
 from repro.sim.rng import RngHub, generator_from_state, generator_state
 from repro.sim.rounds import RoundDriver
@@ -310,6 +318,25 @@ class TestReplayStates:
         resumed.advance(20)
         assert resumed.dead and resumed.position == death
 
+    def test_restored_state_stays_twin_backed_until_churn_mutates(self):
+        spec = self._probe_spec()
+        state = ProbeReplayState.boot(spec)
+        state.advance(3)
+        payload = state.snapshot()
+        packed = payload["scheduler"]["graph"]
+        assert {packed[k].dtype for k in ("nodes", "indptr", "indices")} == {
+            np.dtype(np.int32)
+        }
+        resumed = ProbeReplayState.restore(spec, payload)
+        assert "_adj" not in vars(resumed.graph)  # twin-backed, no dict yet
+        twin = resumed.graph.to_array()
+        for arr in (twin.nodes, twin.indptr, twin.indices):
+            assert arr.dtype == np.int64
+        resumed.advance(4)  # the trace removes nodes at t=4
+        assert "_adj" in vars(resumed.graph)
+        state.advance(4)
+        assert resumed.graph.snapshot() == state.graph.snapshot()
+
     def test_snapshot_config_excludes_estimator(self):
         a = self._probe_spec()
         b = TrialSpec(
@@ -511,3 +538,198 @@ class TestSnapshotStore:
         report = store.gc(max_total_bytes=0)
         assert report.kept == 0
         assert store.stats().snapshot_artifacts == 0
+
+    def test_lifecycle_covers_the_array_files(self, tmp_path):
+        """Sizes, invalidate, gc and clear, checked against the disk."""
+        store = ResultsStore(tmp_path)
+        specs = _specs("multi_probe")
+        run_trials(specs, runtime=RuntimeOptions(workers=4, chunk_size=3, store=store))
+        snaps = [i for i in store.artifacts() if i.payload == "snapshot"]
+        npz = sorted(tmp_path.glob("*/*.npz"))
+        assert snaps and [p.stem for p in npz] == sorted(i.key for i in snaps)
+        for info in snaps:
+            on_disk = info.path.stat().st_size + info.path.with_suffix(".npz").stat().st_size
+            assert info.size_bytes == on_disk
+        assert store.stats().snapshot_bytes == sum(i.size_bytes for i in snaps)
+
+        config = snapshot_config(specs[0], 0)
+        assert store.invalidate(config)
+        assert not store.path_for(config).exists()
+        assert not store.path_for(config).with_suffix(".npz").exists()
+
+        orphan = next(i.path for i in snaps if i.path != store.path_for(config))
+        orphan.unlink()  # header gone, arrays left behind
+        report = store.gc(max_age_seconds=3600.0)
+        assert not report.evicted
+        assert not orphan.with_suffix(".npz").exists()
+        assert len(list(tmp_path.glob("*/*.npz"))) == len(snaps) - 2
+
+        store.gc(max_total_bytes=0)
+        assert list(tmp_path.rglob("*")) == []
+
+        run_trials(specs, runtime=RuntimeOptions(workers=4, chunk_size=3, store=store))
+        assert store.clear() == len(snaps) + 1
+        assert not list(tmp_path.glob("*/*.*"))
+
+
+# ----------------------------------------------------------------------
+# trust boundary: a bad snapshot artifact is a journaled miss
+# ----------------------------------------------------------------------
+
+
+def _rewrite_arrays(path, mutate, manifest=True):
+    """Apply ``mutate(arrays)`` to a snapshot's ``.npz`` and write it back,
+    re-deriving the header's manifest from the new arrays when
+    ``manifest`` (so only the later checks can catch the change)."""
+    npz_path = path.with_suffix(".npz")
+    with np.load(npz_path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    mutate(arrays)
+    np.savez(npz_path, **arrays)
+    if manifest:
+        header = json.loads(path.read_text())
+        for entry in header["arrays"]:
+            arr = arrays[entry["name"]]
+            entry.update(
+                dtype=arr.dtype.str,
+                shape=list(arr.shape),
+                sha256=hashlib.sha256(np.ascontiguousarray(arr)).hexdigest(),
+            )
+        path.write_text(json.dumps(header))
+
+
+def _edit_header(path, edit):
+    header = json.loads(path.read_text())
+    edit(header)
+    path.write_text(json.dumps(header))
+
+
+def _flip_byte(path):
+    npz = path.with_suffix(".npz")
+    data = bytearray(npz.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    npz.write_bytes(bytes(data))
+
+
+def _set(name, fn):
+    def mutate(arrays):
+        arrays[f"scheduler/graph/{name}"] = fn(arrays[f"scheduler/graph/{name}"].copy())
+
+    return mutate
+
+
+def _manifest(field, value):
+    def edit(header):
+        for entry in header["arrays"]:
+            if entry["name"] == "scheduler/graph/indptr":
+                entry[field] = value
+
+    return edit
+
+
+def _assign(arr, index, value):
+    arr[index] = value
+    return arr
+
+
+def _next_id_to_max(path):
+    with np.load(path.with_suffix(".npz")) as npz:
+        top = int(npz["scheduler/graph/nodes"].max())
+
+    def edit(header):
+        header["snapshot"]["scheduler"]["graph"]["next_id"] = top
+
+    _edit_header(path, edit)
+
+
+#: fault -> (corrupt the artifact at ``path``, expected rejection reason)
+ARTIFACT_FAULTS = {
+    "truncated_npz": (
+        lambda path: path.with_suffix(".npz").write_bytes(
+            path.with_suffix(".npz").read_bytes()[:200]
+        ),
+        "BadZipFile",
+    ),
+    "flipped_byte": (_flip_byte, "CRC-32|sha256"),
+    "sha256_mismatch": (
+        lambda path: _rewrite_arrays(
+            path, _set("indices", lambda a: _assign(a, 0, a[0] ^ 1)), manifest=False
+        ),
+        "does not match its sha256",
+    ),
+    "missing_npz": (lambda path: path.with_suffix(".npz").unlink(), "FileNotFoundError"),
+    "manifest_dtype": (lambda path: _edit_header(path, _manifest("dtype", "<i8")), "manifest says"),
+    "manifest_shape": (lambda path: _edit_header(path, _manifest("shape", [3])), "manifest says"),
+    "non_monotone_indptr": (
+        lambda path: _rewrite_arrays(
+            path, _set("indptr", lambda a: _assign(a, 1, a[2] + 1))
+        ),
+        "non-decreasing",
+    ),
+    "index_out_of_range": (
+        lambda path: _rewrite_arrays(
+            path, _set("indices", lambda a: _assign(a, 0, 10**6))
+        ),
+        "out of range",
+    ),
+    "next_id_not_above_ids": (_next_id_to_max, "next_id must exceed"),
+    "object_array": (
+        lambda path: _rewrite_arrays(
+            path, _set("nodes", lambda a: a.astype(object)), manifest=False
+        ),
+        "allow_pickle=False",
+    ),
+}
+
+
+class TestSnapshotArtifactFaults:
+    """Every corrupted artifact is rejected with its reason, journaled,
+    recomputed and overwritten; results stay bit-identical to serial."""
+
+    TARGET = 3
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        specs = _specs("dynamic_probe")
+        root = tmp_path_factory.mktemp("clean-store")
+        run_trials(
+            specs,
+            runtime=RuntimeOptions(workers=2, chunk_size=3, store=ResultsStore(root)),
+        )
+        serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
+        return specs, root, serial
+
+    @pytest.mark.parametrize("fault", sorted(ARTIFACT_FAULTS))
+    def test_bad_artifact_is_a_journaled_miss(self, clean, fault, tmp_path):
+        specs, root, serial = clean
+        shutil.copytree(root, tmp_path / "store")
+        store = ResultsStore(tmp_path / "store")
+        config = snapshot_config(specs[0], self.TARGET)
+        corrupt, reason = ARTIFACT_FAULTS[fault]
+        corrupt(store.path_for(config))
+        with pytest.raises(SnapshotRejected, match=reason):
+            store.load_snapshot(config)
+
+        journal_path = tmp_path / "run.jsonl"
+        journal = JournalReporter(journal_path)
+        again = run_trials(
+            specs,
+            runtime=RuntimeOptions(
+                workers=2, chunk_size=3, store=store, force=True, progress=journal
+            ),
+        )
+        journal.close()
+        assert_results_equal(serial, again)
+        events = read_journal(journal_path)
+        assert validate_journal(events) == []
+        rejected = [e for e in events if e["event"] == "snapshot_rejected"]
+        assert [e["target"] for e in rejected] == [self.TARGET]
+        assert re.search(reason, rejected[0]["reason"])
+        assert "snapshot rejections: 1" in render_obs_summary(events)
+        outcomes = {
+            e["target"]: e["outcome"] for e in events if e["event"] == "snapshot_boundary"
+        }
+        assert outcomes == {
+            t: "computed" if t == self.TARGET else "hit" for t in outcomes
+        }
+        assert store.load_snapshot(config) is not None  # recomputed and overwritten
