@@ -20,12 +20,21 @@ algorithms on a topology family with well-understood theory.
 
 All builders take an explicit RNG (seed, generator or :class:`RngHub`) and
 are deterministic given it.
+
+:func:`heterogeneous_random` builds no per-node Python objects.  It wires
+into one preallocated ``int32`` slot table of ``n × max_degree`` neighbour
+slots (row u starts at ``u * max_degree``; a per-node degree count says
+how many of its slots are filled), then compacts the table into the CSR
+``indices`` of the array twin in bounded row blocks.  Node ids therefore
+must fit ``int32`` (``n <= 2**31``), and the build's peak memory is the
+table plus the twin it returns (see ``docs/KERNELS.md``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from array import array
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +54,12 @@ __all__ = [
 #: Values the builders' block draws take per generator call.
 _DRAW_BLOCK = 1 << 12
 
+#: Slot-table rows :func:`_compact_slots` copies per block.
+_ROW_BLOCK = 1 << 14
+
+#: Largest node id a slot-table slot (a C ``int``) holds.
+_SLOT_MAX = np.iinfo(np.intc).max
+
 
 def _require_positive_n(n: int) -> None:
     if n <= 0:
@@ -63,7 +78,8 @@ def heterogeneous_random(
     Parameters
     ----------
     n:
-        Number of nodes (all present before wiring starts).
+        Number of nodes (all present before wiring starts); at most
+        ``2**31``, since node ids are stored as ``int32``.
     max_degree:
         Hard cap on any node's degree (paper value: 10).
     min_degree:
@@ -84,42 +100,47 @@ def heterogeneous_random(
     sequential and links are bidirectional, earlier nodes accumulate inbound
     links, producing heterogeneous final degrees in ``[min_degree‥max_degree]``.
 
-    The wiring fills plain lists and emits the array twin directly; the
-    returned graph is backed by it and builds its adjacency dict only on
-    first dict-only use (:mod:`repro.overlay.graph`).
+    The wiring fills one preallocated ``int32`` slot table of
+    ``n × max_degree`` neighbour slots (no per-node containers), which is
+    compacted into the array twin; the returned graph is backed by that
+    twin and builds its adjacency dict only on first dict-only use
+    (:mod:`repro.overlay.graph`).
     """
     _require_positive_n(n)
     if not (0 < min_degree <= max_degree):
         raise GraphError(
             f"need 0 < min_degree <= max_degree, got {min_degree}, {max_degree}"
         )
+    if n - 1 > _SLOT_MAX:
+        raise GraphError(f"node ids must fit int32, got n={n}")
     if n > 1 and max_degree >= n:
         max_degree = n - 1
         min_degree = min(min_degree, max_degree)
     gen = as_generator(rng, "overlay.heterogeneous")
-    rows: List[List[int]] = [[] for _ in range(n)]
+    slots = array("i", [0]) * (n * max_degree)
+    degree = array("i", [0]) * n
     if n > 1:
-        _wire_heterogeneous(rows, gen, max_degree, min_degree, max_attempts_factor)
-    degrees = np.fromiter(map(len, rows), dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
+        _wire_heterogeneous(slots, degree, gen, max_degree, min_degree, max_attempts_factor)
+    indptr, indices = _compact_slots(slots, degree, max_degree)
+    del slots, degree
     # Ids are 0..n-1 in insertion order, so raw ids already are positions.
-    indices = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
-    )
-    del rows
     nodes = np.arange(n, dtype=np.int64)
     return OverlayGraph.from_array(ArrayOverlayGraph(nodes, indptr, indices, next_id=n))
 
 
 def _wire_heterogeneous(
-    rows: List[List[int]],
+    slots: "array[int]",
+    degree: "array[int]",
     gen: np.random.Generator,
     max_degree: int,
     min_degree: int,
     max_attempts_factor: int,
 ) -> None:
-    """The §IV-A wiring loop over plain lists (``rows[u]``: u's neighbours).
+    """The §IV-A wiring loop over a slot table.
+
+    Node u's neighbours are ``slots[u*max_degree : u*max_degree + degree[u]]``
+    in link order; no row ever outgrows its ``max_degree`` slots, because a
+    node stops taking links at the cap.
 
     Each attempt draws one candidate id.  Candidates come in blocks of
     ``integers(n, size=_DRAW_BLOCK)``, which yields the same values as one
@@ -127,24 +148,25 @@ def _wire_heterogeneous(
     to the start of the last block and advanced by exactly the draws used,
     leaving it where per-attempt scalar draws would have.
     """
-    n = len(rows)
-    ids = list(range(n))  # one shared int object per node id
+    n = len(degree)
     targets = gen.integers(min_degree, max_degree + 1, size=n).tolist()
     block: List[int] = []
     used = 0
     mark = None  # generator state before the current block
     # owner[v] == u: v is u itself or already u's neighbour (an O(1) test
     # at any degree that never needs clearing between nodes).
-    owner = [-1] * n
-    for u, row, want in zip(ids, rows, targets):
-        if len(row) >= want:
+    owner = array("i", [-1]) * n
+    for u, want in enumerate(targets):
+        have = degree[u]
+        if have >= want:
             continue
+        base = u * max_degree
         owner[u] = u
-        for w in row:
+        for w in slots[base : base + have]:
             owner[w] = u
         attempts = 0
         budget = max_attempts_factor * max(want, 1)
-        while len(row) < want and attempts < budget:
+        while have < want and attempts < budget:
             attempts += 1
             if used == len(block):
                 mark = gen.bit_generator.state
@@ -152,15 +174,43 @@ def _wire_heterogeneous(
                 used = 0
             v = block[used]
             used += 1
-            other = rows[v]
-            if owner[v] == u or len(other) >= max_degree:
+            if owner[v] == u:
                 continue
-            row.append(ids[v])
-            other.append(u)
+            taken = degree[v]
+            if taken >= max_degree:
+                continue
+            slots[base + have] = v
+            have += 1
+            slots[v * max_degree + taken] = u
+            degree[v] = taken + 1
             owner[v] = u
+        degree[u] = have
     if mark is not None:
         gen.bit_generator.state = mark
         gen.integers(n, size=used)
+
+
+def _compact_slots(
+    slots: "array[int]", degree: "array[int]", width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the CSR holding each row's filled slots.
+
+    Row u keeps its first ``degree[u]`` slots in order.  The masked copy
+    runs over ``_ROW_BLOCK`` rows at a time, so its temporaries stay small
+    whatever the table size.
+    """
+    n = len(degree)
+    degrees = np.frombuffer(degree, dtype=np.intc)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, dtype=np.int64, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    table = np.frombuffer(slots, dtype=np.intc).reshape(n, width)
+    cols = np.arange(width)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        filled = cols < degrees[lo:hi, None]
+        indices[indptr[lo] : indptr[hi]] = table[lo:hi][filled]
+    return indptr, indices
 
 
 def homogeneous_random(

@@ -526,7 +526,7 @@ class OverlayGraph:
         Under churn this turns the per-step conversion from O(n + m)
         Python iteration into O(changed) — the difference between the
         array backend amortizing or losing its kernel win (see
-        ``docs/KERNELS.md`` and BENCH_KERNELS.json).
+        ``docs/KERNELS.md``).
         """
         if self._array is None:
             from .arraygraph import ArrayOverlayGraph

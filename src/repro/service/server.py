@@ -17,9 +17,9 @@ Two transports share one :class:`~repro.service.core.EstimationService`:
   work cited in PAPERS.md.
 
 :class:`ServiceClient` is the thin client for both transports (used by
-``examples/churn_monitoring.py`` and ``scripts/bench_service.py``); it
-only needs the stdlib.  Endpoint semantics are documented in
-``docs/SERVICE.md``.
+``examples/churn_monitoring.py`` and perfbench's ``service_mixed``
+workload); it only needs the stdlib.  Endpoint semantics are documented
+in ``docs/SERVICE.md``.
 """
 
 from __future__ import annotations
