@@ -74,9 +74,6 @@ harnesses binding port 0 can scrape the chosen port::
 
     repro-experiment serve --bind 127.0.0.1:0 --estimators sample_collide,aggregation \
         --snapshot svc.json --snapshot-every 50 --max-qps 100 --journal svc.jsonl
-
-``repro-experiment fig1`` (the pre-subcommand form) still works: a bare
-target is rewritten to ``run <target>`` for backwards compatibility.
 """
 
 from __future__ import annotations
@@ -280,16 +277,6 @@ def _add_run_parser(subparsers) -> None:
         "--force",
         action="store_true",
         help="recompute even when the cache holds the experiment (and refresh it)",
-    )
-    run.add_argument(
-        "--no-snapshot",
-        action="store_true",
-        help=(
-            "disable scheduler-snapshot hand-off for churn-replay "
-            "experiments and replay each chunk's churn prefix from t=0 "
-            "instead (slower at paper scale; results are bit-identical "
-            "either way — see docs/SNAPSHOTS.md)"
-        ),
     )
     run.add_argument(
         "--graph-backend",
@@ -765,11 +752,10 @@ def _runtime_options(
         force=args.force,
         progress=progress,
         tag=tag,
-        snapshots=not getattr(args, "no_snapshot", False),
-        graph_backend=getattr(args, "graph_backend", "dict"),
-        hosts=getattr(args, "hosts", None),
-        heartbeat_interval=getattr(args, "heartbeat_interval", 2.0),
-        heartbeat_misses=getattr(args, "heartbeat_misses", 3),
+        graph_backend=args.graph_backend,
+        hosts=args.hosts,
+        heartbeat_interval=args.heartbeat_interval,
+        heartbeat_misses=args.heartbeat_misses,
     )
 
 
@@ -1252,25 +1238,8 @@ def _cmd_serve(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-#: Bare targets accepted for backwards compatibility with the
-#: pre-subcommand CLI (``repro-experiment fig1``).
-_LEGACY_TARGETS = frozenset(FIGURES) | frozenset(TABLES) | {"all"}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # The pre-subcommand parser accepted optionals before the target
-    # ("--scale small fig1"), so rewrite whenever a bare target appears
-    # and the leading token is not already a subcommand.  Only the first
-    # token can be the subcommand, so later arguments that merely *equal* a
-    # subcommand name ("--csv-dir cache") must not suppress the rewrite.
-    if (
-        argv
-        and argv[0] not in ("run", "list", "cache", "trends", "obs", "worker", "serve")
-        and any(a in _LEGACY_TARGETS for a in argv)
-    ):
-        argv = ["run"] + argv
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "list":

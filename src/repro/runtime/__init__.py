@@ -33,7 +33,6 @@ from .api import (
     sweep,
 )
 from .cluster import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     ClusterExecutor,
     WorkerServer,
@@ -131,7 +130,6 @@ __all__ = [
     "JournalReporter",
     "LatencySpec",
     "LogProgress",
-    "MIN_PROTOCOL_VERSION",
     "MetricComparison",
     "MetricTrend",
     "StoreStats",

@@ -78,16 +78,10 @@ class RuntimeOptions:
     #: ``None`` auto-detects ($REPRO_GIT_REVISION, then ``git rev-parse``);
     #: like ``tag``, provenance only — never part of the content address.
     revision: Optional[str] = None
-    #: Snapshot hand-off for churn-replay kinds (docs/SNAPSHOTS.md).  True
-    #: (default) makes chunked replay O(horizon) total; False — the CLI's
-    #: ``--no-snapshot`` — preserves the historical prefix-replay dispatch.
-    #: Execution detail only: results and content addresses are identical
-    #: either way, so this never invalidates a cache.
-    snapshots: bool = True
     #: Graph representation kernel-capable estimators run on: ``"dict"``
     #: (the reference) or ``"array"`` (the batched kernels of
     #: :mod:`repro.core.kernels`; the CLI's ``--graph-backend``).  Unlike
-    #: ``snapshots`` this is *not* execution detail: array-backend results
+    #: ``workers`` this is *not* execution detail: array-backend results
     #: are distributionally — not bitwise — equivalent, so the backend is
     #: injected into the estimator specs and perturbs the content address
     #: (docs/KERNELS.md).
@@ -118,7 +112,6 @@ class RuntimeOptions:
         chunk_size: Optional[int] = None,
         tag: Optional[str] = None,
         revision: Optional[str] = None,
-        snapshots: bool = True,
         graph_backend: str = "dict",
         hosts: Union[None, str, Sequence[str]] = None,
         heartbeat_interval: float = 2.0,
@@ -141,7 +134,6 @@ class RuntimeOptions:
             progress=progress,
             tag=tag,
             revision=revision,
-            snapshots=snapshots,
             graph_backend=graph_backend,
             hosts=parse_hosts(hosts),
             heartbeat_interval=float(heartbeat_interval),
@@ -195,11 +187,12 @@ def run_trials(
     """Run a batch of trials with caching and parallel dispatch.
 
     Determinism contract: the returned results are bit-identical for any
-    ``workers``/``hosts``/``chunk_size``/``snapshots`` setting and for
-    cache hits,
+    ``workers``/``hosts``/``chunk_size`` setting and for cache hits,
     because every trial's randomness derives from ``(hub_seed, index)``
-    alone and chunked churn replay — snapshot hand-off or prefix replay —
-    reproduces the exact serial scenario states (``docs/SNAPSHOTS.md``).
+    alone and chunked churn replay resumes each chunk from its
+    predecessor's boundary snapshot — the exact serial scenario state
+    (``docs/SNAPSHOTS.md``).  Boundary snapshots are cached in ``store``
+    alongside the results.
     Keyword arguments override the corresponding ``runtime`` fields, so
     callers can pass a shared :class:`RuntimeOptions` and still specialize
     one knob locally.  ``tag`` labels the saved artifact for ``cache ls``
@@ -249,8 +242,7 @@ def run_trials(
             runtime.hosts,
             chunk_size=chunk_size,
             progress=progress,
-            snapshots=runtime.snapshots,
-            snapshot_store=store if runtime.snapshots else None,
+            snapshot_store=store,
             heartbeat_interval=runtime.heartbeat_interval,
             heartbeat_misses=runtime.heartbeat_misses,
         )
@@ -259,8 +251,7 @@ def run_trials(
             workers=workers,
             chunk_size=chunk_size,
             progress=progress,
-            snapshots=runtime.snapshots,
-            snapshot_store=store if runtime.snapshots else None,
+            snapshot_store=store,
         )
     started = time.perf_counter()
     results = executor.run(specs)

@@ -16,19 +16,17 @@ the Mercury extreme-scale RPC design rather than a heavyweight framework:
 each message is one pickled dict behind an 8-byte big-endian length
 prefix (:func:`send_message` / :func:`recv_message`).  A worker is just
 ``repro-experiment worker serve --bind HOST:PORT`` — it accepts
-connections, answers a version handshake, and then runs
+connections, answers a handshake, and then runs
 :func:`~repro.runtime.trials.run_chunk` on every ``chunk`` message it
 receives, returning the pickled results.  Workers are stateless between
 chunks: everything a chunk needs (specs + optional boundary snapshot)
 travels in the message, which is what makes migration trivial.
 
-The handshake negotiates a protocol version: the driver offers
-:data:`PROTOCOL_VERSION`, the worker answers with
-``min(offered, PROTOCOL_VERSION)`` as long as the offer is at least
-:data:`MIN_PROTOCOL_VERSION`, and a driver whose offer is rejected
-outright re-dials with the floor version — so new drivers interoperate
-with old v1 workers (and vice versa) without flags.  Version 2 adds a
-second session role: a ``hello`` carrying ``role="heartbeat"`` opens a
+Driver and worker ship from one tree and speak exactly one protocol
+version, :data:`PROTOCOL_VERSION`: the worker welcomes a ``hello`` at
+that version and answers any other with an error frame, and the driver
+treats anything but a well-formed ``welcome`` at that version as a
+connection failure.  A ``hello`` carrying ``role="heartbeat"`` opens a
 control-path session that answers ``ping`` frames with ``pong`` instead
 of running chunks.
 
@@ -44,15 +42,14 @@ Treating liveness as a request side-effect leaves a silent-failure
 window: a worker that dies while *idle* is never declared lost until the
 batch drains, and one blocked dispatch can pin a chunk to a dead host
 indefinitely.  The driver therefore runs one heartbeat monitor thread per
-host (protocol v2 and up): every ``heartbeat_interval`` seconds it pings
+host: every ``heartbeat_interval`` seconds it pings
 the worker over a dedicated heartbeat session and counts consecutive
 misses (timeout, refused connection, or transport error).  Each miss is
 reported as ``heartbeat_miss``; at ``heartbeat_misses`` consecutive
 misses the host is declared lost through exactly the same path as a
 dispatch failure — so loss is detected within roughly
 ``heartbeat_interval × heartbeat_misses`` seconds no matter what the
-dispatch threads are doing.  Legacy v1 workers simply run without a
-monitor (detection falls back to dispatch errors, the pre-v2 behaviour).
+dispatch threads are doing.
 
 Scheduling
 ----------
@@ -107,7 +104,6 @@ from .trials import TrialResult, TrialSpec, run_chunk
 
 __all__ = [
     "ClusterExecutor",
-    "MIN_PROTOCOL_VERSION",
     "PROTOCOL_VERSION",
     "WorkerServer",
     "parse_hosts",
@@ -115,15 +111,11 @@ __all__ = [
     "send_message",
 ]
 
-#: Version the driver offers in the hello; the worker answers with
-#: ``min(offered, PROTOCOL_VERSION)``.  v2 added the heartbeat session
-#: role (ping/pong liveness probes).
+#: The one version driver and worker speak; ``hello`` and ``welcome``
+#: both carry it, and any other value (or a non-integer) fails the
+#: connection immediately rather than mis-deserializing mid-batch.
+#: v2 added the heartbeat session role (ping/pong liveness probes).
 PROTOCOL_VERSION = 2
-
-#: Oldest version either side still speaks.  Offers below this floor (or
-#: non-integer versions) fail the connection immediately rather than
-#: mis-deserializing mid-batch.
-MIN_PROTOCOL_VERSION = 1
 
 #: 8-byte big-endian unsigned length prefix framing every message.
 _HEADER = struct.Struct(">Q")
@@ -175,6 +167,11 @@ def recv_message(sock: socket.socket) -> Dict[str, Any]:
     if not isinstance(message, dict):
         raise OSError(f"expected a message dict, got {type(message).__name__}")
     return message
+
+
+def _is_protocol_version(value: Any) -> bool:
+    """True for exactly :data:`PROTOCOL_VERSION` (never a bool or float)."""
+    return type(value) is int and value == PROTOCOL_VERSION
 
 
 def parse_hosts(
@@ -415,12 +412,8 @@ class WorkerServer:
             hello = recv_message(conn)
         except (EOFError, OSError, pickle.UnpicklingError):
             return None
-        version = hello.get("version")
-        if (
-            hello.get("type") != "hello"
-            or not isinstance(version, int)
-            or isinstance(version, bool)
-            or version < MIN_PROTOCOL_VERSION
+        if hello.get("type") != "hello" or not _is_protocol_version(
+            hello.get("version")
         ):
             try:
                 send_message(
@@ -429,20 +422,18 @@ class WorkerServer:
                         "type": "error",
                         "error": (
                             f"protocol mismatch: worker speaks "
-                            f"{MIN_PROTOCOL_VERSION}..{PROTOCOL_VERSION}, "
-                            f"driver sent {hello!r}"
+                            f"{PROTOCOL_VERSION}, driver sent {hello!r}"
                         ),
                     },
                 )
             except OSError:  # pragma: no cover - peer already gone
                 pass
             return None
-        negotiated = min(version, PROTOCOL_VERSION)
-        role = hello.get("role", "driver") if negotiated >= 2 else "driver"
+        role = hello.get("role", "driver")
         try:
             send_message(
                 conn,
-                {"type": "welcome", "version": negotiated, "pid": os.getpid()},
+                {"type": "welcome", "version": PROTOCOL_VERSION, "pid": os.getpid()},
             )
         except OSError:
             return None
@@ -581,66 +572,49 @@ class WorkerServer:
 # ----------------------------------------------------------------------
 
 
-class _ProtocolUnsupported(OSError):
-    """The peer cannot serve the requested session role (legacy worker)."""
-
-
 class _WorkerSession:
     """Driver-side handle on one connected worker (socket + handshake)."""
 
-    def __init__(self, sock: socket.socket, pid: int, version: int) -> None:
+    def __init__(self, sock: socket.socket, pid: int) -> None:
         self.sock = sock
         self.pid = pid
-        self.version = version
 
     @classmethod
     def connect(
         cls, host: str, timeout: float, role: Optional[str] = None
     ) -> "_WorkerSession":
-        """Dial ``host:port``, negotiate a version, return a ready session.
+        """Dial ``host:port``, complete the handshake, return a ready session.
 
-        The driver offers :data:`PROTOCOL_VERSION` first; if the worker
-        rejects the offer with a protocol error (a pre-negotiation v1
-        worker), it re-dials once with :data:`MIN_PROTOCOL_VERSION`.
-        Role-carrying sessions (``role="heartbeat"``) need protocol 2 and
-        raise :class:`_ProtocolUnsupported` against older workers instead
-        of downgrading.
+        The hello offers :data:`PROTOCOL_VERSION`.  Any reply but a
+        ``welcome`` at exactly that version with an integer ``pid`` — an
+        error frame or a malformed welcome alike — closes the socket and
+        raises :class:`OSError`, so the caller's retry and host-loss path
+        treats the peer like an unreachable one.
         """
         name, _, port = host.rpartition(":")
-        versions = [PROTOCOL_VERSION]
-        if role is None and MIN_PROTOCOL_VERSION < PROTOCOL_VERSION:
-            versions.append(MIN_PROTOCOL_VERSION)
-        last_error = ""
-        for version in versions:
-            sock = socket.create_connection((name, int(port)), timeout=timeout)
-            try:
-                hello: Dict[str, Any] = {"type": "hello", "version": version}
-                if role is not None:
-                    hello["role"] = role
-                send_message(sock, hello)
-                welcome = recv_message(sock)
-            except BaseException:
-                sock.close()
-                raise
-            if welcome.get("type") == "welcome":
-                try:
-                    negotiated = int(welcome.get("version", version))
-                except (TypeError, ValueError):
-                    negotiated = version
-                sock.settimeout(None)
-                return cls(sock, int(welcome.get("pid", -1)), negotiated)
+        sock = socket.create_connection((name, int(port)), timeout=timeout)
+        try:
+            hello: Dict[str, Any] = {"type": "hello", "version": PROTOCOL_VERSION}
+            if role is not None:
+                hello["role"] = role
+            send_message(sock, hello)
+            welcome = recv_message(sock)
+        except BaseException:
             sock.close()
-            last_error = str(welcome.get("error", welcome))
-            if "protocol" not in last_error.lower():
-                raise OSError(
-                    f"worker {host} rejected the handshake: {last_error}"
-                )
-            # A protocol rejection: fall through to the legacy version.
-        if role is not None:
-            raise _ProtocolUnsupported(
-                f"worker {host} cannot serve {role} sessions: {last_error}"
+            raise
+        pid = welcome.get("pid")
+        if (
+            welcome.get("type") != "welcome"
+            or not _is_protocol_version(welcome.get("version"))
+            or type(pid) is not int
+        ):
+            sock.close()
+            raise OSError(
+                f"worker {host} failed the handshake: "
+                f"{welcome.get('error', welcome)}"
             )
-        raise OSError(f"worker {host} rejected the handshake: {last_error}")
+        sock.settimeout(None)
+        return cls(sock, pid)
 
     def request(self, message: Mapping[str, Any]) -> Dict[str, Any]:
         """Send one message and block for its reply."""
@@ -726,8 +700,9 @@ class ClusterExecutor:
         Optional :class:`ProgressReporter`; besides the pool's batch and
         chunk events it receives ``worker_connect``, ``worker_lost``,
         ``chunk_migrated``, ``steal`` and ``heartbeat_miss``.
-    snapshots / snapshot_store:
-        Boundary-snapshot hand-off, exactly as on the pool executor.
+    snapshot_store:
+        Store the boundary snapshots are cached in, exactly as on the
+        pool executor.
     retries:
         Reconnection attempts per host before it is declared lost.
     backoff:
@@ -742,11 +717,6 @@ class ClusterExecutor:
         Consecutive missed pings before a host is declared lost; with
         the interval this bounds detection latency at roughly
         ``heartbeat_interval * heartbeat_misses`` seconds.
-    adaptive:
-        Adapt per-host chunk sizes to observed per-trial latency on the
-        *next* batch this executor runs (requires history for every
-        host, so the first batch is always dealt uniformly).  Results
-        are unaffected either way — only placement changes.
     """
 
     def __init__(
@@ -754,14 +724,12 @@ class ClusterExecutor:
         hosts: Union[str, Sequence[str]],
         chunk_size: Optional[int] = None,
         progress: Optional[ProgressReporter] = None,
-        snapshots: bool = True,
         snapshot_store=None,
         retries: int = 3,
         backoff: float = 0.1,
         connect_timeout: float = 10.0,
         heartbeat_interval: float = 2.0,
         heartbeat_misses: int = 3,
-        adaptive: bool = True,
     ) -> None:
         self.hosts = parse_hosts(hosts)
         if not self.hosts:
@@ -780,14 +748,12 @@ class ClusterExecutor:
             )
         self.chunk_size = chunk_size
         self.progress = progress if progress is not None else NullProgress()
-        self.snapshots = bool(snapshots)
         self.snapshot_store = snapshot_store
         self.retries = max(0, int(retries))
         self.backoff = float(backoff)
         self.connect_timeout = float(connect_timeout)
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_misses = int(heartbeat_misses)
-        self.adaptive = bool(adaptive)
         # EWMA of observed seconds-per-trial by host, fed by completed
         # dispatches and consumed by _plan on the next batch.
         self._latency: Dict[str, float] = {}
@@ -912,7 +878,6 @@ class ClusterExecutor:
             latency = dict(self._latency)
         usable = (
             self.chunk_size is None
-            and self.adaptive
             and len(self.hosts) > 1
             and all(latency.get(host, 0.0) > 0.0 for host in self.hosts)
         )
@@ -970,12 +935,7 @@ class ClusterExecutor:
         payloads: Dict[int, Optional[Mapping[str, Any]]] = {
             i: None for i in range(len(chunks))
         }
-        pipelined = (
-            self.snapshots
-            and len(chunks) > 1
-            and chunks[0][0].kind in SNAPSHOT_KINDS
-        )
-        if not pipelined:
+        if len(chunks) == 1 or chunks[0][0].kind not in SNAPSHOT_KINDS:
             return boundaries, payloads
         backbone = SnapshotBackbone(chunks[0][0], self.snapshot_store, self.progress)
         for i, chunk in enumerate(chunks):
@@ -992,9 +952,8 @@ class ClusterExecutor:
         Counts consecutive misses (timeout, refused dial, transport
         error); every miss is reported as a ``heartbeat_miss`` event and at
         :attr:`heartbeat_misses` the host goes through the same
-        :meth:`_host_lost` path as a dispatch failure.  Legacy v1 workers
-        (no heartbeat role) disable the monitor for their host.  Each
-        probe cycle costs ``max(interval, time spent probing)``, so
+        :meth:`_host_lost` path as a dispatch failure.  Each probe cycle
+        costs ``max(interval, time spent probing)``, so
         detection is bounded by ``misses * max(interval, ping timeout)``
         with the ping timeout fixed at the interval.
         """
@@ -1015,8 +974,6 @@ class ClusterExecutor:
                         session = _WorkerSession.connect(
                             host, self.connect_timeout, role="heartbeat"
                         )
-                        if session.version < 2:
-                            return  # pre-heartbeat worker: nothing to probe
                         session.sock.settimeout(ping_timeout)
                         with state.cond:
                             state.monitor_sessions[host] = session
@@ -1025,9 +982,6 @@ class ClusterExecutor:
                     if reply.get("type") != "pong":
                         raise OSError(f"unexpected heartbeat reply {reply!r}")
                     misses = 0
-                except _ProtocolUnsupported:
-                    session = None
-                    return
                 except (OSError, EOFError, pickle.PickleError, struct.error) as exc:
                     if session is not None:
                         with state.cond:

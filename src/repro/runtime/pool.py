@@ -16,8 +16,8 @@ draw from stateless child hubs and stay fully parallel in the workers);
 for ``repair_replay`` churn, repair and the monitoring protocol are one
 inseparable scenario, so the backbone replays all of it — still a single
 O(horizon) pass replacing the C/2 prefix replays chunking used to cost.
-Results are bit-identical either way (``snapshots=False`` restores the
-historical prefix-replay dispatch).  Boundary snapshots are content-
+Results are bit-identical to serial: a restored boundary state *is* the
+serial scenario state at that index.  Boundary snapshots are content-
 addressed into the results store when one is configured, so warm re-runs
 skip the backbone too.
 
@@ -175,14 +175,9 @@ class TrialExecutor:
         ``workers * CHUNKS_PER_WORKER`` chunks).
     progress:
         Optional :class:`ProgressReporter` for telemetry.
-    snapshots:
-        When True (default), churn-replay kinds dispatch with pipelined
-        snapshot hand-off (module docstring); False forces the historical
-        prefix-replay dispatch.  Results are bit-identical either way.
     snapshot_store:
-        Optional :class:`~repro.runtime.store.ResultsStore` boundary
-        snapshots are cached in (never consulted when ``snapshots`` is
-        False).
+        Optional :class:`~repro.runtime.store.ResultsStore` the boundary
+        snapshots of churn-replay kinds are cached in.
     """
 
     def __init__(
@@ -190,7 +185,6 @@ class TrialExecutor:
         workers: int = 1,
         chunk_size: Optional[int] = None,
         progress: Optional[ProgressReporter] = None,
-        snapshots: bool = True,
         snapshot_store=None,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
@@ -198,7 +192,6 @@ class TrialExecutor:
         self.workers = max(1, int(workers))
         self.chunk_size = chunk_size
         self.progress = progress if progress is not None else NullProgress()
-        self.snapshots = bool(snapshots)
         self.snapshot_store = snapshot_store
 
     def _auto_chunk_size(self, total: int) -> int:
@@ -249,20 +242,11 @@ class TrialExecutor:
         chunks = chunk_specs(specs, self._auto_chunk_size(len(specs)))
         if len(chunks) == 1:
             return self._run_local(0, specs)
-        pipelined = self.snapshots and specs[0].kind in SNAPSHOT_KINDS
         completed: dict = {}
         done = 0
         try:
             with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-                if pipelined:
-                    futures = self._submit_pipelined(pool, chunks)
-                else:
-                    futures = []
-                    for i, chunk in enumerate(chunks):
-                        self.progress.on_event(
-                            "chunk_start", chunk=i, trials=len(chunk), boundary=None
-                        )
-                        futures.append(pool.submit(run_chunk, chunk))
+                futures = self._submit(pool, chunks)
                 index_of = {future: i for i, future in enumerate(futures)}
                 for future in as_completed(futures):
                     part = future.result()
@@ -297,23 +281,29 @@ class TrialExecutor:
             kept = [r for i in sorted(completed) for r in completed[i]]
             return kept + self._run_local(len(chunks), remaining)
 
-    def _submit_pipelined(self, pool: ProcessPoolExecutor, chunks) -> List:
-        """Submit chunks with snapshot hand-off (churn-replay kinds).
+    def _submit(self, pool: ProcessPoolExecutor, chunks) -> List:
+        """Submit every chunk, with snapshot hand-off for churn-replay kinds.
 
-        Every chunk — including the first, whose boundary is the freshly
-        built scenario at index 0 — is submitted as soon as the backbone
-        has its start-boundary snapshot: the snapshot at
+        A churn-replay chunk — including the first, whose boundary is the
+        freshly built scenario at index 0 — is submitted as soon as the
+        backbone has its start-boundary snapshot: the snapshot at
         ``min(chunk indices) - 1``, i.e. the predecessor chunk's end
         state.  Workers restore instead of rebuilding the overlay and
         replaying the churn prefix, so estimation overlaps with the
-        backbone's cheap churn-only advance.
+        backbone's cheap churn-only advance.  Other kinds carry no
+        boundary.
         """
-        backbone = SnapshotBackbone(chunks[0][0], self.snapshot_store, self.progress)
+        backbone = None
+        if chunks[0][0].kind in SNAPSHOT_KINDS:
+            backbone = SnapshotBackbone(chunks[0][0], self.snapshot_store, self.progress)
         futures = []
         for i, chunk in enumerate(chunks):
-            target = min(spec.index for spec in chunk) - 1
+            target = None
+            if backbone is not None:
+                target = min(spec.index for spec in chunk) - 1
             self.progress.on_event(
                 "chunk_start", chunk=i, trials=len(chunk), boundary=target
             )
-            futures.append(pool.submit(run_chunk, chunk, backbone.payload_at(target)))
+            payload = backbone.payload_at(target) if backbone is not None else None
+            futures.append(pool.submit(run_chunk, chunk, payload))
         return futures

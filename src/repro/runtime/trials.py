@@ -15,8 +15,9 @@ chunk: the overlay is built a single time, and churn-driven kinds resume
 the scenario from a hand-off snapshot when the executor supplies one
 (:mod:`repro.runtime.snapshots`), else replay the membership trace from
 t=0 (churn draws from its own named stream, so replaying events without
-estimating reproduces the serial graph state exactly — the prefix-replay
-fallback behind ``--no-snapshot``).
+estimating reproduces the serial graph state exactly).  Serial and
+one-chunk runs, the pool's partial fallback and boundaries the snapshot
+backbone cannot serve take that prefix replay.
 
 For backwards compatibility the ``overlay``/``estimator`` slots also accept
 live objects (an :class:`~repro.overlay.graph.OverlayGraph`, a factory
@@ -1143,9 +1144,9 @@ def run_chunk(
     ``snapshot`` — accepted only for churn-replay kinds (the keys of
     :data:`~repro.runtime.snapshots.SNAPSHOT_KINDS`) — is the predecessor
     chunk's replay state at this chunk's start boundary: the runner resumes
-    there instead of replaying the churn prefix from t=0.  Passing ``None``
-    always works and reproduces the historical prefix-replay behaviour;
-    results are bit-identical either way.
+    there instead of replaying the churn prefix from t=0.  ``None`` — the
+    serial path, and any chunk the executor has no boundary for — replays
+    the prefix instead; results are bit-identical either way.
     """
     if not specs:
         return []

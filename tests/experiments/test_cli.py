@@ -66,13 +66,12 @@ class TestMain:
         assert "fig07" in out
         assert "legend" in out
 
-    def test_legacy_bare_target_still_works(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "small")
-        assert main(["fig7", "--quiet"]) == 0
-
-    def test_legacy_flags_before_target_still_work(self, capsys, monkeypatch):
-        """The pre-subcommand parser accepted optionals first."""
-        assert main(["--scale", "small", "fig7", "--quiet"]) == 0
+    def test_bare_target_is_a_usage_error(self, capsys):
+        """A target needs the ``run`` subcommand in front of it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fig7"])
+        assert exc.value.code == 2
+        assert "usage" in capsys.readouterr().err
 
     def test_run_table_renders_rows(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "small")

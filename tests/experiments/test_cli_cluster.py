@@ -52,11 +52,9 @@ class TestWorkerServe:
         out = capsys.readouterr().out
         assert "worker listening on 127.0.0.1:" in out
 
-    def test_worker_is_not_rewritten_as_legacy_target(self, capsys):
-        # "worker" leads the argv, so the bare-target rewrite must not
-        # prepend "run" even though later tokens never match a target.
+    def test_worker_without_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
-            main(["worker"])  # missing subcommand -> argparse error, not run
+            main(["worker"])
         assert "usage" in capsys.readouterr().err
 
 

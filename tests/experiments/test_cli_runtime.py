@@ -20,14 +20,6 @@ class TestFlagParsing:
         args = build_parser().parse_args(["run", "fig1", "--workers", "4"])
         assert args.workers == 4
 
-    def test_no_snapshot_flag(self):
-        args = build_parser().parse_args(["run", "fig9", "--no-snapshot"])
-        assert args.no_snapshot is True
-        assert _runtime_options(args).snapshots is False
-        default = build_parser().parse_args(["run", "fig9"])
-        assert default.no_snapshot is False
-        assert _runtime_options(default).snapshots is True
-
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
         args = build_parser().parse_args(["run", "fig1"])

@@ -50,7 +50,6 @@ from repro.runtime import (
 )
 from repro.runtime.cluster import (
     MAX_MESSAGE_BYTES,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     _WorkerSession,
     recv_message,
@@ -91,6 +90,40 @@ def cluster(count, **server_kwargs):
             server.close()
         for thread in threads:
             thread.join(timeout=5.0)
+
+
+@contextlib.contextmanager
+def fake_worker(reply):
+    """A listener that answers every hello with ``reply``, then hangs up.
+
+    Yields ``(address, hellos)``: ``hellos`` collects the hello of every
+    accepted connection, in order — so its length counts the dials.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    hellos = []
+
+    def serve():
+        while True:
+            try:
+                conn, _addr = listener.accept()
+            except OSError:  # listener shut down
+                return
+            with conn:
+                try:
+                    hellos.append(recv_message(conn))
+                    send_message(conn, reply)
+                except (EOFError, OSError):
+                    pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}", hellos
+    finally:
+        with contextlib.suppress(OSError):
+            listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+        thread.join(timeout=5.0)
 
 
 N, COUNT = 300, 15
@@ -180,9 +213,14 @@ class TestProtocol:
         finally:
             a.close(), b.close()
 
-    @pytest.mark.parametrize("bad_version", [0, -1, "2", None, True])
+    @pytest.mark.parametrize(
+        "bad_version",
+        [0, -1, "2", None, True, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1],
+    )
     def test_handshake_invalid_version_is_fatal(self, bad_version):
-        """Offers below the floor (or non-integers) fail the handshake."""
+        """Any hello but exactly PROTOCOL_VERSION gets an error frame, and
+        the rejected peer leaves the worker serving well-formed drivers."""
+        specs = _static_specs(count=4)
         with cluster(1) as hosts:
             name, _, port = hosts[0].rpartition(":")
             sock = socket.create_connection((name, int(port)), timeout=5.0)
@@ -193,94 +231,39 @@ class TestProtocol:
                 assert "protocol" in reply["error"]
             finally:
                 sock.close()
+            results = ClusterExecutor(hosts, chunk_size=2).run(list(specs))
+        assert_results_equal(run_chunk(list(specs)), results)
 
-    def test_handshake_negotiates_down_to_worker_version(self):
-        """A newer driver's offer is answered with the worker's own version."""
-        with cluster(1) as hosts:
-            name, _, port = hosts[0].rpartition(":")
-            sock = socket.create_connection((name, int(port)), timeout=5.0)
-            try:
-                send_message(
-                    sock, {"type": "hello", "version": PROTOCOL_VERSION + 7}
-                )
-                reply = recv_message(sock)
-                assert reply["type"] == "welcome"
-                assert reply["version"] == PROTOCOL_VERSION
-            finally:
-                sock.close()
+    def test_driver_does_not_redial_after_a_protocol_error(self):
+        """A rejected hello is final: one dial, then OSError."""
+        rejection = {"type": "error", "error": "protocol mismatch: v1 only"}
+        with fake_worker(rejection) as (address, hellos):
+            with pytest.raises(OSError, match="protocol mismatch"):
+                _WorkerSession.connect(address, timeout=5.0)
+            assert hellos == [{"type": "hello", "version": PROTOCOL_VERSION}]
 
-    def test_handshake_accepts_legacy_v1_driver(self):
-        """An old v1 driver (no role field) still gets a v1 chunk session."""
-        specs = _static_specs(count=2)
-        with cluster(1) as hosts:
-            name, _, port = hosts[0].rpartition(":")
-            sock = socket.create_connection((name, int(port)), timeout=5.0)
-            try:
-                send_message(
-                    sock, {"type": "hello", "version": MIN_PROTOCOL_VERSION}
-                )
-                reply = recv_message(sock)
-                assert reply["type"] == "welcome"
-                assert reply["version"] == MIN_PROTOCOL_VERSION
-                send_message(
-                    sock,
-                    {"type": "chunk", "chunk": 0, "specs": specs, "snapshot": None},
-                )
-                result = recv_message(sock)
-                assert result["type"] == "result"
-                assert len(result["results"]) == len(specs)
-            finally:
-                sock.close()
-
-    def test_driver_downgrades_against_legacy_v1_worker(self):
-        """A new driver re-dials a strict-v1 worker with the floor version."""
-        listener = socket.create_server(("127.0.0.1", 0))
-        address = f"127.0.0.1:{listener.getsockname()[1]}"
-
-        def legacy_worker():
-            # A pre-negotiation worker: strict equality on version 1.
-            for _ in range(2):
-                try:
-                    conn, _addr = listener.accept()
-                except OSError:
-                    return
-                try:
-                    hello = recv_message(conn)
-                    if hello.get("version") != MIN_PROTOCOL_VERSION:
-                        send_message(
-                            conn,
-                            {"type": "error", "error": "protocol mismatch: v1 only"},
-                        )
-                        continue
-                    send_message(
-                        conn,
-                        {
-                            "type": "welcome",
-                            "version": MIN_PROTOCOL_VERSION,
-                            "pid": 4242,
-                        },
-                    )
-                    return
-                finally:
-                    conn.close()
-
-        thread = threading.Thread(target=legacy_worker, daemon=True)
-        thread.start()
-        try:
-            session = _WorkerSession.connect(address, timeout=5.0)
-            assert session.version == MIN_PROTOCOL_VERSION
-            assert session.pid == 4242
-            session.close()
-        finally:
-            listener.close()
-            thread.join(timeout=5.0)
+    @pytest.mark.parametrize(
+        "welcome",
+        [
+            {"type": "welcome", "version": PROTOCOL_VERSION, "pid": "x"},
+            {"type": "welcome", "version": PROTOCOL_VERSION, "pid": True},
+            {"type": "welcome", "version": PROTOCOL_VERSION},
+            {"type": "welcome", "version": PROTOCOL_VERSION - 1, "pid": 1},
+            {"type": "welcome", "version": str(PROTOCOL_VERSION), "pid": 1},
+        ],
+    )
+    def test_malformed_welcome_fails_the_handshake(self, welcome):
+        """The driver checks what the worker sends back, too."""
+        with fake_worker(welcome) as (address, hellos):
+            with pytest.raises(OSError, match="failed the handshake"):
+                _WorkerSession.connect(address, timeout=5.0)
+            assert len(hellos) == 1
 
     def test_heartbeat_session_answers_pings(self):
-        """A v2 heartbeat-role session answers ping with matching pong."""
+        """A heartbeat-role session answers ping with matching pong."""
         with cluster(1) as hosts:
             session = _WorkerSession.connect(hosts[0], timeout=5.0, role="heartbeat")
             try:
-                assert session.version == PROTOCOL_VERSION
                 for seq in (1, 2, 3):
                     reply = session.request({"type": "ping", "seq": seq})
                     assert reply == {"type": "pong", "seq": seq}
@@ -325,15 +308,6 @@ class TestClusterDeterminism:
         serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
         with cluster(host_count) as hosts:
             results = ClusterExecutor(hosts, chunk_size=3).run(list(specs))
-        assert_results_equal(serial, results)
-
-    def test_snapshots_off_matches_serial(self):
-        specs = _replay_specs()
-        serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
-        with cluster(2) as hosts:
-            results = ClusterExecutor(hosts, chunk_size=3, snapshots=False).run(
-                list(specs)
-            )
         assert_results_equal(serial, results)
 
     def test_content_addresses_match_process_pool(self, tmp_path):
@@ -479,6 +453,36 @@ class TestWorkerLoss:
         # not discovered after the fact.
         kinds = [e["event"] for e in telemetry.events]
         assert kinds.index("worker_lost") < kinds.index("batch_finish")
+
+    def test_malformed_welcome_loses_the_host_instead_of_hanging(self):
+        """A host whose welcome carries a non-integer pid is lost once and
+        its chunks migrate; the batch finishes and equals serial.  The
+        join timeout only detects a hang: both of the host's driver
+        threads used to die on the bad pid, stranding its chunk."""
+        specs = _static_specs(count=8)
+        serial = run_chunk(list(specs))
+        telemetry = TelemetryCollector()
+        bad_welcome = {"type": "welcome", "version": PROTOCOL_VERSION, "pid": "x"}
+        run_box = {}
+        with cluster(1) as hosts, fake_worker(bad_welcome) as (bad, _hellos):
+            executor = ClusterExecutor(
+                [hosts[0], bad],
+                chunk_size=2,
+                progress=telemetry,
+                retries=0,
+                heartbeat_interval=0.2,
+                heartbeat_misses=5,
+            )
+            runner = threading.Thread(
+                target=lambda: run_box.update(results=executor.run(list(specs))),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=60.0)
+            assert not runner.is_alive(), "ClusterExecutor.run hung"
+        assert_results_equal(serial, run_box["results"])
+        lost = [e for e in telemetry.events if e["event"] == "worker_lost"]
+        assert [e["host"] for e in lost] == [bad]
 
     def test_worker_side_exception_aborts_the_batch(self):
         """A deterministic chunk error must raise, not migrate forever."""

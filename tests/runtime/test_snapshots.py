@@ -418,16 +418,13 @@ ALL_REPLAY_KINDS = ["dynamic_probe", "multi_probe", "repair_replay", "agg_dynami
 class TestChunkBoundaryBitIdentity:
     @pytest.mark.parametrize("kind", ALL_REPLAY_KINDS)
     def test_workers_and_snapshot_modes_match_serial(self, kind):
+        """Serial (one prefix replay) against pipelined snapshot hand-off."""
         specs = _specs(kind)
         serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
-        with_snap = run_trials(
+        pipelined = run_trials(
             specs, runtime=RuntimeOptions(workers=4, chunk_size=3)
         )
-        without_snap = run_trials(
-            specs, runtime=RuntimeOptions(workers=4, chunk_size=3, snapshots=False)
-        )
-        assert_results_equal(serial, with_snap)
-        assert_results_equal(serial, without_snap)
+        assert_results_equal(serial, pipelined)
 
     @pytest.mark.parametrize("kind", ALL_REPLAY_KINDS)
     def test_warm_cache_matches_serial(self, kind, tmp_path):
@@ -444,16 +441,11 @@ class TestChunkBoundaryBitIdentity:
         assert_results_equal(serial, warm)
 
     def test_snapshots_do_not_change_result_addresses(self, tmp_path):
-        """Result artifacts land at the same key with snapshots on or off."""
+        """Result artifacts land at the same key pipelined or serial."""
         specs = _specs("multi_probe")
         store_a, store_b = ResultsStore(tmp_path / "a"), ResultsStore(tmp_path / "b")
         run_trials(specs, runtime=RuntimeOptions(workers=4, chunk_size=3, store=store_a))
-        run_trials(
-            specs,
-            runtime=RuntimeOptions(
-                workers=4, chunk_size=3, store=store_b, snapshots=False
-            ),
-        )
+        run_trials(specs, runtime=RuntimeOptions(workers=1, store=store_b))
         results_a = {i.key for i in store_a.artifacts() if i.payload == "results"}
         results_b = {i.key for i in store_b.artifacts() if i.payload == "results"}
         assert results_a == results_b

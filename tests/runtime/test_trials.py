@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
 
 from repro.churn.models import shrinking_trace
 from repro.core.sample_collide import SampleCollideEstimator
+from repro.overlay.repair import RepairPolicySpec
 from repro.runtime.trials import (
     EstimatorSpec,
     OverlaySpec,
@@ -132,18 +134,55 @@ class TestChunkRunners:
         with pytest.raises(ValueError):
             run_chunk([TrialSpec("no_such_kind", 1, 1)])
 
-    def test_dynamic_probe_replay_determinism(self):
-        """Churn replay: estimating only a suffix of the indices yields the
-        same values the full serial pass produces for those indices."""
-        overlay = OverlaySpec.heterogeneous(400)
+    # Churn replay: a late chunk given no snapshot replays the prefix, so
+    # estimating only a suffix of the indices yields what the full serial
+    # pass produces for those indices — one test per churn-replay kind.
+
+    @staticmethod
+    def _assert_late_chunk_replays_prefix(specs, start=7):
+        def by_key(results):
+            return {
+                (r.index, r.stream): json.dumps(r.as_dict(), sort_keys=True)
+                for r in results
+            }
+
+        full = by_key(run_chunk(specs))
+        tail = by_key(run_chunk([s for s in specs if s.index >= start], None))
+        assert tail
+        assert tail == {key: full[key] for key in tail}
+
+    @staticmethod
+    def _replay_params():
         trace = trace_to_payload(shrinking_trace(400, 0.5, start=1, end=10, steps=10))
-        params = {"trace": trace, "time_per_estimation": 1.0, "max_degree": 10}
+        return {"trace": trace, "max_degree": 10}
+
+    def test_dynamic_probe_replay_determinism(self):
+        params = dict(self._replay_params(), time_per_estimation=1.0)
         est = EstimatorSpec.sample_collide(l=20)
-        specs = [
-            TrialSpec("dynamic_probe", 7, i, overlay=overlay, estimator=est, params=params)
+        self._assert_late_chunk_replays_prefix([
+            TrialSpec("dynamic_probe", 7, i, overlay=OverlaySpec.heterogeneous(400),
+                      estimator=est, params=params)
             for i in range(1, 11)
-        ]
-        full = {r.index: (r.value, r.true_size) for r in run_chunk(specs)}
-        tail = {r.index: (r.value, r.true_size) for r in run_chunk(specs[6:])}
-        for i in tail:
-            assert tail[i] == full[i]
+        ])
+
+    def test_multi_probe_replay_determinism(self):
+        params = dict(self._replay_params(), time_per_estimation=1.0)
+        est = EstimatorSpec.hops_sampling()
+        self._assert_late_chunk_replays_prefix([
+            TrialSpec("multi_probe", 7, i, overlay=OverlaySpec.heterogeneous(400),
+                      estimator=est, params=params, stream=k)
+            for i in range(1, 11)
+            for k in range(2)
+        ])
+
+    def test_repair_replay_replay_determinism(self):
+        params = dict(
+            self._replay_params(),
+            repair=RepairPolicySpec.degree().as_config(),
+            restart_interval=4,
+        )
+        self._assert_late_chunk_replays_prefix([
+            TrialSpec("repair_replay", 7, i, overlay=OverlaySpec.heterogeneous(400),
+                      params=params)
+            for i in range(1, 11)
+        ])

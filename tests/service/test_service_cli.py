@@ -49,9 +49,7 @@ class TestParsing:
         assert exc.value.code == 2
         assert "same host" in capsys.readouterr().err
 
-    def test_serve_is_not_rewritten_as_legacy_target(self, capsys):
-        # "serve" leads the argv, so the bare-target rewrite must leave it
-        # alone instead of prepending "run".
+    def test_unknown_serve_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["serve", "--no-such-flag"])
         assert exc.value.code == 2
