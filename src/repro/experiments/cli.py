@@ -1194,9 +1194,16 @@ def _cmd_serve(args, parser: argparse.ArgumentParser) -> int:
         if snapshot_path is not None and os.path.exists(snapshot_path):
             # A checkpoint on disk wins over the command-line config: the
             # restore-resumes-not-replays lifecycle of docs/SERVICE.md.
-            service = EstimationService.from_checkpoint(
-                snapshot_path, progress=journal
-            )
+            try:
+                service = EstimationService.from_checkpoint(
+                    snapshot_path, progress=journal
+                )
+            except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+                sys.stderr.write(
+                    f"serve: cannot restore {snapshot_path}: "
+                    f"{type(exc).__name__}: {exc}\n"
+                )
+                return 2
             sys.stdout.write(
                 f"service restored from {snapshot_path} "
                 f"(round {service.round}, {service.graph.size} nodes)\n"

@@ -16,14 +16,16 @@ and :meth:`snapshot` produces byte-for-byte the same payload as
 (``tests/overlay/test_arraygraph_equivalence.py``) holds both properties
 under churn/repair round-trips.
 
-The twin is immutable: it captures one graph state.  Mutations happen on
-the dict graph (the source of truth), which lazily rebuilds its cached
-twin via :meth:`OverlayGraph.to_array` — incrementally
+The twin is immutable: it captures one graph state.  A graph whose dict
+exists mutates the dict (the source of truth) and lazily rebuilds its
+cached twin via :meth:`OverlayGraph.to_array` — incrementally
 (:meth:`ArrayOverlayGraph.from_overlay_incremental`) when the mutation
 log since the previous twin touched only a fraction of the rows, as churn
 does.  The other direction is lazy too: overlay builders emit a twin
 first, and the graph :meth:`to_overlay` returns builds its dict from
-:meth:`iter_rows` only when first needed.
+:meth:`iter_rows` only when first needed.  Until then a batch of
+departures never builds it: :meth:`without` computes the next twin with
+numpy, and the graph swaps it in (:meth:`OverlayGraph.remove_nodes`).
 
 :meth:`ArrayOverlayGraph.pack` and :meth:`ArrayOverlayGraph.unpack` are
 the twin's hand-off form (``docs/SNAPSHOTS.md``): the replay-state
@@ -241,6 +243,36 @@ class ArrayOverlayGraph:
             next_id=graph.next_id,
         )
 
+    def without(self, victims: np.ndarray) -> "ArrayOverlayGraph":
+        """This twin after the nodes ``victims`` (distinct ids) departed.
+
+        Victim rows are dropped and every half-edge into a victim is
+        masked out; the survivors keep their order and each row keeps its
+        neighbour order, so the result equals the twin of a dict graph
+        that called :meth:`OverlayGraph.remove_node` on each victim.  The
+        degree update reads the victims' own rows, which list exactly the
+        rows that lose a link because rows are symmetric without repeated
+        entries (:meth:`check_invariants`).
+        """
+        victims = np.asarray(victims, dtype=np.int64)
+        gone = np.isin(self.nodes, victims)
+        keep = ~gone
+        if int(np.count_nonzero(gone)) != victims.size:
+            raise GraphError("departing nodes must be distinct nodes of the overlay")
+        deg = np.diff(self.indptr)
+        victim_half = np.repeat(gone, deg)
+        lost = np.bincount(self.indices[victim_half], minlength=self.n)
+        indptr = np.zeros(self.n - victims.size + 1, dtype=np.int64)
+        np.cumsum((deg - lost)[keep], out=indptr[1:])
+        live_half = keep[self.indices]
+        live_half[victim_half] = False
+        position = np.cumsum(keep)
+        position -= 1
+        indices = position[self.indices[live_half]]
+        if int(indptr[-1]) != indices.size:
+            raise GraphError("twin rows are not symmetric")
+        return ArrayOverlayGraph(self.nodes[keep], indptr, indices, self.next_id)
+
     def to_overlay(self) -> OverlayGraph:
         """Decode back to a behaviorally identical dict graph.
 
@@ -325,7 +357,7 @@ class ArrayOverlayGraph:
         if not isinstance(next_id, (int, np.integer)) or isinstance(next_id, bool):
             raise GraphError(f"packed next_id must be an integer, got {next_id!r}")
         twin = cls(*arrays, next_id=int(next_id))
-        twin._check_structure()
+        twin.check_invariants()
         return twin
 
     # ------------------------------------------------------------------
@@ -407,9 +439,11 @@ class ArrayOverlayGraph:
     # integrity
     # ------------------------------------------------------------------
 
-    def _check_structure(self) -> None:
+    def check_invariants(self) -> None:
         """Raise :class:`GraphError` unless the arrays form a valid CSR
-        twin: row pointer, neighbour range, node ids and ``next_id``."""
+        twin: row pointer, neighbour range, node ids, ``next_id``, and
+        links that are undirected — no self-loop, no repeated neighbour
+        entry, every half-edge mirrored."""
         n = self.n
         indptr, indices, nodes = self.indptr, self.indices, self.nodes
         if indptr.shape[0] != n + 1 or indptr[0] != 0:
@@ -427,16 +461,23 @@ class ArrayOverlayGraph:
             raise GraphError("duplicate node ids")
         if self.next_id < 0 or (n and self.next_id <= nodes.max()):
             raise GraphError("next_id must exceed every node id")
-
-    def check_invariants(self) -> None:
-        """Assert CSR well-formedness and undirected symmetry."""
-        self._check_structure()
-        n = self.n
-        # Symmetry: each (row, neighbour) pair must appear mirrored.
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        forward = set(zip(rows.tolist(), self.indices.tolist()))
-        for a, b in forward:
-            if a == b:
-                raise GraphError(f"self-loop at position {a}")
-            if (b, a) not in forward:
-                raise GraphError(f"asymmetric link {a}->{b}")
+        # One sort checks the links: half-edge (r, c) gets the key
+        # 2*(min*n + max) + (r < c), so a valid twin sorts into pairs
+        # (2k, 2k + 1), one per direction of each undirected link.
+        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        if np.any(keys == indices):
+            raise GraphError("self-loop in the neighbour rows")
+        upward = keys < indices
+        low = np.minimum(keys, indices)
+        np.maximum(keys, indices, out=keys)
+        low *= n
+        keys += low
+        del low
+        keys *= 2
+        keys += upward
+        keys.sort()
+        even, odd = keys[0::2], keys[1::2]
+        if keys.size % 2 or np.any(even & 1) or np.any(odd - even != 1):
+            if np.any(keys[1:] == keys[:-1]):
+                raise GraphError("repeated neighbour entry in a row")
+            raise GraphError("asymmetric link in the neighbour rows")

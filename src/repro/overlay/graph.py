@@ -22,16 +22,20 @@ Overlays are built array-first:
 :func:`~repro.overlay.builders.heterogeneous_random` wires straight into
 an array twin and returns :meth:`OverlayGraph.from_array`, a
 *twin-backed* graph whose adjacency dict does not exist yet.  ``size``,
-``len()``, ``num_edges``, ``next_id``, :meth:`~OverlayGraph.to_array`,
-:meth:`~OverlayGraph.snapshot` and :meth:`~OverlayGraph.copy` answer from
-the twin; every other call — membership, iteration, neighbour and degree
-queries, ``csr()``, random sampling, invariant checks and every mutation
-— builds the dict first, once, in bounded row blocks (one shared int
-object per node id).  From then on the dict is the source of truth and
-costs nothing extra per access; the twin stays cached until the first
-mutation drops it, and no mutation log is kept for it (the next
-``to_array()`` encodes afresh).  An array-backend run on a static
-overlay therefore never builds the dict.
+``len()``, ``num_edges``, ``next_id``, node order (:meth:`~OverlayGraph.nodes`,
+iteration), :meth:`~OverlayGraph.to_array`, :meth:`~OverlayGraph.snapshot`
+and :meth:`~OverlayGraph.copy` answer from the twin, and a batch of
+departures (:meth:`~OverlayGraph.remove_nodes`, which
+:meth:`MembershipPolicy.leave <repro.overlay.membership.MembershipPolicy.leave>`
+uses) swaps in a new twin computed with numpy.  Every other call —
+membership, neighbour and degree queries, ``csr()``, random sampling,
+invariant checks and every other mutation, joins included — builds the
+dict first, once, in bounded row blocks (one shared int object per node
+id).  From then on the dict is the source of truth and costs nothing
+extra per access; the twin stays cached until the first mutation drops
+it, and no mutation log is kept for it (the next ``to_array()`` encodes
+afresh).  An array-backend run on a static or shrinking overlay
+therefore never builds the dict.
 
 Node identifiers are opaque non-negative integers.  Identifiers of departed
 nodes are never reused within one graph's lifetime, which lets churn traces
@@ -62,6 +66,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -306,11 +311,13 @@ class OverlayGraph:
         return node in self._adj
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._adj)
+        twin = self._twin
+        return iter(self._adj) if twin is None else iter(twin.nodes.tolist())
 
     def nodes(self) -> List[int]:
-        """List of alive node ids (unspecified order)."""
-        return list(self._adj)
+        """List of alive node ids in insertion order."""
+        twin = self._twin
+        return list(self._adj) if twin is None else twin.nodes.tolist()
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate undirected edges once each, as ``(min, max)`` pairs."""
@@ -446,6 +453,22 @@ class OverlayGraph:
             self._array_dirty.update(nbrs)
         self._invalidate()
 
+    def remove_nodes(self, nodes: Sequence[int]) -> None:
+        """Remove the distinct alive ``nodes``, as :meth:`remove_node` on
+        each in turn would.
+
+        A twin-backed graph swaps in the twin without them
+        (:meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.without`), so
+        departures alone never build its dict.
+        """
+        twin = self._twin
+        if twin is None:
+            for v in nodes:
+                self.remove_node(int(v))
+            return
+        self._twin = self._array = twin.without(nodes)
+        self._edge_count = self._twin.m
+
     def add_edge(self, u: int, v: int) -> None:
         """Create the undirected edge ``{u, v}``."""
         if u == v:
@@ -559,7 +582,8 @@ class OverlayGraph:
 
         Nothing is decoded up front: ``array`` becomes the cached twin,
         and the adjacency dict is built from it on the first dict-only
-        access or mutation (module docstring).
+        access or mutation other than :meth:`remove_nodes` (module
+        docstring).
         """
         g = cls()
         del g._adj  # rebuilt from the twin by __getattr__ when first needed

@@ -14,7 +14,7 @@ overlay:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -119,7 +119,9 @@ class MembershipPolicy:
         """Remove ``count`` uniformly random alive nodes (fail-stop).
 
         Returns the removed node ids.  Raises when asked to remove more
-        nodes than are alive.
+        nodes than are alive.  The victims reach the graph in one
+        :meth:`OverlayGraph.remove_nodes` call, so a twin-backed graph
+        applies them without building its dict.
         """
         if count < 0:
             raise GraphError("count must be non-negative")
@@ -130,13 +132,5 @@ class MembershipPolicy:
         gen = self._rng
         alive = np.fromiter(self.graph, dtype=np.int64, count=self.graph.size)
         victims = gen.choice(alive, size=count, replace=False)
-        removed: List[int] = []
-        for v in victims:
-            self.graph.remove_node(int(v))
-            removed.append(int(v))
-        return removed
-
-    def remove_specific(self, nodes: Sequence[int]) -> None:
-        """Remove the given nodes (e.g. a scripted catastrophic failure)."""
-        for v in nodes:
-            self.graph.remove_node(int(v))
+        self.graph.remove_nodes(victims)
+        return victims.tolist()

@@ -672,9 +672,9 @@ class EstimationService:
     def checkpoint(self, path: Optional[str] = None) -> str:
         """Write the current :meth:`snapshot` as JSON, atomically.
 
-        The payload lands in a sibling temp file first and is renamed into
-        place, so a crash mid-write never corrupts the last good
-        checkpoint.  Journaled as ``snapshot_checkpoint``.
+        The payload lands in a sibling temp file first, is flushed to disk
+        and is renamed into place, so a crash mid-write never corrupts the
+        last good checkpoint.  Journaled as ``snapshot_checkpoint``.
         """
         with self._lock:
             target = os.fspath(path) if path is not None else self.snapshot_path
@@ -685,6 +685,8 @@ class EstimationService:
             tmp = f"{target}.tmp.{os.getpid()}"
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(payload)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, target)
             self.stats.checkpoints += 1
             self.progress.on_event(

@@ -149,8 +149,27 @@ class TestTwinBackedGraph:
 
     def test_built_dict_shares_id_objects(self, small_het_graph):
         g = OverlayGraph.from_array(small_het_graph.to_array())
+        g.degree(0)  # builds the dict; iteration then yields its keys
         ids = {u: u for u in g}
         assert all(v is ids[v] for u in g for v in g.neighbors(u))
+
+    def test_batch_departure_swaps_the_twin(self, small_het_graph):
+        g = OverlayGraph.from_array(small_het_graph.to_array())
+        reference = OverlayGraph.restore(small_het_graph.snapshot())
+        for graph in (g, reference):
+            graph.remove_nodes([0, 7, 3])
+        assert not _dict_built(g)
+        assert g.num_edges == reference.num_edges and list(g) == list(reference)
+        assert g.to_array().snapshot() == reference.snapshot()
+
+    @pytest.mark.parametrize("victims", [[5, 5], [0, 10**6]])
+    def test_batch_departure_refuses_repeated_or_unknown_ids(
+        self, small_het_graph, victims
+    ):
+        g = OverlayGraph.from_array(small_het_graph.to_array())
+        with pytest.raises(GraphError):
+            g.remove_nodes(victims)
+        assert g.snapshot() == small_het_graph.snapshot()
 
     def test_copy_is_independent(self, small_het_graph):
         g = OverlayGraph.from_array(small_het_graph.to_array())
@@ -195,6 +214,27 @@ class TestUnpackValidation:
         ArrayOverlayGraph.unpack(packed)  # the untouched payload is valid
         _BAD_PACKS[fault](packed)
         with pytest.raises(GraphError):
+            ArrayOverlayGraph.unpack(packed)
+
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            ([[1], [], [2]], "self-loop"),
+            ([[1, 1], [0, 0]], "repeated neighbour"),
+            ([[1, 1], [0]], "repeated neighbour"),
+            ([[2], [0, 0], [0]], "repeated neighbour"),
+            ([[1], [2], [0]], "asymmetric"),
+        ],
+    )
+    def test_unpack_refuses_links_that_are_not_undirected(self, rows, reason):
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        packed = {
+            "nodes": np.arange(len(rows), dtype=np.int32),
+            "indptr": indptr.astype(np.int32),
+            "indices": np.array(sum(rows, []), dtype=np.int32),
+            "next_id": len(rows),
+        }
+        with pytest.raises(GraphError, match=reason):
             ArrayOverlayGraph.unpack(packed)
 
 

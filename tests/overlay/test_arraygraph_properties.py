@@ -4,6 +4,8 @@ Hypothesis drives random graph constructions and churn-like mutation
 sequences, then asserts the CSR ↔ dict round-trip is the identity on the
 full behavioural state: node order, per-node neighbour order, degree
 arrays, ``next_id`` and the content hash of the ``snapshot()`` payload.
+Departures also run through :class:`MembershipPolicy` (``leave``), which
+a twin-backed graph applies to its twin without building the dict.
 """
 
 from __future__ import annotations
@@ -17,21 +19,38 @@ from hypothesis import strategies as st
 
 from repro.overlay.arraygraph import ArrayOverlayGraph
 from repro.overlay.graph import OverlayGraph
+from repro.overlay.membership import MembershipPolicy
+from repro.sim.rng import generator_state
 
-# Same op-universe as test_graph_properties: a small node-id pool keeps
-# collisions (dup edges, missing nodes) frequent.
+# Same op-universe as test_graph_properties plus policy departures: a
+# small node-id pool keeps collisions (dup edges, missing nodes) frequent.
 _ops = st.lists(
     st.tuples(
-        st.sampled_from(["add_node", "remove_node", "add_edge", "remove_edge", "join"]),
+        st.sampled_from(
+            ["add_node", "remove_node", "add_edge", "remove_edge", "join", "leave"]
+        ),
         st.integers(0, 14),
         st.integers(0, 14),
     ),
     max_size=60,
 )
+# Departures only: the sequences a twin-backed graph applies dict-free.
+_leaves = st.lists(
+    st.tuples(st.just("leave"), st.integers(0, 14), st.integers(0, 14)), max_size=8
+)
 
 
-def _apply(g: OverlayGraph, ops, offset: int = 0) -> None:
+def _apply(g: OverlayGraph, ops, offset: int = 0, seed: int = 0):
+    """Apply ``ops``; ``leave`` departs ``min(a, size)`` policy-drawn nodes.
+
+    Returns the policy (for its generator) and the victims of each leave.
+    """
+    policy = MembershipPolicy(g, rng=seed)
+    victims = []
     for kind, a, b in ops:
+        if kind == "leave":
+            victims.append(policy.leave(min(a, g.size)))
+            continue
         a, b = a + offset, b + offset
         if kind == "add_node":
             if a not in g:
@@ -48,6 +67,7 @@ def _apply(g: OverlayGraph, ops, offset: int = 0) -> None:
         elif kind == "join":
             # Counter-allocated id, like a churn join.
             g.add_node()
+    return policy, victims
 
 
 def _snapshot_hash(g_or_twin) -> str:
@@ -129,22 +149,37 @@ def test_twin_cache_matches_fresh_encoding(ops, seed):
         )
 
 
-@given(_ops, _ops)
+@given(_ops, st.one_of(_ops, _leaves), st.sampled_from([0, 2**31]), st.integers(0, 2**32 - 1))
+@example([("join", 0, 0)] * 4 + [("add_edge", 0, 1), ("add_edge", 1, 2)], [("leave", 14, 0)], 0, 1)
+@example([("add_node", 3, 0), ("add_node", 5, 0), ("add_edge", 3, 5)], [("leave", 1, 0)], 2**31, 7)
+@example([], [("leave", 0, 0)], 0, 0)
 @settings(max_examples=120, deadline=None)
-def test_twin_backed_graph_behaves_like_dict_graph(setup, ops):
+def test_twin_backed_graph_behaves_like_dict_graph(setup, ops, offset, seed):
     """A graph backed by its twin (dict built on first use) and one built
-    from the same state's snapshot end every op sequence identically."""
+    from the same state's snapshot end every op sequence identically:
+    same victims, arrays, counters and generator end state.  Departures
+    alone leave the twin-backed graph's dict unbuilt, with sparse ids
+    (``offset`` 2**31) as with counter-dense ones."""
     base = OverlayGraph()
-    _apply(base, setup)
+    _apply(base, setup, offset)
     twin_backed = OverlayGraph.from_array(base.to_array())
     dict_built = OverlayGraph.restore(base.snapshot())
-    _apply(twin_backed, ops)
-    _apply(dict_built, ops)
-    twin_backed.check_invariants()
-    assert twin_backed.snapshot() == dict_built.snapshot()
+    policy_t, victims_t = _apply(twin_backed, ops, offset, seed)
+    policy_d, victims_d = _apply(dict_built, ops, offset, seed)
+    assert victims_t == victims_d
+    assert generator_state(policy_t.rng) == generator_state(policy_d.rng)
+    if all(kind == "leave" for kind, _, _ in ops):
+        assert "_adj" not in vars(twin_backed)
+    a, b = twin_backed.to_array(), dict_built.to_array()
+    for name in ("nodes", "indptr", "indices"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype == np.int64
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert (twin_backed.size, twin_backed.num_edges, twin_backed.next_id) == (
         dict_built.size,
         dict_built.num_edges,
         dict_built.next_id,
     )
+    assert a.next_id == dict_built.next_id
+    twin_backed.check_invariants()
+    assert twin_backed.snapshot() == dict_built.snapshot()
     assert _snapshot_hash(twin_backed.to_array()) == _snapshot_hash(dict_built)

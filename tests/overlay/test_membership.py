@@ -82,7 +82,7 @@ class TestLeave:
     def test_leave_no_repair(self):
         # A star graph: removing the hub must leave all leaves isolated.
         g = OverlayGraph(nodes=range(5), edges=[(0, i) for i in range(1, 5)])
-        MembershipPolicy(g, rng=1).remove_specific([0])
+        g.remove_node(0)
         assert all(g.degree(u) == 0 for u in g.nodes())
 
     def test_leave_all(self, policy_graph):
@@ -104,12 +104,6 @@ class TestLeave:
         g, policy = policy_graph
         policy.leave(300)
         g.check_invariants()
-
-    def test_remove_specific(self, policy_graph):
-        g, policy = policy_graph
-        targets = g.nodes()[:5]
-        policy.remove_specific(targets)
-        assert all(t not in g for t in targets)
 
 
 class TestPolicyValidation:

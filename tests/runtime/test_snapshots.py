@@ -48,6 +48,7 @@ from repro.runtime.snapshots import (
     snapshot_config,
 )
 from repro.runtime.store import SnapshotRejected
+from repro.runtime.trials import apply_graph_backend, run_chunk
 from repro.sim.messages import MessageKind, MessageMeter
 from repro.sim.rng import RngHub, generator_from_state, generator_state
 from repro.sim.rounds import RoundDriver
@@ -332,10 +333,39 @@ class TestReplayStates:
         twin = resumed.graph.to_array()
         for arr in (twin.nodes, twin.indptr, twin.indices):
             assert arr.dtype == np.int64
-        resumed.advance(4)  # the trace removes nodes at t=4
-        assert "_adj" in vars(resumed.graph)
+        resumed.advance(4)  # the trace removes nodes at t=4: still no dict
+        assert "_adj" not in vars(resumed.graph)
         state.advance(4)
         assert resumed.graph.snapshot() == state.graph.snapshot()
+        for replay in (resumed, state):
+            replay.scheduler.policy.join(3)  # a join builds the dict
+        assert "_adj" in vars(resumed.graph)
+        assert resumed.graph.snapshot() == state.graph.snapshot()
+
+    def test_restored_array_replay_never_builds_the_dict(self, monkeypatch):
+        """Resumed from a packed payload, an array S&C replay applies the
+        shrinking trace's departures to the twin and never builds the
+        dict; its results equal the prefix replay's."""
+        specs = apply_graph_backend(_specs("dynamic_probe"), "array")
+        boundary = 4
+        booted = ProbeReplayState.boot(specs[0])
+        booted.advance(boundary)
+        payload = booted.snapshot()
+        assert "indptr" in payload["scheduler"]["graph"]
+        restored = []
+        restore = ProbeReplayState.restore.__func__
+
+        def capture(cls, spec, snap):
+            restored.append(restore(cls, spec, snap))
+            return restored[-1]
+
+        monkeypatch.setattr(ProbeReplayState, "restore", classmethod(capture))
+        resumed = run_chunk([s for s in specs if s.index > boundary], payload)
+        (state,) = restored
+        assert state.position == COUNT and state.graph.size < N // 2 + 10
+        assert "_adj" not in vars(state.graph)
+        assert any(math.isfinite(r.value) for r in resumed)
+        assert_results_equal(resumed, run_chunk(specs)[boundary:])
 
     def test_snapshot_config_excludes_estimator(self):
         a = self._probe_spec()
@@ -624,6 +654,16 @@ def _assign(arr, index, value):
     return arr
 
 
+def _asymmetric_link(arrays):
+    """Re-point the first half-edge at a row that does not link back."""
+    indptr = arrays["scheduler/graph/indptr"]
+    indices = arrays["scheduler/graph/indices"].copy()
+    row = int(np.searchsorted(indptr, 0, side="right")) - 1
+    linked = set(indices[indptr[row] : indptr[row + 1]].tolist()) | {row}
+    indices[0] = next(x for x in range(len(indptr) - 1) if x not in linked)
+    arrays["scheduler/graph/indices"] = indices
+
+
 def _next_id_to_max(path):
     with np.load(path.with_suffix(".npz")) as npz:
         top = int(npz["scheduler/graph/nodes"].max())
@@ -665,6 +705,7 @@ ARTIFACT_FAULTS = {
         "out of range",
     ),
     "next_id_not_above_ids": (_next_id_to_max, "next_id must exceed"),
+    "asymmetric_link": (lambda path: _rewrite_arrays(path, _asymmetric_link), "asymmetric"),
     "object_array": (
         lambda path: _rewrite_arrays(
             path, _set("nodes", lambda a: a.astype(object)), manifest=False

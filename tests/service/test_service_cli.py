@@ -97,6 +97,23 @@ class TestServeSmoke:
         assert f"service restored from {snapshot_path} (round 4" in out
         assert json.loads(snapshot_path.read_text())["round"] == 8
 
+    def test_truncated_checkpoint_is_a_clean_exit_2(self, capsys, tmp_path):
+        snapshot_path = tmp_path / "svc.json"
+        base = [
+            "serve", "--bind", "127.0.0.1:0",
+            "--nodes", "200", "--estimators", "sample_collide",
+            "--tick-interval", "0.001", "--snapshot", str(snapshot_path),
+        ]
+        assert main(base + ["--rounds", "2", "--snapshot-every", "2"]) == 0
+        data = snapshot_path.read_bytes()
+        snapshot_path.write_bytes(data[: len(data) // 2])  # a torn write
+        capsys.readouterr()
+        assert main(base + ["--rounds", "4"]) == 2
+        captured = capsys.readouterr()
+        assert f"serve: cannot restore {snapshot_path}: JSONDecodeError" in captured.err
+        assert "service listening" not in captured.out
+        assert snapshot_path.read_bytes() == data[: len(data) // 2]  # left as found
+
     def test_binary_address_line(self, capsys, tmp_path):
         assert main([
             "serve", "--bind", "127.0.0.1:0", "--binary-bind", "127.0.0.1:0",
