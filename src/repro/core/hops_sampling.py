@@ -35,6 +35,7 @@ reply — the paper's "O(2N)" single-shot cost.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional
 
 import numpy as np
@@ -43,7 +44,12 @@ from ..overlay.graph import OverlayGraph
 from ..sim.messages import MessageKind, MessageMeter
 from ..sim.rng import RngLike
 from .base import Estimate, EstimatorError, SizeEstimator
-from .kernels import GRAPH_BACKENDS, bfs_frontier_distances, gossip_spread_kernel
+from .kernels import (
+    GRAPH_BACKENDS,
+    bfs_frontier_distances,
+    gossip_spread_kernel,
+    kernel_phase,
+)
 
 __all__ = ["HopsSamplingEstimator", "GossipSampleEstimator", "SpreadResult"]
 
@@ -86,63 +92,11 @@ def _gossip_spread(
     gossip_until: int,
     rng: np.random.Generator,
 ) -> SpreadResult:
-    """Run the synchronous push-gossip spread, vectorized per round.
-
-    Semantics (our reading of [17]/[11] with the paper's parameters):
-
-    * each round, every *active* node emits ``gossip_to`` copies to
-      uniformly random neighbours (with replacement — real gossip does not
-      coordinate targets);
-    * a node is active for the ``gossip_for`` rounds after it is first
-      informed;
-    * a node that receives a *duplicate* while inactive re-activates for
-      one round, up to ``gossip_until`` times — this is the re-gossip knob
-      that pushes coverage from the bare branching-process fixed point
-      (≈80% at fanout 2) up to the ≈89% the paper measured ("11% of
-      non-reached nodes out of 100,000");
-    * the spread terminates when no node is active.
-    """
-    n = view.n
-    hops = np.full(n, -1, dtype=np.int64)
-    hops[init_pos] = 0
-    active = np.array([init_pos], dtype=np.int64)
-    rounds_left = np.zeros(n, dtype=np.int64)
-    rounds_left[init_pos] = gossip_for
-    regossip_left = np.full(n, gossip_until, dtype=np.int64)
-    spread_messages = 0
-    rounds = 0
-    big = np.iinfo(np.int64).max
-
-    while active.size:
-        rounds += 1
-        senders = np.repeat(active, gossip_to)
-        targets = view.sample_neighbors(senders, rng)
-        ok = targets >= 0
-        spread_messages += int(ok.sum())
-        senders, targets = senders[ok], targets[ok]
-        cand = hops[senders] + 1
-        # First-infection wins with the minimum hop among this round's hits.
-        tmp = np.full(n, big, dtype=np.int64)
-        np.minimum.at(tmp, targets, cand)
-        hit = tmp < big
-        newly = hit & (hops < 0)
-        hops[newly] = tmp[newly]
-        # Already-informed nodes still lower their recorded distance when a
-        # shorter path arrives later (the "lowest hopCount received" rule).
-        better = hit & (hops >= 0) & (tmp < hops)
-        hops[better] = tmp[better]
-
-        # Duplicate receipt by an informed, inactive node: re-activate for
-        # one round while its gossipUntil budget lasts.
-        dup = hit & ~newly & (rounds_left <= 0) & (regossip_left > 0)
-        regossip_left[dup] -= 1
-
-        rounds_left[active] -= 1
-        rounds_left[newly] = gossip_for
-        rounds_left[dup] = np.maximum(rounds_left[dup], 1)
-        active = np.nonzero(rounds_left > 0)[0]
-
-    return SpreadResult(hops=hops, spread_messages=spread_messages, rounds=rounds)
+    """Run the push-gossip spread (:func:`~repro.core.kernels.gossip_spread_kernel`)
+    over ``view`` — the sorted CSR view or the array twin."""
+    return SpreadResult(
+        *gossip_spread_kernel(view, init_pos, gossip_to, gossip_for, gossip_until, rng)
+    )
 
 
 class HopsSamplingEstimator(SizeEstimator):
@@ -165,10 +119,10 @@ class HopsSamplingEstimator(SizeEstimator):
         distance (the spread still runs — and is billed — but its recorded
         distances are replaced by ground truth).  Removes the bias.
     backend:
-        ``"dict"`` (reference: spread over the sorted-id CSR view) or
-        ``"array"`` — the frontier kernels of :mod:`repro.core.kernels`
-        over the overlay's insertion-ordered array twin.  Distributionally
-        — not draw-for-draw — equivalent (docs/KERNELS.md).
+        ``"dict"`` (reference) or ``"array"``: the frontier kernels of
+        :mod:`repro.core.kernels` run over the sorted-id CSR view or over
+        the overlay's insertion-ordered array twin.  Distributionally —
+        not draw-for-draw — equivalent (docs/KERNELS.md).
     """
 
     name = "hops_sampling"
@@ -215,24 +169,11 @@ class HopsSamplingEstimator(SizeEstimator):
         before = self.meter.total
 
         if self.backend == "array":
-            view = self.graph.to_array()
-            init_pos = self._initiator_pos_array(view)
-            hops, spread_messages, rounds = gossip_spread_kernel(
-                view,
-                init_pos,
-                self.gossip_to,
-                self.gossip_for,
-                self.gossip_until,
-                self.rng,
-            )
-            spread = SpreadResult(
-                hops=hops, spread_messages=spread_messages, rounds=rounds
-            )
-            if self.oracle_distances:
-                hops = bfs_frontier_distances(view, init_pos)
+            view, phase = self.graph.to_array(), kernel_phase()
         else:
-            view = self.graph.csr()
-            init_pos = self._initiator_pos(view)
+            view, phase = self.graph.csr(), nullcontext()
+        init_pos = self._initiator_pos(view)
+        with phase:
             spread = _gossip_spread(
                 view,
                 init_pos,
@@ -243,7 +184,7 @@ class HopsSamplingEstimator(SizeEstimator):
             )
             hops = spread.hops
             if self.oracle_distances:
-                hops = view.bfs_distances(init_pos)
+                hops = bfs_frontier_distances(view, init_pos)
         self.meter.add(MessageKind.SPREAD, spread.spread_messages)
 
         # Report phase: every reached non-initiator node flips its coin.
@@ -281,17 +222,8 @@ class HopsSamplingEstimator(SizeEstimator):
 
     def _initiator_pos(self, view) -> int:
         if self.initiator is not None:
-            pos = view.index_of.get(self.initiator)
-            if pos is None:
-                raise EstimatorError(
-                    f"hops_sampling: initiator {self.initiator} departed"
-                )
-            return pos
-        return int(self.rng.integers(view.n))
-
-    def _initiator_pos_array(self, view) -> int:
-        if self.initiator is not None:
-            pos = view.position_of.get(int(self.initiator))
+            index = view.position_of if self.backend == "array" else view.index_of
+            pos = index.get(int(self.initiator))
             if pos is None:
                 raise EstimatorError(
                     f"hops_sampling: initiator {self.initiator} departed"

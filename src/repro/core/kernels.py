@@ -30,21 +30,29 @@ per-walk draws), so array-backend estimates are not bit-identical to dict
 the property ``tests/core/test_kernel_distributions.py`` verifies with
 KS/bootstrap-CI gates against ``baselines/kernel_tolerances.json``.
 
-Kernel work is profiled under the ``kernel`` phase when a recorder is
-installed (the trial runtime wires :func:`set_phase_recorder` to
-:func:`repro.runtime.obs.phase`); outside the runtime the hook is a no-op,
-keeping this module free of any runtime-layer import.
+The spread and the BFS read only ``n``, ``indptr``, ``indices`` and
+``sample_neighbors``, so the dict backend runs them on its sorted
+:class:`~repro.overlay.graph.CsrView` too.  Every kernel gathers in the
+graph's own index dtype (``int32`` on a twin that fits it), and the
+spread holds its per-node state in ``int32`` arrays allocated once.
+
+Array-backend call sites profile kernel work under the ``kernel`` phase
+(:func:`kernel_phase`) when a recorder is installed (the trial runtime
+wires :func:`set_phase_recorder` to :func:`repro.runtime.obs.phase`);
+outside the runtime the hook is a no-op, keeping this module free of any
+runtime-layer import.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..overlay.arraygraph import ArrayOverlayGraph
+from ..overlay.graph import CsrView
 from .base import EstimatorError
 from .birthday import sample_collide_estimate
 
@@ -122,7 +130,7 @@ def advance_walkers(
     if count < 0:
         raise ValueError("count must be non-negative")
     indptr, indices = graph.indptr, graph.indices
-    final_pos = np.full(count, init_pos, dtype=np.int64)
+    final_pos = np.full(count, init_pos, dtype=indices.dtype)
     hops = np.zeros(count, dtype=np.int64)
     if count == 0:
         return final_pos, hops
@@ -131,31 +139,30 @@ def advance_walkers(
     if deg0 == 0:
         return final_pos, hops
 
-    with kernel_phase():
-        inv_deg = graph.inv_degrees()
-        first = (rng.random(count) * deg0).astype(np.int64)
-        cur = indices[start0 + first]
-        ids = np.arange(count, dtype=np.int64)
-        budget = np.full(count, float(timer))
-        hop_round = 1
-        while True:
-            budget -= rng.standard_exponential(ids.size) * inv_deg[cur]
-            cont = budget > 0.0
-            if hop_round >= max_hops:
-                cont[:] = False
-            stopped = ids[~cont]
-            final_pos[stopped] = cur[~cont]
-            hops[stopped] = hop_round
-            ids = ids[cont]
-            if not ids.size:
-                break
-            cur = cur[cont]
-            starts = indptr[cur]
-            deg = indptr[cur + 1] - starts
-            offsets = (rng.random(ids.size) * deg).astype(np.int64)
-            cur = indices[starts + offsets]
-            budget = budget[cont]
-            hop_round += 1
+    inv_deg = graph.inv_degrees()
+    first = (rng.random(count) * deg0).astype(indptr.dtype)
+    cur = indices[start0 + first]
+    ids = np.arange(count, dtype=np.int64)
+    budget = np.full(count, float(timer))
+    hop_round = 1
+    while True:
+        budget -= rng.standard_exponential(ids.size) * inv_deg[cur]
+        cont = budget > 0.0
+        if hop_round >= max_hops:
+            cont[:] = False
+        stopped = ids[~cont]
+        final_pos[stopped] = cur[~cont]
+        hops[stopped] = hop_round
+        ids = ids[cont]
+        if not ids.size:
+            break
+        cur = cur[cont]
+        starts = indptr[cur]
+        deg = indptr[cur + 1] - starts
+        offsets = (rng.random(ids.size) * deg).astype(indptr.dtype)
+        cur = indices[starts + offsets]
+        budget = budget[cont]
+        hop_round += 1
     return final_pos, hops
 
 
@@ -228,8 +235,7 @@ def sample_collide_sweep(
         samples.append(pos)
         walk_hops.append(hops)
         drawn = np.concatenate(samples) if len(samples) > 1 else samples[0]
-        with kernel_phase():
-            cut, collisions, distinct = collision_cutoff(drawn, l)
+        cut, collisions, distinct = collision_cutoff(drawn, l)
         if collisions >= l:
             break
         n_guess = max(distinct, 1)
@@ -252,93 +258,120 @@ def sample_collide_sweep(
 
 
 def gossip_spread_kernel(
-    graph: ArrayOverlayGraph,
+    graph: Union[ArrayOverlayGraph, CsrView],
     init_pos: int,
     gossip_to: int,
     gossip_for: int,
     gossip_until: int,
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, int, int]:
-    """The §III-B push-gossip spread over the array twin.
+    """The §III-B synchronous push-gossip spread, one set of array
+    operations per round.  Returns ``(hops, spread_messages, rounds)``
+    with ``hops[pos] = -1`` for nodes the spread never reached.
 
-    Same per-round semantics as the reference spread in
-    :mod:`repro.core.hops_sampling` (fanout copies to uniform neighbours,
-    ``gossip_for`` active rounds, duplicate-receipt re-activation up to
-    ``gossip_until`` times, first-infection-minimum hop recording), with
-    every round one set of frontier-array operations.  Returns
-    ``(hops, spread_messages, rounds)`` with ``hops[pos] = -1`` for nodes
-    the spread never reached.
+    Semantics (our reading of [17]/[11] with the paper's parameters):
+
+    * each round, every *active* node emits ``gossip_to`` copies to
+      uniformly random neighbours (with replacement — real gossip does not
+      coordinate targets);
+    * a node is active for the ``gossip_for`` rounds after it is first
+      informed, and records the minimum hop count among the copies of the
+      round that informed it;
+    * an informed node lowers its recorded distance whenever a shorter
+      path arrives later (the "lowest hopCount received" rule);
+    * a node that receives a *duplicate* while inactive re-activates for
+      one round, up to ``gossip_until`` times — this is the re-gossip knob
+      that pushes coverage from the bare branching-process fixed point
+      (≈80% at fanout 2) up to the ≈89% the paper measured ("11% of
+      non-reached nodes out of 100,000");
+    * the spread terminates when no node is active.
+
+    The per-node state (hops, rounds left, re-gossip budget and the
+    round's minimum) lives in ``int32`` arrays allocated once, and the
+    round's n-sized masks are written into preallocated buffers, so a
+    round allocates only frontier-sized arrays.
     """
     n = graph.n
-    hops = np.full(n, -1, dtype=np.int64)
+    hops = np.full(n, -1, dtype=np.int32)
     hops[init_pos] = 0
-    active = np.array([init_pos], dtype=np.int64)
-    rounds_left = np.zeros(n, dtype=np.int64)
+    rounds_left = np.zeros(n, dtype=np.int32)
     rounds_left[init_pos] = gossip_for
-    regossip_left = np.full(n, gossip_until, dtype=np.int64)
+    regossip_left = np.full(n, gossip_until, dtype=np.int32)
+    big = np.iinfo(np.int32).max
+    best = np.full(n, big, dtype=np.int32)  # the round's minimum; big = no hit
+    hit, newly, dup, mask = (np.empty(n, dtype=bool) for _ in range(4))
+    active = np.array([init_pos])
     spread_messages = 0
     rounds = 0
-    big = np.iinfo(np.int64).max
 
-    with kernel_phase():
-        while active.size:
-            rounds += 1
-            senders = np.repeat(active, gossip_to)
-            targets = graph.sample_neighbors(senders, rng)
-            ok = targets >= 0
-            spread_messages += int(ok.sum())
-            senders, targets = senders[ok], targets[ok]
-            cand = hops[senders] + 1
-            tmp = np.full(n, big, dtype=np.int64)
-            np.minimum.at(tmp, targets, cand)
-            hit = tmp < big
-            newly = hit & (hops < 0)
-            hops[newly] = tmp[newly]
-            better = hit & (hops >= 0) & (tmp < hops)
-            hops[better] = tmp[better]
-            dup = hit & ~newly & (rounds_left <= 0) & (regossip_left > 0)
-            regossip_left[dup] -= 1
-            rounds_left[active] -= 1
-            rounds_left[newly] = gossip_for
-            rounds_left[dup] = np.maximum(rounds_left[dup], 1)
-            active = np.nonzero(rounds_left > 0)[0]
+    while active.size:
+        rounds += 1
+        senders = np.repeat(active, gossip_to)
+        targets = graph.sample_neighbors(senders, rng)
+        ok = targets >= 0
+        spread_messages += int(ok.sum())
+        senders, targets = senders[ok], targets[ok]
+        np.minimum.at(best, targets, hops[senders] + 1)
+        np.less(best, big, out=hit)
+        np.less(hops, 0, out=newly)
+        newly &= hit
+        # Informed earlier and hit again, while inactive with re-gossip
+        # budget left: re-activate for one round.
+        np.greater_equal(hops, 0, out=dup)
+        dup &= hit
+        np.less_equal(rounds_left, 0, out=mask)
+        dup &= mask
+        np.greater(regossip_left, 0, out=mask)
+        dup &= mask
+        # Newly informed nodes take the round's minimum, informed ones a
+        # shorter path (best is big wherever the round did not hit).
+        np.less(best, hops, out=mask)
+        mask |= newly
+        np.copyto(hops, best, where=mask)
+        np.subtract(regossip_left, 1, out=regossip_left, where=dup)
+        rounds_left[active] -= 1
+        np.copyto(rounds_left, gossip_for, where=newly)
+        np.maximum(rounds_left, 1, out=rounds_left, where=dup)
+        best[targets] = big
+        np.greater(rounds_left, 0, out=mask)
+        active = np.flatnonzero(mask)
 
     return hops, spread_messages, rounds
 
 
-def bfs_frontier_distances(graph: ArrayOverlayGraph, source_pos: int) -> np.ndarray:
+def bfs_frontier_distances(
+    graph: Union[ArrayOverlayGraph, CsrView], source_pos: int
+) -> np.ndarray:
     """Hop distances from ``source_pos`` (``-1``: unreachable), frontier BFS.
 
-    Unlike :meth:`CsrView.bfs_distances` (a Python loop per frontier
-    node), neighbour expansion here is a single gather per level: repeat
-    each frontier row's start by its degree and add a per-row ramp to
-    enumerate every incident slot at C speed.
+    Neighbour expansion is a single gather per level: repeat each frontier
+    row's start by its degree and add a per-row ramp to enumerate every
+    incident slot at C speed.
     """
     indptr, indices = graph.indptr, graph.indices
     n = graph.n
-    dist = np.full(n, -1, dtype=np.int64)
+    dist = np.full(n, -1, dtype=np.int32)
     if n == 0:
         return dist
-    with kernel_phase():
-        dist[source_pos] = 0
-        frontier = np.array([source_pos], dtype=np.int64)
-        d = 0
-        while frontier.size:
-            d += 1
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            bases = np.repeat(starts, counts)
-            ramp = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            flat = indices[bases + ramp]
-            fresh = flat[dist[flat] < 0]
-            if fresh.size == 0:
-                break
-            fresh = np.unique(fresh)
-            dist[fresh] = d
-            frontier = fresh
+    dist[source_pos] = 0
+    frontier = np.array([source_pos], dtype=indices.dtype)
+    d = 0
+    while frontier.size:
+        d += 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        bases = np.repeat(starts, counts)
+        ramp = np.arange(total, dtype=indptr.dtype) - np.repeat(
+            np.cumsum(counts, dtype=indptr.dtype) - counts, counts
+        )
+        flat = indices[bases + ramp]
+        fresh = flat[dist[flat] < 0]
+        if fresh.size == 0:
+            break
+        fresh = np.unique(fresh)
+        dist[fresh] = d
+        frontier = fresh
     return dist

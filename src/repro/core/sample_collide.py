@@ -37,7 +37,7 @@ from ..sim.messages import MessageKind, MessageMeter
 from ..sim.rng import RngLike
 from .base import Estimate, EstimatorError, SizeEstimator
 from .birthday import invert_first_collision, sample_collide_estimate
-from .kernels import GRAPH_BACKENDS, sample_collide_sweep
+from .kernels import GRAPH_BACKENDS, kernel_phase, sample_collide_sweep
 from .sampling import UniformWalkSampler
 
 __all__ = ["SampleCollideEstimator", "InvertedBirthdayEstimator"]
@@ -196,15 +196,16 @@ class SampleCollideEstimator(SizeEstimator):
             init_pos = int(self.rng.integers(view.n))
             initiator = int(view.nodes[init_pos])
         hint = self.batch_hint if self.batch_hint is not None else self.graph.size
-        value, draws, collisions, distinct, walk_hops = sample_collide_sweep(
-            view,
-            init_pos,
-            self.l,
-            self.timer,
-            self.rng,
-            max(int(hint), 1),
-            max_hops=self._sampler.max_hops,
-        )
+        with kernel_phase():
+            value, draws, collisions, distinct, walk_hops = sample_collide_sweep(
+                view,
+                init_pos,
+                self.l,
+                self.timer,
+                self.rng,
+                max(int(hint), 1),
+                max_hops=self._sampler.max_hops,
+            )
         self.meter.add(MessageKind.WALK, walk_hops)
         self.meter.add(MessageKind.REPLY, draws)
         return Estimate(

@@ -2,8 +2,12 @@
 
 :class:`ArrayOverlayGraph` is the flat-array representation the batched
 estimator kernels (:mod:`repro.core.kernels`) run on: node ids, a CSR row
-pointer and a flat neighbour array, all held as contiguous ``int64`` numpy
-arrays so a walker batch advances with gathers instead of dict lookups.
+pointer and a flat neighbour array, held as contiguous numpy arrays so a
+walker batch advances with gathers instead of dict lookups.  Each array is
+``int32`` when its values fit and ``int64`` otherwise (only ids of
+``2**31`` and up, or more than ``2**31`` nodes or half-edges, need the
+wide form); every twin this module or the builders produce follows that
+rule, so the kernels gather over half the bytes.
 
 It differs from :class:`~repro.overlay.graph.CsrView` in one load-bearing
 way: **rows and row contents keep the dict graph's insertion order** (the
@@ -30,8 +34,8 @@ numpy, and the graph swaps it in (:meth:`OverlayGraph.remove_nodes`).
 :meth:`ArrayOverlayGraph.pack` and :meth:`ArrayOverlayGraph.unpack` are
 the twin's hand-off form (``docs/SNAPSHOTS.md``): the replay-state
 payloads that pool workers, cluster hosts and store artifacts carry hold
-the overlay as narrowed arrays, and ``unpack`` validates them before a
-twin is built from them.
+the overlay's arrays in the twin's own dtypes, and ``unpack`` validates
+them before a twin is built from them.
 """
 
 from __future__ import annotations
@@ -55,7 +59,10 @@ _INT32 = np.iinfo(np.int32)
 
 
 def _narrow(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as ``int32`` when every value fits, else as ``int64``."""
+    """``arr`` as ``int32`` when every value fits, else as ``int64``
+    (``arr`` itself when it already has that dtype)."""
+    if arr.dtype == np.int32:
+        return arr
     if not arr.size or (_INT32.min <= arr.min() and arr.max() <= _INT32.max):
         return arr.astype(np.int32)
     return arr.astype(np.int64, copy=False)
@@ -89,6 +96,10 @@ class ArrayOverlayGraph:
     next_id:
         The dict graph's id counter, carried so round-trips preserve the
         full behavioural state.
+
+    The constructor keeps the arrays it is given; the module's producers
+    (:meth:`from_overlay`, :meth:`without`, :meth:`unpack`, the builders)
+    hand it arrays that follow the ``int32``-when-it-fits rule.
     """
 
     __slots__ = ("nodes", "indptr", "indices", "next_id", "_position_of", "_inv_deg")
@@ -115,6 +126,14 @@ class ArrayOverlayGraph:
     # ------------------------------------------------------------------
 
     @classmethod
+    def _narrowed(
+        cls, nodes: np.ndarray, indptr: np.ndarray, indices: np.ndarray, next_id: int
+    ) -> "ArrayOverlayGraph":
+        """A twin whose arrays are each ``int32`` when their values fit and
+        ``int64`` otherwise; arrays that already follow the rule are kept."""
+        return cls(_narrow(nodes), _narrow(indptr), _narrow(indices), next_id)
+
+    @classmethod
     def from_overlay(cls, graph: OverlayGraph) -> "ArrayOverlayGraph":
         """Encode ``graph`` into its array twin (one bulk adjacency pass).
 
@@ -126,22 +145,21 @@ class ArrayOverlayGraph:
         ``nodes`` is *not* sorted, so a permutation must mediate either way.
         """
         nodes, indptr, flat = graph.neighbour_arrays()
-        return cls(
-            nodes=nodes,
-            indptr=indptr,
-            indices=cls._compact_indices(nodes, flat),
-            next_id=graph.next_id,
+        return cls._narrowed(
+            nodes, indptr, cls._compact_indices(nodes, flat), graph.next_id
         )
 
     @staticmethod
     def _compact_indices(nodes: np.ndarray, flat: np.ndarray) -> np.ndarray:
         """Translate raw neighbour ids to positions into ``nodes``."""
         if not flat.size:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=np.int32)
         max_id = int(nodes.max())
         if max_id < 4 * nodes.shape[0] + 1024:
-            lut = np.empty(max_id + 1, dtype=np.int64)
-            lut[nodes] = np.arange(nodes.shape[0], dtype=np.int64)
+            n = nodes.shape[0]
+            wide = n > _INT32.max + 1  # positions 0..n-1 need int64
+            lut = np.empty(max_id + 1, dtype=np.int64 if wide else np.int32)
+            lut[nodes] = np.arange(n, dtype=lut.dtype)
             return lut[flat]
         order = np.argsort(nodes, kind="stable")
         return order[np.searchsorted(nodes[order], flat)]
@@ -236,11 +254,8 @@ class ArrayOverlayGraph:
                 f"({nodes_new.shape[0]} rows vs {len(adj)}, "
                 f"{int(indptr[-1])} half-edges vs {2 * graph.num_edges})"
             )
-        return cls(
-            nodes=nodes_new,
-            indptr=indptr,
-            indices=cls._compact_indices(nodes_new, flat),
-            next_id=graph.next_id,
+        return cls._narrowed(
+            nodes_new, indptr, cls._compact_indices(nodes_new, flat), graph.next_id
         )
 
     def without(self, victims: np.ndarray) -> "ArrayOverlayGraph":
@@ -252,7 +267,8 @@ class ArrayOverlayGraph:
         that called :meth:`OverlayGraph.remove_node` on each victim.  The
         degree update reads the victims' own rows, which list exactly the
         rows that lose a link because rows are symmetric without repeated
-        entries (:meth:`check_invariants`).
+        entries (:meth:`check_invariants`).  The new row pointer and
+        positions are computed in this twin's own dtypes.
         """
         victims = np.asarray(victims, dtype=np.int64)
         gone = np.isin(self.nodes, victims)
@@ -262,16 +278,16 @@ class ArrayOverlayGraph:
         deg = np.diff(self.indptr)
         victim_half = np.repeat(gone, deg)
         lost = np.bincount(self.indices[victim_half], minlength=self.n)
-        indptr = np.zeros(self.n - victims.size + 1, dtype=np.int64)
-        np.cumsum((deg - lost)[keep], out=indptr[1:])
+        indptr = np.zeros(self.n - victims.size + 1, dtype=self.indptr.dtype)
+        np.cumsum((deg - lost)[keep], dtype=indptr.dtype, out=indptr[1:])
         live_half = keep[self.indices]
         live_half[victim_half] = False
-        position = np.cumsum(keep)
+        position = np.cumsum(keep, dtype=self.indices.dtype)
         position -= 1
         indices = position[self.indices[live_half]]
         if int(indptr[-1]) != indices.size:
             raise GraphError("twin rows are not symmetric")
-        return ArrayOverlayGraph(self.nodes[keep], indptr, indices, self.next_id)
+        return ArrayOverlayGraph._narrowed(self.nodes[keep], indptr, indices, self.next_id)
 
     def to_overlay(self) -> OverlayGraph:
         """Decode back to a behaviorally identical dict graph.
@@ -325,25 +341,27 @@ class ArrayOverlayGraph:
     def pack(self) -> Dict[str, Any]:
         """The twin as its hand-off payload: three arrays plus ``next_id``.
 
-        ``nodes``, ``indptr`` and ``indices`` are ``int32`` when their
-        values fit and ``int64`` otherwise, which halves what a 100k-node
-        overlay costs on the wire and on disk.  :meth:`unpack` is the
-        inverse.
+        ``nodes``, ``indptr`` and ``indices`` are copies in the twin's own
+        dtypes (``int32`` when their values fit), which halves what a
+        100k-node overlay costs on the wire and on disk.  The caller owns
+        them: an edit cannot reach the twin, which other graphs may share.
+        :meth:`unpack` is the inverse.
         """
         return {
-            "nodes": _narrow(self.nodes),
-            "indptr": _narrow(self.indptr),
-            "indices": _narrow(self.indices),
+            "nodes": self.nodes.copy(),
+            "indptr": self.indptr.copy(),
+            "indices": self.indices.copy(),
             "next_id": self.next_id,
         }
 
     @classmethod
     def unpack(cls, packed: Mapping[str, Any]) -> "ArrayOverlayGraph":
-        """Validate a :meth:`pack` payload and widen it back into a twin.
+        """Validate a :meth:`pack` payload and build the twin that holds it.
 
         The payload may come off the wire or out of a store artifact, so
         every structural property the twin relies on is checked before
-        use; a violation raises :class:`GraphError`.
+        use; a violation raises :class:`GraphError`.  Arrays keep their
+        dtype unless they are ``int64`` with values that fit ``int32``.
         """
         arrays = []
         for name in ("nodes", "indptr", "indices"):
@@ -352,7 +370,7 @@ class ArrayOverlayGraph:
                 raise GraphError(f"packed {name} must be an int32 or int64 array")
             if arr.ndim != 1:
                 raise GraphError(f"packed {name} must be 1-D, got shape {arr.shape}")
-            arrays.append(arr.astype(np.int64, copy=False))
+            arrays.append(_narrow(arr))
         next_id = packed.get("next_id")
         if not isinstance(next_id, (int, np.integer)) or isinstance(next_id, bool):
             raise GraphError(f"packed next_id must be an integer, got {next_id!r}")
@@ -423,15 +441,16 @@ class ArrayOverlayGraph:
         """One uniform random neighbour per position (``-1`` when isolated).
 
         Identical draw pattern to :meth:`CsrView.sample_neighbors`: a
-        single pre-drawn uniform block scaled by the degree vector.
+        single pre-drawn uniform block scaled by the degree vector.  The
+        gathers stay in the twin's own dtypes.
         """
-        positions = np.asarray(positions, dtype=np.int64)
+        positions = np.asarray(positions)
         starts = self.indptr[positions]
         degs = self.indptr[positions + 1] - starts
-        out = np.full(positions.shape, -1, dtype=np.int64)
+        out = np.full(positions.shape, -1, dtype=self.indices.dtype)
         nz = degs > 0
         if np.any(nz):
-            offsets = (rng.random(int(nz.sum())) * degs[nz]).astype(np.int64)
+            offsets = (rng.random(int(nz.sum())) * degs[nz]).astype(starts.dtype)
             out[nz] = self.indices[starts[nz] + offsets]
         return out
 

@@ -26,8 +26,11 @@ into one preallocated ``int32`` slot table of ``n × max_degree`` neighbour
 slots (row u starts at ``u * max_degree``; a per-node degree count says
 how many of its slots are filled), then compacts the table into the CSR
 ``indices`` of the array twin in bounded row blocks.  Node ids therefore
-must fit ``int32`` (``n <= 2**31``), and the build's peak memory is the
-table plus the twin it returns (see ``docs/KERNELS.md``).
+must fit ``int32`` (``n <= 2**31``), and so do the twin's ``nodes`` and
+``indices``, which the table's rows fill without widening; its ``indptr``
+is ``int32`` too unless the half-edges outnumber ``2**31 - 1``.  The
+build's peak memory is the table plus the twin it returns (see
+``docs/KERNELS.md``).
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def heterogeneous_random(
     indptr, indices = _compact_slots(slots, degree, max_degree)
     del slots, degree
     # Ids are 0..n-1 in insertion order, so raw ids already are positions.
-    nodes = np.arange(n, dtype=np.int64)
+    nodes = np.arange(n, dtype=np.int32)
     return OverlayGraph.from_array(ArrayOverlayGraph(nodes, indptr, indices, next_id=n))
 
 
@@ -195,15 +198,17 @@ def _compact_slots(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(indptr, indices)`` of the CSR holding each row's filled slots.
 
-    Row u keeps its first ``degree[u]`` slots in order.  The masked copy
-    runs over ``_ROW_BLOCK`` rows at a time, so its temporaries stay small
-    whatever the table size.
+    Row u keeps its first ``degree[u]`` slots in order.  ``indices`` has
+    the table's ``int32`` dtype and ``indptr`` is ``int32`` when the
+    half-edge count fits it.  The masked copy runs over ``_ROW_BLOCK``
+    rows at a time, so its temporaries stay small whatever the table size.
     """
     n = len(degree)
     degrees = np.frombuffer(degree, dtype=np.intc)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, dtype=np.int64, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    total = int(degrees.sum(dtype=np.int64))
+    indptr = np.zeros(n + 1, dtype=np.intc if total <= _SLOT_MAX else np.int64)
+    np.cumsum(degrees, dtype=indptr.dtype, out=indptr[1:])
+    indices = np.empty(total, dtype=np.intc)
     table = np.frombuffer(slots, dtype=np.intc).reshape(n, width)
     cols = np.arange(width)
     for lo in range(0, n, _ROW_BLOCK):

@@ -160,36 +160,14 @@ class CsrView:
     def bfs_distances(self, source_pos: int) -> np.ndarray:
         """Hop distance from ``source_pos`` to every node (``-1``: unreachable).
 
-        Frontier-at-a-time BFS using vectorized neighbour expansion; used by
-        graph diagnostics and the HopsSampling bias analysis (§V of the
-        paper, where exact distances de-bias the poll).
+        The frontier BFS kernel
+        (:func:`~repro.core.kernels.bfs_frontier_distances`) over this view;
+        used by graph diagnostics and the HopsSampling bias analysis (§V of
+        the paper, where exact distances de-bias the poll).
         """
-        n = self.n
-        dist = np.full(n, -1, dtype=np.int64)
-        if n == 0:
-            return dist
-        dist[source_pos] = 0
-        frontier = np.array([source_pos], dtype=np.int64)
-        d = 0
-        while frontier.size:
-            d += 1
-            # Gather all neighbours of the frontier in one shot.
-            counts = self.indptr[frontier + 1] - self.indptr[frontier]
-            total = int(counts.sum())
-            if total == 0:
-                break
-            flat = np.empty(total, dtype=np.int64)
-            pos = 0
-            for f, c in zip(frontier, counts):
-                flat[pos : pos + c] = self.indices[self.indptr[f] : self.indptr[f] + c]
-                pos += c
-            fresh = flat[dist[flat] < 0]
-            if fresh.size == 0:
-                break
-            fresh = np.unique(fresh)
-            dist[fresh] = d
-            frontier = fresh
-        return dist
+        from ..core.kernels import bfs_frontier_distances
+
+        return bfs_frontier_distances(self, source_pos)
 
     def connected_component_sizes(self) -> List[int]:
         """Sizes of connected components, descending."""
@@ -318,6 +296,15 @@ class OverlayGraph:
         """List of alive node ids in insertion order."""
         twin = self._twin
         return list(self._adj) if twin is None else twin.nodes.tolist()
+
+    def node_array(self) -> np.ndarray:
+        """Alive node ids in insertion order as an integer array: a
+        twin-backed graph's own (read-only by contract) ``nodes``, with no
+        Python int per node."""
+        twin = self._twin
+        if twin is not None:
+            return twin.nodes
+        return np.fromiter(self._adj, dtype=np.int64, count=len(self._adj))
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate undirected edges once each, as ``(min, max)`` pairs."""

@@ -119,9 +119,10 @@ class MembershipPolicy:
         """Remove ``count`` uniformly random alive nodes (fail-stop).
 
         Returns the removed node ids.  Raises when asked to remove more
-        nodes than are alive.  The victims reach the graph in one
-        :meth:`OverlayGraph.remove_nodes` call, so a twin-backed graph
-        applies them without building its dict.
+        nodes than are alive.  The victims are drawn from
+        :meth:`OverlayGraph.node_array` (which draws depend only on its
+        length) and reach the graph in one :meth:`OverlayGraph.remove_nodes`
+        call, so a twin-backed graph applies them without building its dict.
         """
         if count < 0:
             raise GraphError("count must be non-negative")
@@ -130,7 +131,6 @@ class MembershipPolicy:
                 f"cannot remove {count} nodes from an overlay of {self.graph.size}"
             )
         gen = self._rng
-        alive = np.fromiter(self.graph, dtype=np.int64, count=self.graph.size)
-        victims = gen.choice(alive, size=count, replace=False)
+        victims = gen.choice(self.graph.node_array(), size=count, replace=False)
         self.graph.remove_nodes(victims)
         return victims.tolist()

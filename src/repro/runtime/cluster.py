@@ -85,6 +85,7 @@ timeline.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import pickle
@@ -133,9 +134,19 @@ MAX_MESSAGE_BYTES = 1 << 31
 
 
 def send_message(sock: socket.socket, message: Mapping[str, Any]) -> None:
-    """Frame and send one message: 8-byte length prefix + pickled dict."""
-    payload = pickle.dumps(dict(message), protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
+    """Frame and send one message: 8-byte length prefix + pickled dict.
+
+    The dict is pickled straight after a placeholder prefix, so the frame
+    is built in one buffer with no whole-payload copy, and goes out in one
+    ``sendall`` (no socket sets ``TCP_NODELAY``: a separate header send
+    could hold a small payload back behind Nagle's algorithm).
+    """
+    frame = io.BytesIO()
+    frame.write(bytes(_HEADER.size))
+    pickle.dump(dict(message), frame, protocol=pickle.HIGHEST_PROTOCOL)
+    with frame.getbuffer() as view:
+        _HEADER.pack_into(view, 0, len(view) - _HEADER.size)
+        sock.sendall(view)
 
 
 def _recv_exact(sock: socket.socket, size: int) -> bytes:

@@ -75,6 +75,17 @@ def _snapshot_hash(g_or_twin) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _rule_dtype(arr: np.ndarray):
+    """The dtype every twin array has: int32 when its values fit."""
+    fits = not arr.size or (-(2**31) <= arr.min() and arr.max() < 2**31)
+    return np.dtype(np.int32 if fits else np.int64)
+
+
+def _assert_narrow(twin: ArrayOverlayGraph) -> None:
+    for arr in (twin.nodes, twin.indptr, twin.indices):
+        assert arr.dtype == _rule_dtype(arr)
+
+
 @given(_ops, st.sampled_from([0, 2**31]))
 @example([], 0)
 @example([], 2**31)
@@ -85,20 +96,22 @@ def test_round_trip_is_identity(ops, offset):
     _apply(g, ops, offset)
     twin = ArrayOverlayGraph.from_overlay(g)
     twin.check_invariants()
+    _assert_narrow(twin)
     back = twin.to_overlay()
     assert list(back) == list(g)
     assert back.next_id == g.next_id
     for u in g:
         assert list(back.neighbors(u)) == list(g.neighbors(u))
     np.testing.assert_array_equal(back.degrees(), g.degrees())
-    # The hand-off form: narrow arrays (int64 only for ids >= 2**31) that
-    # unpack to int64 and to the same graph.
+    # The hand-off form: the twin's own narrow arrays (int64 only for ids
+    # >= 2**31), which unpack keeps, to the same graph.
     packed = g.to_array().pack()
     wide = g.size and max(g) >= 2**31
     assert packed["nodes"].dtype == (np.int64 if wide else np.int32)
     unpacked = ArrayOverlayGraph.unpack(packed)
-    for arr in (unpacked.nodes, unpacked.indptr, unpacked.indices):
-        assert arr.dtype == np.int64
+    _assert_narrow(unpacked)
+    for name in ("nodes", "indptr", "indices"):
+        assert getattr(unpacked, name).dtype == packed[name].dtype
     assert OverlayGraph.from_array(unpacked).snapshot() == g.snapshot()
 
 
@@ -172,7 +185,8 @@ def test_twin_backed_graph_behaves_like_dict_graph(setup, ops, offset, seed):
         assert "_adj" not in vars(twin_backed)
     a, b = twin_backed.to_array(), dict_built.to_array()
     for name in ("nodes", "indptr", "indices"):
-        assert getattr(a, name).dtype == getattr(b, name).dtype == np.int64
+        arr = getattr(a, name)
+        assert arr.dtype == getattr(b, name).dtype == _rule_dtype(arr)
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert (twin_backed.size, twin_backed.num_edges, twin_backed.next_id) == (
         dict_built.size,

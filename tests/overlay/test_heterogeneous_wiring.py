@@ -81,7 +81,7 @@ def _assert_matches_oracle(n, max_degree, min_degree, factor, seed):
         n, max_degree, min_degree, ref_gen, factor
     )
     for got, want in ((twin.nodes, nodes), (twin.indptr, indptr), (twin.indices, indices)):
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         np.testing.assert_array_equal(got, want)
     assert twin.next_id == n
     assert gen.bit_generator.state == ref_gen.bit_generator.state

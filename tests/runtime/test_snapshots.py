@@ -332,7 +332,7 @@ class TestReplayStates:
         assert "_adj" not in vars(resumed.graph)  # twin-backed, no dict yet
         twin = resumed.graph.to_array()
         for arr in (twin.nodes, twin.indptr, twin.indices):
-            assert arr.dtype == np.int64
+            assert arr.dtype == np.int32
         resumed.advance(4)  # the trace removes nodes at t=4: still no dict
         assert "_adj" not in vars(resumed.graph)
         state.advance(4)
