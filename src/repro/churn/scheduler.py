@@ -150,6 +150,21 @@ class ChurnScheduler:
             "cursor": self.trace.cursor,
         }
 
+    def pack(self) -> Dict[str, Any]:
+        """:meth:`snapshot` with the overlay packed as arrays.
+
+        Same keys, which :meth:`restore` reads either way; the ``graph``
+        entry is the overlay's CSR twin
+        (:meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.pack`) instead
+        of per-node lists.  Replay hand-offs and service checkpoints carry
+        this form.
+        """
+        return {
+            "graph": self.graph.to_array().pack(),
+            "rng": generator_state(self.policy.rng),
+            "cursor": self.trace.cursor,
+        }
+
     @classmethod
     def restore(
         cls,

@@ -73,7 +73,7 @@ address in a machine-parsable ``REPRO_*_ADDR=host:port`` stdout line, so
 harnesses binding port 0 can scrape the chosen port::
 
     repro-experiment serve --bind 127.0.0.1:0 --estimators sample_collide,aggregation \
-        --snapshot svc.json --snapshot-every 50 --max-qps 100 --journal svc.jsonl
+        --snapshot svc.ckpt --snapshot-every 50 --max-qps 100 --journal svc.jsonl
 """
 
 from __future__ import annotations
@@ -111,6 +111,7 @@ from ..runtime import (
     parse_hosts,
     supports_runtime,
 )
+from ..runtime.store import SnapshotRejected
 from ..runtime.trends import (
     DEFAULT_CHECK_METRICS,
     TREND_METRICS,
@@ -1198,11 +1199,9 @@ def _cmd_serve(args, parser: argparse.ArgumentParser) -> int:
                 service = EstimationService.from_checkpoint(
                     snapshot_path, progress=journal
                 )
-            except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
-                sys.stderr.write(
-                    f"serve: cannot restore {snapshot_path}: "
-                    f"{type(exc).__name__}: {exc}\n"
-                )
+            except SnapshotRejected as exc:
+                reason = " ".join(f"{type(exc).__name__}: {exc}".split())
+                sys.stderr.write(f"serve: cannot restore {snapshot_path}: {reason}\n")
                 return 2
             sys.stdout.write(
                 f"service restored from {snapshot_path} "

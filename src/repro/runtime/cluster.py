@@ -222,6 +222,42 @@ def parse_hosts(
 # ----------------------------------------------------------------------
 
 
+class _Connections:
+    """The open connections of one server, so its ``close()`` can end them.
+
+    :class:`WorkerServer` and the estimation service's server each keep
+    one: a serving thread adds its connection and discards it when done,
+    and :meth:`sever` drops whatever is still open.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._open: set = set()
+
+    def add(self, conn: socket.socket) -> None:
+        with self._lock:
+            self._open.add(conn)
+
+    def discard(self, conn: socket.socket) -> None:
+        with self._lock:
+            self._open.discard(conn)
+
+    def sever(self) -> None:
+        """Shut every open connection down (a thread blocked reading it
+        sees EOF at once) and close it."""
+        with self._lock:
+            conns = list(self._open)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - peer may be gone already
+                pass
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - close is best-effort
+                pass
+
+
 class WorkerServer:
     """A cluster worker: accepts driver connections, runs chunks, replies.
 
@@ -267,7 +303,7 @@ class WorkerServer:
         self.faults = faults if faults is not None else WorkerFaults()
         self.progress = progress if progress is not None else NullProgress()
         self._mutex = threading.Lock()
-        self._conns: set = set()
+        self._conns = _Connections()
         self._threads: List[threading.Thread] = []
         self._served_chunks = 0
         self._sent_frames = 0
@@ -289,17 +325,8 @@ class WorkerServer:
             if self._closed:
                 return
             self._closed = True
-            conns = list(self._conns)
         self._close_listener()
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:  # pragma: no cover - peer may be gone already
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
+        self._conns.sever()
 
     def _close_listener(self) -> None:
         # The shutdown matters: close() alone does not wake a thread
@@ -394,14 +421,12 @@ class WorkerServer:
 
     def _run_session(self, conn: socket.socket) -> None:
         """Session thread wrapper: track the connection, count driver roles."""
-        with self._mutex:
-            self._conns.add(conn)
+        self._conns.add(conn)
         role = None
         try:
             role = self._serve_session(conn)
         finally:
-            with self._mutex:
-                self._conns.discard(conn)
+            self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:  # pragma: no cover - close is best-effort

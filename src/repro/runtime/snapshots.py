@@ -22,7 +22,7 @@ This module makes the scenario state an explicit, transferable object:
   ``.npz``; :meth:`ReplayState.restore` rebuilds a state whose future
   steps are *bit-identical* to the uninterrupted run's (every component
   guarantees this individually: see ``OverlayGraph.snapshot``,
-  ``ChurnScheduler.snapshot``, ``AggregationProtocol.snapshot``,
+  ``ChurnScheduler.pack``, ``AggregationProtocol.snapshot``,
   ``generator_state``), over a twin-backed overlay whose dict is built
   only when a join or a dict-only read first needs it;
 * :func:`snapshot_config` derives the content address a boundary snapshot
@@ -50,7 +50,7 @@ from ..core.aggregation import AggregationMonitor
 from ..overlay.graph import OverlayGraph
 from ..overlay.repair import RepairPolicySpec
 from ..sim.messages import MessageMeter
-from ..sim.rng import RngHub, generator_from_state, generator_state
+from ..sim.rng import RngHub, generator_from_state
 from ..sim.rounds import RoundDriver
 
 __all__ = [
@@ -66,21 +66,6 @@ __all__ = [
 #: every snapshot's content address so stale payloads become misses, never
 #: wrong restores.  Version 2 carries the overlay as packed CSR arrays.
 SNAPSHOT_SCHEMA_VERSION = 2
-
-
-def _scheduler_payload(scheduler: ChurnScheduler) -> Dict[str, Any]:
-    """:meth:`ChurnScheduler.snapshot` with the overlay packed as arrays.
-
-    Same keys, which :meth:`ChurnScheduler.restore` reads either way; the
-    ``graph`` entry is the overlay's CSR twin
-    (:meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.pack`) instead of
-    per-node lists.
-    """
-    return {
-        "graph": scheduler.graph.to_array().pack(),
-        "rng": generator_state(scheduler.policy.rng),
-        "cursor": scheduler.trace.cursor,
-    }
 
 
 def _fresh_trace(payload: Any) -> ChurnTrace:
@@ -182,7 +167,7 @@ class ProbeReplayState:
             "schema": SNAPSHOT_SCHEMA_VERSION,
             "index": self.position,
             "dead": self.dead,
-            "scheduler": _scheduler_payload(self.scheduler),
+            "scheduler": self.scheduler.pack(),
         }
 
     @classmethod
@@ -300,7 +285,7 @@ class RepairReplayState:
         return {
             "schema": SNAPSHOT_SCHEMA_VERSION,
             "index": self.position,
-            "scheduler": _scheduler_payload(self.scheduler),
+            "scheduler": self.scheduler.pack(),
             "policy": self.policy.snapshot(),
             "monitor": self.monitor.snapshot(),
             "meter": dict(self.meter.snapshot().counts),

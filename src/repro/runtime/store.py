@@ -48,10 +48,14 @@ bytes by :meth:`ResultsStore.stats`, and reclaimed by ``gc`` like
 anything else — they are recomputable accelerators, never source data.
 A snapshot is two files: the JSON header ``<key>.json`` and its arrays
 in ``<key>.npz``, checked against the header's manifest on every load.
+:func:`write_archive`/:func:`read_archive` hold the same header and
+arrays in one ``.npz`` file instead, for state that must be replaced as
+a unit (the service checkpoint, ``docs/SERVICE.md``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -59,9 +63,8 @@ import os
 import pathlib
 import tempfile
 import time
-import zipfile
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, BinaryIO, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -79,6 +82,8 @@ __all__ = [
     "canonical_json",
     "content_key",
     "group_key",
+    "read_archive",
+    "write_archive",
 ]
 
 #: Bump when the artifact layout or the meaning of a config changes.
@@ -130,6 +135,20 @@ class SnapshotRejected(Exception):
     """A stored snapshot artifact exists but failed a check; the message
     says which.  :meth:`ResultsStore.load_snapshot` raises it instead of
     restoring anything from the artifact."""
+
+
+@contextlib.contextmanager
+def _rejecting() -> Iterator[None]:
+    """Turn any failure while decoding stored bytes into
+    :class:`SnapshotRejected`: a corrupt file may fail anywhere (in
+    ``zipfile``, the ``.npy`` header parser, ``json``), and the caller
+    must see one typed error, never a crash."""
+    try:
+        yield
+    except SnapshotRejected:
+        raise
+    except Exception as exc:  # noqa: BLE001 - see the docstring
+        raise SnapshotRejected(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _dumps(artifact: Any) -> bytes:
@@ -194,13 +213,29 @@ def _split_arrays(
     return header, arrays
 
 
+#: Member of a :func:`write_archive` file that holds its JSON header.
+_ARCHIVE_HEADER = "header"
+
+
+def _manifest(arrays: Mapping[str, np.ndarray]) -> List[Dict[str, Any]]:
+    """The header's ``arrays`` manifest: name, dtype, shape and sha256 per array."""
+    return [
+        {
+            "name": name,
+            "dtype": arr.dtype.str,
+            "shape": list(arr.shape),
+            "sha256": _sha256(arr),
+        }
+        for name, arr in arrays.items()
+    ]
+
+
 def _checked_arrays(manifest: List[Mapping[str, Any]], npz) -> Dict[str, np.ndarray]:
     """The arrays of an open ``.npz``, each checked against its manifest entry."""
     names = [entry["name"] for entry in manifest]
-    if sorted(names) != sorted(npz.files):
-        raise SnapshotRejected(
-            f"array file holds {sorted(npz.files)}, manifest lists {sorted(names)}"
-        )
+    files = sorted(f for f in npz.files if f != _ARCHIVE_HEADER)
+    if sorted(names) != files:
+        raise SnapshotRejected(f"array file holds {files}, manifest lists {sorted(names)}")
     arrays = {}
     for entry in manifest:
         name = entry["name"]
@@ -219,10 +254,17 @@ def _checked_arrays(manifest: List[Mapping[str, Any]], npz) -> Dict[str, np.ndar
 def _join_arrays(payload: Dict[str, Any], arrays: Mapping[str, np.ndarray]) -> None:
     """Put checked arrays back at their key paths in ``payload``.
 
-    Snapshot arrays come only from packed overlays, so every mapping that
-    receives arrays must pass
-    :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.unpack`'s
-    structural checks (raising ``GraphError`` otherwise).
+    Every mapping that receives arrays is one of two kinds of group, told
+    apart by its keys, and must pass that kind's checks:
+
+    * a packed overlay (it has ``indptr``):
+      :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.unpack`'s
+      structural checks, raising ``GraphError``;
+    * per-node values (it has ``values``): a 1-D integer ``nodes`` array
+      and one finite ``float64`` value per node, raising
+      :class:`SnapshotRejected`.
+
+    A group of neither kind is rejected too.
     """
     groups: Dict[str, Dict[str, Any]] = {}
     for name, arr in arrays.items():
@@ -232,8 +274,57 @@ def _join_arrays(payload: Dict[str, Any], arrays: Mapping[str, np.ndarray]) -> N
             node = node[key]
         node[leaf] = arr
         groups["/".join(parents)] = node
-    for group in groups.values():
-        ArrayOverlayGraph.unpack(group)
+    for path, group in groups.items():
+        if "indptr" in group:
+            ArrayOverlayGraph.unpack(group)
+            continue
+        nodes, values = group.get("nodes"), group.get("values")
+        if not (
+            isinstance(nodes, np.ndarray)
+            and isinstance(values, np.ndarray)
+            and nodes.dtype.kind == "i"
+            and values.dtype == np.float64
+            and nodes.ndim == 1
+            and values.shape == nodes.shape
+            and np.isfinite(values).all()
+        ):
+            raise SnapshotRejected(
+                f"array group {path!r} is neither a packed overlay nor one "
+                "finite float64 value per integer node id"
+            )
+
+
+def write_archive(fh: BinaryIO, payload: Mapping[str, Any]) -> None:
+    """Write ``payload`` to ``fh`` as one ``.npz`` file.
+
+    The payload's arrays become members named by their key path, as in a
+    snapshot's ``.npz``; the ``header`` member holds UTF-8 JSON of the
+    rest (``"payload"``) and the array manifest (``"arrays"``).  One file
+    can be renamed into place as a unit, which a header + ``.npz`` pair
+    cannot.  :func:`read_archive` is the inverse.
+    """
+    header, arrays = _split_arrays(payload)
+    blob = _dumps({"arrays": _manifest(arrays), "payload": _encode_floats(header)})
+    np.savez(fh, **{_ARCHIVE_HEADER: np.frombuffer(blob, dtype=np.uint8)}, **arrays)
+
+
+def read_archive(path: Union[str, os.PathLike]) -> Dict[str, Any]:
+    """The payload of a :func:`write_archive` file, checked as a snapshot is.
+
+    The file is read with ``allow_pickle=False``; every array must match
+    its manifest entry in name, dtype, shape and sha256, and every array
+    group must pass :func:`_join_arrays`' checks.  Any failure, whatever
+    its cause, raises :class:`SnapshotRejected` with the reason.
+    """
+    with _rejecting(), open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise SnapshotRejected("not an array archive (no zip signature)")
+        fh.seek(0)
+        with np.load(fh, allow_pickle=False) as npz:
+            header = json.loads(npz[_ARCHIVE_HEADER].tobytes())
+            payload = _decode_floats(header["payload"])
+            _join_arrays(payload, _checked_arrays(header["arrays"], npz))
+    return payload
 
 
 def canonical_json(config: Any) -> str:
@@ -495,15 +586,7 @@ class ResultsStore:
             "schema": SCHEMA_VERSION,
             "meta": meta,
             "config": _normalize(config),
-            "arrays": [
-                {
-                    "name": name,
-                    "dtype": arr.dtype.str,
-                    "shape": list(arr.shape),
-                    "sha256": _sha256(arr),
-                }
-                for name, arr in arrays.items()
-            ],
+            "arrays": _manifest(arrays),
             "snapshot": _encode_floats(header),
         }
         _write_atomic(path.with_suffix(".npz"), lambda fh: np.savez(fh, **arrays))
@@ -527,23 +610,13 @@ class ResultsStore:
         path = self.path_for(config)
         if not path.exists():
             return None
-        try:
+        with _rejecting():
             artifact = json.loads(path.read_bytes())
             if artifact.get("schema") != SCHEMA_VERSION or "snapshot" not in artifact:
                 raise SnapshotRejected(f"not a schema-{SCHEMA_VERSION} snapshot artifact")
             payload = _decode_floats(artifact["snapshot"])
             with np.load(path.with_suffix(".npz"), allow_pickle=False) as npz:
                 _join_arrays(payload, _checked_arrays(artifact["arrays"], npz))
-        except (
-            OSError,
-            ValueError,
-            KeyError,
-            TypeError,
-            AttributeError,
-            EOFError,
-            zipfile.BadZipFile,
-        ) as exc:
-            raise SnapshotRejected(f"{type(exc).__name__}: {exc}") from exc
         self._record_hit(path)
         return payload
 

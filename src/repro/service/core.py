@@ -15,11 +15,17 @@ scenario away; the service keeps one scenario resident forever:
   generator stream, the epidemic family (``aggregation``) advances its
   monitor every round and holds the last closed epoch's estimate;
 * :meth:`~EstimationService.snapshot` captures the whole thing as pure
-  data (the contract of ``docs/SNAPSHOTS.md``: JSON-able, picklable,
-  content-hashable) and :meth:`~EstimationService.from_snapshot` rebuilds
-  a service whose future ticks are **bit-identical** to the uninterrupted
-  one's — so a crashed service restarts from its last checkpoint instead
-  of replaying its event history.
+  data — JSON values plus numpy arrays for the overlay's packed CSR twin
+  and the aggregation monitor's per-node values — and
+  :meth:`~EstimationService.from_snapshot` rebuilds a service whose
+  future ticks are **bit-identical** to the uninterrupted one's, so a
+  crashed service restarts from its last checkpoint instead of replaying
+  its event history;
+* :meth:`~EstimationService.checkpoint` writes that capture as one
+  binary file (:func:`~repro.runtime.store.write_archive`: a JSON header
+  with an array manifest beside the raw arrays) and
+  :meth:`~EstimationService.from_checkpoint` checks every byte of it
+  before restoring anything.
 
 Admission control for reads is a :class:`TokenBucket` (`--max-qps`);
 operational counters are monotone per process and deliberately *not*
@@ -36,13 +42,15 @@ acceptance gate assert.  See ``docs/SERVICE.md``.
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..churn.models import ChurnEvent, ChurnTrace
 from ..churn.scheduler import ChurnScheduler
@@ -52,6 +60,7 @@ from ..core.hops_sampling import HopsSamplingEstimator
 from ..core.sample_collide import SampleCollideEstimator
 from ..overlay.builders import heterogeneous_random
 from ..runtime.progress import NullProgress, ProgressReporter
+from ..runtime.store import _rejecting, read_archive, write_archive
 from ..sim.rng import RngHub, generator_from_state, generator_state
 
 __all__ = [
@@ -63,8 +72,9 @@ __all__ = [
 ]
 
 #: Bump when the service snapshot layout changes; a mismatched checkpoint
-#: is refused at restore rather than mis-restored.
-SERVICE_SCHEMA_VERSION = 1
+#: is refused at restore rather than mis-restored.  Schema 2 carries the
+#: overlay and the monitor's per-node values as arrays.
+SERVICE_SCHEMA_VERSION = 2
 
 #: Estimator families the service can keep warm.
 SERVICE_FAMILIES: Tuple[str, ...] = (
@@ -72,6 +82,27 @@ SERVICE_FAMILIES: Tuple[str, ...] = (
     "hops_sampling",
     "aggregation",
 )
+
+
+def _event_fields(event: Mapping[str, Any]) -> Dict[str, Any]:
+    """The membership fields of one ingest event, checked before queueing.
+
+    Keeps the :class:`ChurnEvent` fields minus ``time`` (other keys are
+    ignored), requires integer ``joins``/``leaves`` and a finite
+    ``frac_joins``, and builds the :class:`ChurnEvent` to check the rest,
+    so a queued event can never fail at the tick that applies it.
+    ``/ingest`` and restored pending events both pass through here.
+    """
+    fields = {
+        k: event[k]
+        for k in ("joins", "leaves", "frac_joins", "frac_leaves")
+        if k in event
+    }
+    if not all(isinstance(fields.get(k, 0), int) for k in ("joins", "leaves")):
+        raise ValueError(f"joins/leaves must be integers, got {fields}")
+    if not math.isfinite(ChurnEvent(time=0.0, **fields).frac_joins):
+        raise ValueError("frac_joins must be finite")
+    return fields
 
 
 class TokenBucket:
@@ -266,8 +297,14 @@ class _AggregationFamily:
         return float(value), int(rnd)
 
     def snapshot(self) -> Dict[str, Any]:
-        """Pure-data state: the monitor's own snapshot payload."""
-        return {"monitor": self.monitor.snapshot()}
+        """Pure-data state: the monitor's own snapshot payload, with the
+        protocol's per-node ids and values as arrays in the value dict's
+        order (an order-sensitive sum like ``total_mass`` stays bit-stable)."""
+        snap = self.monitor.snapshot()
+        protocol = snap["protocol"]
+        protocol["nodes"] = np.array(protocol["nodes"], dtype=np.int64)
+        protocol["values"] = np.array(protocol["values"], dtype=np.float64)
+        return {"monitor": snap}
 
     @classmethod
     def restore(
@@ -377,7 +414,7 @@ class EstimationService:
                     self._families[name] = _ProbeFamily.build(
                         name, graph, config, hub.stream(f"svc:{name}")
                     )
-            self._probe(initial=True)
+            self._probe()
             self._announce()
 
     # -- construction helpers ------------------------------------------
@@ -413,12 +450,7 @@ class EstimationService:
         dropped = 0
         with self._lock:
             for event in events:
-                fields = {
-                    k: event[k]
-                    for k in ("joins", "leaves", "frac_joins", "frac_leaves")
-                    if k in event
-                }
-                ChurnEvent(time=0.0, **fields)  # validate before queueing
+                fields = _event_fields(event)
                 if len(self._queue) >= self.config.queue_limit:
                     dropped += 1
                 else:
@@ -469,7 +501,7 @@ class EstimationService:
                     self.checkpoint()
             return self.round
 
-    def _probe(self, initial: bool = False) -> None:
+    def _probe(self) -> None:
         """Refresh every probe family's estimate at the current round."""
         for name, family in self._families.items():
             if not isinstance(family, _ProbeFamily):
@@ -485,8 +517,6 @@ class EstimationService:
             entry["value"] = value
             entry["round"] = int(self.round)
             entry["messages"] = messages
-        if initial:
-            return
 
     # -- estimate / health / stats (read path) -------------------------
 
@@ -572,15 +602,17 @@ class EstimationService:
     def snapshot(self) -> Dict[str, Any]:
         """Pure-data capture of everything future behaviour depends on.
 
-        Scheduler (overlay + churn generator + trace cursor, rebased to a
-        fresh empty trace — consumed history is *not* replayed on
-        restore), warm-estimator states, the latest served estimates and
-        the queued-but-undrained ingest events.  Deliberately excluded:
-        operational stats (monotone per process) and the token bucket
-        (admission is a property of *this* process's wall clock).
+        Scheduler (overlay as its packed CSR twin + churn generator +
+        trace cursor, rebased to a fresh empty trace — consumed history is
+        *not* replayed on restore), warm-estimator states, the latest
+        served estimates and the queued-but-undrained ingest events.
+        Deliberately excluded: operational stats (monotone per process)
+        and the token bucket (admission is a property of *this* process's
+        wall clock).  JSON values plus numpy arrays, the payload shape
+        :func:`~repro.runtime.store.write_archive` stores.
         """
         with self._lock:
-            scheduler = self.scheduler.snapshot()
+            scheduler = self.scheduler.pack()
             # The live trace is fully consumed between ticks and its events
             # are never re-applied, so the restored scheduler starts from a
             # fresh, empty trace: rebase the cursor accordingly.
@@ -613,7 +645,9 @@ class EstimationService:
         Future ticks, probes and checkpoints are bit-identical to the
         captured service's (given the same post-restore event stream) —
         the restart-resumes-not-replays contract the acceptance tests
-        assert.
+        assert.  The overlay must be a packed twin, which passes
+        :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.unpack`'s
+        checks, and every pending event must pass the ``/ingest`` check.
         """
         schema = payload.get("schema")
         if schema != SERVICE_SCHEMA_VERSION:
@@ -621,6 +655,8 @@ class EstimationService:
                 f"unsupported service snapshot schema {schema!r} "
                 f"(expected {SERVICE_SCHEMA_VERSION})"
             )
+        if "indptr" not in payload["scheduler"]["graph"]:
+            raise ValueError("the snapshot's overlay is not a packed CSR twin")
         config = ServiceConfig.from_config(payload["config"])
         service = cls(
             config,
@@ -650,8 +686,13 @@ class EstimationService:
                 )
         for name, entry in payload.get("estimates", {}).items():
             if name in service.estimates:
-                service.estimates[name] = dict(entry)
-        service._queue.extend(dict(f) for f in payload.get("pending", ()))
+                value, rnd = entry["value"], entry["round"]
+                service.estimates[name] = {
+                    "value": None if value is None else float(value),
+                    "round": None if rnd is None else int(rnd),
+                    "messages": int(entry["messages"]),
+                }
+        service._queue.extend(_event_fields(f) for f in payload.get("pending", ()))
         service._announce()
         return service
 
@@ -662,38 +703,47 @@ class EstimationService:
         progress: Optional[ProgressReporter] = None,
         clock=time.monotonic,
     ) -> "EstimationService":
-        """Load a :meth:`checkpoint` file and resume from it."""
-        with open(os.fspath(path), encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls.from_snapshot(
-            payload, progress=progress, snapshot_path=path, clock=clock
-        )
+        """Load a :meth:`checkpoint` file and resume from it.
+
+        Any failure while reading or restoring raises
+        :class:`~repro.runtime.store.SnapshotRejected` and restores
+        nothing: a torn or tampered file (see
+        :func:`~repro.runtime.store.read_archive`), another schema, or
+        state that :meth:`from_snapshot` refuses.
+        """
+        path = os.fspath(path)
+        with _rejecting():
+            return cls.from_snapshot(
+                read_archive(path), progress=progress, snapshot_path=path, clock=clock
+            )
 
     def checkpoint(self, path: Optional[str] = None) -> str:
-        """Write the current :meth:`snapshot` as JSON, atomically.
+        """Write the current :meth:`snapshot` as one binary file, atomically.
 
-        The payload lands in a sibling temp file first, is flushed to disk
-        and is renamed into place, so a crash mid-write never corrupts the
-        last good checkpoint.  Journaled as ``snapshot_checkpoint``.
+        The file (:func:`~repro.runtime.store.write_archive`) lands in a
+        sibling temp file first, is flushed to disk and is renamed into
+        place, so a crash mid-write never corrupts the last good
+        checkpoint.  Journaled as ``snapshot_checkpoint`` with the file's
+        size.
         """
         with self._lock:
             target = os.fspath(path) if path is not None else self.snapshot_path
             if target is None:
                 raise ValueError("no checkpoint path configured (snapshot_path)")
             began = time.perf_counter()
-            payload = json.dumps(self.snapshot(), sort_keys=True)
             tmp = f"{target}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            with open(tmp, "wb") as fh:
+                write_archive(fh, self.snapshot())
                 fh.flush()
                 os.fsync(fh.fileno())
+                size = fh.tell()
             os.replace(tmp, target)
             self.stats.checkpoints += 1
             self.progress.on_event(
                 "snapshot_checkpoint",
                 round=int(self.round),
                 path=target,
-                bytes=len(payload),
+                bytes=size,
                 seconds=time.perf_counter() - began,
             )
             return target

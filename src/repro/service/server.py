@@ -6,7 +6,13 @@ Two transports share one :class:`~repro.service.core.EstimationService`:
   ``GET /health``, ``GET /estimate``, ``GET /stats`` and
   ``POST /ingest`` / ``/tick`` / ``/checkpoint``; throttled estimate
   reads return ``429``.  Built on the stdlib threading HTTP server so
-  the service stays dependency-free.
+  the service stays dependency-free.  Connections are persistent
+  (HTTP/1.1 keep-alive, one handler thread per connection, not per
+  request), each reply leaves on a ``TCP_NODELAY`` socket, and a
+  request body is checked at the door: a malformed or negative
+  ``Content-Length`` is a ``400``, one above :data:`MAX_BODY_BYTES` a
+  ``413`` sent before anything is read, and both close the connection;
+  a body that is not UTF-8 JSON is a ``400``.
 * **binary frames** — an optional listener speaking the same
   length-prefixed framing discipline as :mod:`repro.runtime.cluster`
   (8-byte big-endian length + payload), but carrying UTF-8 JSON instead
@@ -16,27 +22,31 @@ Two transports share one :class:`~repro.service.core.EstimationService`:
   self-describing request/response transport" shape of the Mercury RPC
   work cited in PAPERS.md.
 
-:class:`ServiceClient` is the thin client for both transports (used by
+:class:`ServiceClient` is the thin HTTP client (used by
 ``examples/churn_monitoring.py`` and perfbench's ``service_mixed``
-workload); it only needs the stdlib.  Endpoint semantics are documented
-in ``docs/SERVICE.md``.
+workload): one persistent ``http.client`` connection per calling thread,
+stdlib only.  Endpoint semantics are documented in ``docs/SERVICE.md``.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-from urllib import request as _urlrequest
-from urllib.error import HTTPError
 from urllib.parse import parse_qs, urlparse
 
-from ..runtime.cluster import _HEADER, MAX_MESSAGE_BYTES, _recv_exact
+from ..runtime.cluster import _HEADER, MAX_MESSAGE_BYTES, _Connections, _recv_exact
 from .core import EstimationService
 
-__all__ = ["ServiceClient", "ServiceServer", "recv_frame", "send_frame"]
+__all__ = ["MAX_BODY_BYTES", "ServiceClient", "ServiceServer", "recv_frame", "send_frame"]
+
+#: Largest request body the HTTP surface reads (4 MiB: ~150k ingest
+#: events, far beyond any queue limit); a longer ``Content-Length`` is
+#: answered ``413`` before a byte of the body is read.
+MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
 # ----------------------------------------------------------------------
@@ -126,19 +136,28 @@ _POST_OPS = frozenset({"ingest", "tick", "checkpoint", "estimate"})
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
-    """stdlib HTTP handler bridging requests into :func:`_dispatch`."""
+    """stdlib HTTP handler bridging requests into :func:`_dispatch`.
+
+    One handler serves every request of its keep-alive connection, on a
+    socket with Nagle's algorithm off: a reply goes out as two sends
+    (headers, then body), and with Nagle on the body would wait for the
+    client's delayed ACK of the headers.
+    """
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         """Silence per-request stderr logging (journals cover telemetry)."""
 
-    def _respond(self, status: int, payload: Mapping[str, Any]) -> None:
+    def _respond(self, status: int, payload: Mapping[str, Any], close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -158,13 +177,28 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         op = parsed.path.strip("/")
         if op not in _POST_OPS:
-            self._respond(404, {"error": f"unknown endpoint {parsed.path!r}"})
+            # The body is left unread, so the connection cannot carry on.
+            self._respond(404, {"error": f"unknown endpoint {parsed.path!r}"}, close=True)
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._respond(400, {"error": f"bad Content-Length {declared!r}"}, close=True)
+            return
+        if length > MAX_BODY_BYTES:
+            self._respond(
+                413,
+                {"error": f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"},
+                close=True,
+            )
+            return
         raw = self.rfile.read(length) if length else b""
         try:
             body = json.loads(raw.decode("utf-8")) if raw else {}
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             self._respond(400, {"error": f"invalid JSON body: {exc}"})
             return
         if not isinstance(body, dict):
@@ -175,13 +209,25 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the shared service reference."""
+    """ThreadingHTTPServer that carries the shared service reference and
+    registers each accepted connection in ``conns`` while it is open."""
 
     daemon_threads = True
 
-    def __init__(self, address: Tuple[str, int], service: EstimationService) -> None:
+    def __init__(
+        self, address: Tuple[str, int], service: EstimationService, conns: _Connections
+    ) -> None:
         super().__init__(address, _ServiceHandler)
         self.service = service
+        self.conns = conns
+
+    def process_request(self, request: socket.socket, client_address: Any) -> None:
+        self.conns.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        self.conns.discard(request)
+        super().shutdown_request(request)
 
 
 class ServiceServer:
@@ -202,7 +248,8 @@ class ServiceServer:
         binary_port: Optional[int] = None,
     ) -> None:
         self.service = service
-        self._http = _ServiceHTTPServer((host, port), service)
+        self._conns = _Connections()
+        self._http = _ServiceHTTPServer((host, port), service, self._conns)
         self._binary: Optional[socket.socket] = None
         self._binary_addr: Optional[Tuple[str, int]] = None
         if binary_port is not None:
@@ -253,15 +300,21 @@ class ServiceServer:
             pass
 
     def close(self) -> None:
-        """Stop the acceptors and release both sockets."""
+        """Stop the acceptors, release both listeners and sever every
+        open connection, so no kept-alive client reaches the service of a
+        closed server."""
         self._closing.set()
         self._http.shutdown()
         self._http.server_close()
         if self._binary is not None:
             try:
-                self._binary.close()
+                # shutdown wakes an accept() already blocked on the
+                # listener, which close() alone does not (WorkerServer.close).
+                self._binary.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._binary.close()
+        self._conns.sever()
 
     def __enter__(self) -> "ServiceServer":
         self.start()
@@ -284,21 +337,27 @@ class ServiceServer:
             ).start()
 
     def _serve_binary(self, conn: socket.socket) -> None:
-        with conn:
-            while True:
-                try:
-                    message = recv_frame(conn)
-                except (EOFError, OSError, json.JSONDecodeError):
-                    return
-                op = str(message.get("op", ""))
-                status, payload = _dispatch(self.service, op, message)
-                try:
-                    # Status code wins over any payload key of the same name
-                    # (health's "status": "ok"): the frame-level code is the
-                    # transport contract both sides dispatch on.
-                    send_frame(conn, {**payload, "status": status})
-                except OSError:
-                    return
+        self._conns.add(conn)
+        try:
+            with conn:
+                # A connection accepted while close() ran is never served.
+                while not self._closing.is_set():
+                    try:
+                        message = recv_frame(conn)
+                    except (EOFError, OSError, json.JSONDecodeError):
+                        return
+                    op = str(message.get("op", ""))
+                    status, payload = _dispatch(self.service, op, message)
+                    try:
+                        # Status code wins over any payload key of the same
+                        # name (health's "status": "ok"): the frame-level
+                        # code is the transport contract both sides
+                        # dispatch on.
+                        send_frame(conn, {**payload, "status": status})
+                    except OSError:
+                        return
+        finally:
+            self._conns.discard(conn)
 
 
 # ----------------------------------------------------------------------
@@ -309,9 +368,12 @@ class ServiceServer:
 class ServiceClient:
     """Thin stdlib client for a running :class:`ServiceServer`.
 
-    ``address`` is the HTTP ``host:port``.  :exc:`Throttled` surfaces 429
-    so callers can measure admission control; other HTTP errors raise
-    :class:`ServiceClient.Error` with the server's JSON error payload.
+    ``address`` is the HTTP ``host:port``.  Each calling thread keeps one
+    persistent ``http.client`` connection, so threads may share a client.
+    :exc:`Throttled` surfaces 429 so callers can measure admission
+    control; other HTTP errors raise :class:`ServiceClient.Error` with the
+    server's JSON error payload, and transport failures raise
+    :class:`OSError`.
     """
 
     class Error(RuntimeError):
@@ -328,26 +390,54 @@ class ServiceClient:
     def __init__(self, address: str, timeout: float = 10.0) -> None:
         self.address = address
         self.timeout = float(timeout)
+        self._local = threading.local()
 
     def _call(
         self, op: str, *, query: str = "", body: Optional[Mapping[str, Any]] = None
     ) -> Dict[str, Any]:
-        url = f"http://{self.address}/{op}{query}"
-        data = None if body is None else json.dumps(dict(body)).encode("utf-8")
-        req = _urlrequest.Request(
-            url, data=data, headers={"Content-Type": "application/json"}
-        )
-        try:
-            with _urlrequest.urlopen(req, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except HTTPError as exc:
+        """One request on the calling thread's connection (GET without a body).
+
+        ``http.client`` reconnects by itself after a reply that said
+        ``Connection: close``.  A kept-alive connection that the server
+        closed while it sat idle fails with :class:`ConnectionError`; a GET
+        is then sent once more on a fresh connection, a POST never, since
+        the server may have acted on it.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self.address, timeout=self.timeout
+            )
+        if body is None:
+            method, data, headers = "GET", None, {}
+        else:
+            method, data = "POST", json.dumps(dict(body)).encode("utf-8")
+            headers = {"Content-Type": "application/json"}
+        retry = method == "GET"
+        while True:
+            reused = conn.sock is not None
             try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except (ValueError, OSError):
-                payload = {"error": str(exc)}
-            if exc.code == 429:
-                raise ServiceClient.Throttled(exc.code, payload) from None
-            raise ServiceClient.Error(exc.code, payload) from None
+                conn.request(method, f"/{op}{query}", body=data, headers=headers)
+                resp = conn.getresponse()
+                raw = resp.read()
+                break
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if retry and reused and isinstance(exc, ConnectionError):
+                    retry = False
+                    continue
+                if isinstance(exc, OSError):
+                    raise
+                raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+        if resp.status < 400:
+            return json.loads(raw.decode("utf-8"))
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            payload = {"error": raw.decode("utf-8", "replace")}
+        if resp.status == 429:
+            raise ServiceClient.Throttled(resp.status, payload)
+        raise ServiceClient.Error(resp.status, payload)
 
     def health(self) -> Dict[str, Any]:
         """``GET /health``."""

@@ -66,10 +66,20 @@ def generator_from_state(state: Mapping[str, Any]) -> np.random.Generator:
     """Rebuild a generator from a :func:`generator_state` payload.
 
     The bit-generator class is looked up by the name recorded in the
-    state dict (``PCG64`` for every generator this package creates).
+    state dict (``PCG64`` for every generator this package creates); a
+    name that is not a :class:`numpy.random.BitGenerator` subclass raises
+    ``ValueError`` before anything is called, since the state may come
+    from a file.
     """
     name = str(state["bit_generator"])
-    bit_gen = getattr(np.random, name)()
+    cls = getattr(np.random, name, None)
+    if not (
+        isinstance(cls, type)
+        and issubclass(cls, np.random.BitGenerator)
+        and cls is not np.random.BitGenerator
+    ):
+        raise ValueError(f"unknown bit generator {name!r}")
+    bit_gen = cls()
     bit_gen.state = dict(state)
     return np.random.Generator(bit_gen)
 

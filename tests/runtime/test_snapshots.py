@@ -633,6 +633,16 @@ def _flip_byte(path):
     npz.write_bytes(bytes(data))
 
 
+def _unknown_compression(path):
+    """Give the first member an unknown compression method in the zip's
+    central directory (``zipfile`` then raises ``NotImplementedError``)."""
+    npz = path.with_suffix(".npz")
+    data = bytearray(npz.read_bytes())
+    at = data.index(b"PK\x01\x02") + 10
+    data[at : at + 2] = (99).to_bytes(2, "little")
+    npz.write_bytes(bytes(data))
+
+
 def _set(name, fn):
     def mutate(arrays):
         arrays[f"scheduler/graph/{name}"] = fn(arrays[f"scheduler/graph/{name}"].copy())
@@ -683,6 +693,7 @@ ARTIFACT_FAULTS = {
         "BadZipFile",
     ),
     "flipped_byte": (_flip_byte, "CRC-32|sha256"),
+    "unknown_compression": (_unknown_compression, "NotImplementedError"),
     "sha256_mismatch": (
         lambda path: _rewrite_arrays(
             path, _set("indices", lambda a: _assign(a, 0, a[0] ^ 1)), manifest=False

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import re
 
 import pytest
 
 from repro.analysis.obs_report import read_journal, validate_journal
 from repro.experiments.cli import build_parser, main
+from repro.runtime.store import read_archive
 
 
 class TestParsing:
@@ -74,7 +74,7 @@ class TestServeSmoke:
         assert "service listening on 127.0.0.1:" in out
 
         # The bounded ticker crossed two snapshot_every=3 boundaries.
-        assert json.loads(snapshot_path.read_text())["round"] == 6
+        assert read_archive(snapshot_path)["round"] == 6
         events = read_journal(journal_path)
         assert validate_journal(events) == []
         kinds = [e["event"] for e in events]
@@ -95,7 +95,7 @@ class TestServeSmoke:
         assert main(base + ["--rounds", "8", "--snapshot-every", "4"]) == 0
         out = capsys.readouterr().out
         assert f"service restored from {snapshot_path} (round 4" in out
-        assert json.loads(snapshot_path.read_text())["round"] == 8
+        assert read_archive(snapshot_path)["round"] == 8
 
     def test_truncated_checkpoint_is_a_clean_exit_2(self, capsys, tmp_path):
         snapshot_path = tmp_path / "svc.json"
@@ -110,7 +110,10 @@ class TestServeSmoke:
         capsys.readouterr()
         assert main(base + ["--rounds", "4"]) == 2
         captured = capsys.readouterr()
-        assert f"serve: cannot restore {snapshot_path}: JSONDecodeError" in captured.err
+        assert captured.err.startswith(
+            f"serve: cannot restore {snapshot_path}: SnapshotRejected: BadZipFile"
+        )
+        assert captured.err.count("\n") == 1
         assert "service listening" not in captured.out
         assert snapshot_path.read_bytes() == data[: len(data) // 2]  # left as found
 

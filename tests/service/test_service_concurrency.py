@@ -9,29 +9,13 @@ operational counters must also add up exactly across all writer threads.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
-from repro.service.core import EstimationService, ServiceConfig
+from repro.runtime.store import read_archive
+from repro.service.core import EstimationService
 
-
-def small_config(**overrides):
-    base = dict(
-        seed=11,
-        initial_size=300,
-        estimators=("sample_collide", "aggregation"),
-        probe_interval=5,
-        sc_l=10,
-        sc_timer=5.0,
-        agg_restart_interval=10,
-    )
-    base.update(overrides)
-    return ServiceConfig(**base)
-
-
-def canonical(service: EstimationService) -> str:
-    return json.dumps(service.snapshot(), sort_keys=True)
+from test_service_core import canonical, small_config
 
 
 class TestConcurrentIngestAndCheckpoint:
@@ -72,7 +56,7 @@ class TestConcurrentIngestAndCheckpoint:
                 path = tmp_path / f"ckpt-{i}.json"
                 service.checkpoint(str(path))
                 restored = EstimationService.from_checkpoint(str(path))
-                payload = json.loads(path.read_text())
+                payload = read_archive(path)
                 # The cut is internally consistent: the restored replica
                 # reports exactly the captured round and pending queue.
                 assert restored.round == payload["round"]

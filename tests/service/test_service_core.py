@@ -2,17 +2,20 @@
 
 The acceptance contract of docs/SERVICE.md: a service killed mid-stream
 and restored from its last checkpoint is **bit-identical** (canonical
-JSON snapshot equality) to an uninterrupted run at the same round, given
-the same post-restore event stream.
+snapshot equality: sorted JSON with every array as its dtype and bytes)
+to an uninterrupted run at the same round, given the same post-restore
+event stream.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.runtime import JournalReporter, TelemetryCollector
+from repro.runtime.store import read_archive, write_archive
 from repro.analysis.obs_report import read_journal, validate_journal
 from repro.service import (
     SERVICE_FAMILIES,
@@ -38,8 +41,17 @@ def small_config(**overrides):
     return ServiceConfig(**base)
 
 
+def plain(value):
+    """``value`` with every array replaced by its dtype and bytes (hex)."""
+    if isinstance(value, np.ndarray):
+        return [value.dtype.str, value.tobytes().hex()]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
+
+
 def canonical(service: EstimationService) -> str:
-    return json.dumps(service.snapshot(), sort_keys=True)
+    return json.dumps(plain(service.snapshot()), sort_keys=True)
 
 
 class FakeClock:
@@ -161,6 +173,17 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             service.ingest([{"frac_leaves": 1.5}])
 
+    @pytest.mark.parametrize(
+        "event", [{"joins": 1.5}, {"leaves": 3.0}, {"frac_joins": float("inf")}]
+    )
+    def test_ingest_refuses_what_the_next_tick_would_fail_on(self, event):
+        """Such an event used to queue, then kill the tick that applied it."""
+        service = EstimationService(small_config())
+        with pytest.raises(ValueError):
+            service.ingest([event])
+        assert service.health()["queued"] == 0
+        assert service.tick() == 1
+
 
 class TestAdmission:
     def test_estimate_throttles_beyond_max_qps(self):
@@ -223,15 +246,22 @@ class TestCheckpointRestore:
         assert restored.graph.size == witness.graph.size
         assert restored.read_estimates() == witness.read_estimates()
 
-    def test_snapshot_payload_is_pure_json_data(self):
+    def test_snapshot_payload_is_json_data_plus_arrays(self, tmp_path):
         service = EstimationService(small_config())
         service.tick(3)
         payload = service.snapshot()
         assert payload["schema"] == SERVICE_SCHEMA_VERSION
-        rebuilt = EstimationService.from_snapshot(
-            json.loads(json.dumps(payload))
-        )
-        assert canonical(rebuilt) == json.dumps(payload, sort_keys=True)
+        # The overlay travels as its packed twin, the monitor's per-node
+        # values as arrays; everything else is plain JSON data.
+        assert sorted(payload["scheduler"]["graph"]) == ["indices", "indptr", "next_id", "nodes"]
+        protocol = payload["families"]["aggregation"]["monitor"]["protocol"]
+        assert protocol["nodes"].dtype == np.int64
+        assert protocol["values"].dtype == np.float64
+        target = tmp_path / "payload.npz"
+        with open(target, "wb") as fh:
+            write_archive(fh, payload)
+        rebuilt = EstimationService.from_snapshot(read_archive(target))
+        assert canonical(rebuilt) == json.dumps(plain(payload), sort_keys=True)
 
     def test_unsupported_schema_rejected(self):
         service = EstimationService(small_config())
