@@ -12,9 +12,12 @@ failures — can never change what a batch computes, only where.
 Transport
 ---------
 The wire format follows the lightweight self-describing RPC approach of
-the Mercury extreme-scale RPC design rather than a heavyweight framework:
-each message is one pickled dict behind an 8-byte big-endian length
-prefix (:func:`send_message` / :func:`recv_message`).  A worker is just
+the Mercury extreme-scale RPC design rather than a heavyweight framework,
+which keeps small metadata apart from bulk buffers: each message is one
+dict pickled at protocol 5 behind an 8-byte big-endian length prefix, and
+every numpy array in it travels out of band, sent from its own memory and
+read straight into the buffer it is rebuilt over (:func:`send_message` /
+:func:`recv_message`).  A worker is just
 ``repro-experiment worker serve --bind HOST:PORT`` — it accepts
 connections, answers a handshake, and then runs
 :func:`~repro.runtime.trials.run_chunk` on every ``chunk`` message it
@@ -54,9 +57,10 @@ dispatch threads are doing.
 Scheduling
 ----------
 The driver keeps the snapshot backbone (:class:`~repro.runtime.pool
-.SnapshotBackbone`) local: it resolves every chunk's predecessor-boundary
-snapshot up front and retains the payloads until the chunk completes, so
-a chunk can be re-shipped anywhere at any time.  Chunks are dealt into
+.SnapshotBackbone`) local and advances it on its main thread only: a
+chunk's predecessor-boundary snapshot is resolved, in chunk order, when a
+host thread claims that chunk, and held until the chunk completes, so a
+failed chunk can be re-shipped anywhere.  Chunks are dealt into
 per-host queues — round-robin by default, or proportionally to observed
 per-trial latency once an executor has served a batch to every host
 (per-host chunk-size adaptation; see :meth:`ClusterExecutor._plan`).  One
@@ -65,9 +69,10 @@ the tail** of the longest live queue (``steal`` event).  A connection
 failure is retried with exponential backoff; once retries are exhausted
 — or the heartbeat monitor gives up first — the host is declared lost
 (``worker_lost``) and its queued + in-flight chunks **migrate** — each
-with its retained boundary snapshot — to the surviving hosts
+with its held boundary snapshot — to the surviving hosts
 (``chunk_migrated``).  If every host dies, the remaining chunks re-run
-serially in the driver (``partial_fallback``), keeping completed chunks.
+serially in the driver (``partial_fallback``), keeping completed chunks
+and resolving the boundaries no host claimed.
 All of these events flow through the same
 :meth:`~repro.runtime.progress.ProgressReporter.on_event` stream as the
 pool's, so journals, ``obs summary|trace|validate`` and the telemetry
@@ -85,7 +90,6 @@ timeline.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import pickle
@@ -115,17 +119,28 @@ __all__ = [
 #: The one version driver and worker speak; ``hello`` and ``welcome``
 #: both carry it, and any other value (or a non-integer) fails the
 #: connection immediately rather than mis-deserializing mid-batch.
-#: v2 added the heartbeat session role (ping/pong liveness probes).
-PROTOCOL_VERSION = 2
+#: v2 added the heartbeat session role (ping/pong liveness probes); v3
+#: sends numpy arrays as out-of-band buffers behind the pickled metadata.
+PROTOCOL_VERSION = 3
 
 #: 8-byte big-endian unsigned length prefix framing every message.
 _HEADER = struct.Struct(">Q")
 
-#: Upper bound on a single framed message — far above any real chunk
-#: (specs + a snapshot whose packed overlay arrays take ~5 MB at n = 100k),
-#: low enough to reject garbage prefixes from a confused peer before
-#: attempting a giant allocation.
+#: What follows the length prefix: the out-of-band buffer count and the
+#: size of the pickled metadata; one ``>Q`` size per buffer comes next.
+_LAYOUT = struct.Struct(">IQ")
+_SIZE = struct.Struct(">Q")
+
+#: Upper bound on a single framed message, buffers included — far above
+#: any real chunk (specs + a snapshot whose packed overlay arrays take
+#: ~3.5 MB at n = 100k), low enough to reject a garbage prefix from a
+#: confused peer before allocating anything.
 MAX_MESSAGE_BYTES = 1 << 31
+
+#: Most out-of-band buffers a received frame may announce (a hand-off
+#: snapshot has three); it bounds the size table read before the
+#: length checks.
+MAX_FRAME_BUFFERS = 512
 
 
 # ----------------------------------------------------------------------
@@ -133,20 +148,68 @@ MAX_MESSAGE_BYTES = 1 << 31
 # ----------------------------------------------------------------------
 
 
-def send_message(sock: socket.socket, message: Mapping[str, Any]) -> None:
-    """Frame and send one message: 8-byte length prefix + pickled dict.
+def _encode(message: Mapping[str, Any]) -> List[memoryview]:
+    """The frame of ``message``: its head, then one view per array buffer.
 
-    The dict is pickled straight after a placeholder prefix, so the frame
-    is built in one buffer with no whole-payload copy, and goes out in one
-    ``sendall`` (no socket sets ``TCP_NODELAY``: a separate header send
-    could hold a small payload back behind Nagle's algorithm).
+    The dict is pickled at protocol 5 with a ``buffer_callback``, so every
+    contiguous numpy array stays in its own memory and is sent from
+    there.  The head holds the length prefix, the layout, the buffer
+    sizes and the pickled metadata.
     """
-    frame = io.BytesIO()
-    frame.write(bytes(_HEADER.size))
-    pickle.dump(dict(message), frame, protocol=pickle.HIGHEST_PROTOCOL)
-    with frame.getbuffer() as view:
-        _HEADER.pack_into(view, 0, len(view) - _HEADER.size)
-        sock.sendall(view)
+    buffers: List[pickle.PickleBuffer] = []
+    meta = pickle.dumps(dict(message), protocol=5, buffer_callback=buffers.append)
+    views = [buffer.raw() for buffer in buffers]
+    sizes = [len(view) for view in views]
+    length = _LAYOUT.size + _SIZE.size * len(sizes) + len(meta) + sum(sizes)
+    head = b"".join(
+        [
+            _HEADER.pack(length),
+            _LAYOUT.pack(len(sizes), len(meta)),
+            *(_SIZE.pack(size) for size in sizes),
+            meta,
+        ]
+    )
+    return [memoryview(head), *views]
+
+
+def _send_views(sock: socket.socket, views: List[memoryview]) -> None:
+    """Send ``views`` in order with as few ``sendmsg`` calls as it takes.
+
+    One gathered call hands the kernel the whole frame, so no part waits
+    behind Nagle's algorithm for the acknowledgement of an earlier one
+    (no socket sets ``TCP_NODELAY``).
+    """
+    views = [view for view in views if len(view)]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if sent:
+            views[0] = views[0][sent:]
+
+
+def send_message(sock: socket.socket, message: Mapping[str, Any]) -> None:
+    """Frame and send one message: a small head, then each array's bytes.
+
+    Layout (all integers big-endian): the 8-byte total length of what
+    follows; the buffer count (4 bytes) and the metadata size (8 bytes);
+    one 8-byte size per buffer; the protocol-5 pickle of the dict; the
+    buffers, in the order the pickle refers to them.
+    """
+    _send_views(sock, _encode(message))
+
+
+def _torn_frame(message: Mapping[str, Any]) -> bytes:
+    """The frame of ``message`` cut halfway through its last section.
+
+    The last section is the buffers when the message carries arrays and
+    the pickled metadata otherwise; the peer reads a valid prefix and
+    layout, then runs out of bytes — what a sender dying mid-frame looks
+    like.
+    """
+    head, *buffers = _encode(message)
+    last = sum(map(len, buffers)) or len(head) - _HEADER.size - _LAYOUT.size
+    return b"".join([head, *buffers])[: -((last + 1) // 2)]
 
 
 def _recv_exact(sock: socket.socket, size: int) -> bytes:
@@ -161,8 +224,24 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes:
     return b"".join(chunks)
 
 
+def _recv_into(sock: socket.socket, buffer: bytearray) -> None:
+    """Fill ``buffer`` from ``sock`` in place (no intermediate copy)."""
+    view = memoryview(buffer)
+    while len(view):
+        got = sock.recv_into(view)
+        if not got:
+            raise EOFError("peer closed the connection mid-message")
+        view = view[got:]
+
+
 def recv_message(sock: socket.socket) -> Dict[str, Any]:
-    """Receive one framed message; raises :class:`EOFError` on a clean close."""
+    """Receive one framed message; raises :class:`EOFError` on a clean close.
+
+    Every size is checked against the frame's length before anything it
+    sizes is allocated or read, and the frame's length against
+    :data:`MAX_MESSAGE_BYTES`; a violation raises :class:`OSError`.  Each
+    buffer is read straight into the ``bytearray`` its array then wraps.
+    """
     header = sock.recv(_HEADER.size)
     if not header:
         raise EOFError("peer closed the connection")
@@ -174,7 +253,25 @@ def recv_message(sock: socket.socket) -> Dict[str, Any]:
             f"framed message of {length} bytes exceeds the "
             f"{MAX_MESSAGE_BYTES}-byte limit (corrupt stream?)"
         )
-    message = pickle.loads(_recv_exact(sock, length))
+    if length < _LAYOUT.size:
+        raise OSError(f"framed message of {length} bytes has no layout")
+    count, meta_size = _LAYOUT.unpack(_recv_exact(sock, _LAYOUT.size))
+    if count > MAX_FRAME_BUFFERS or _LAYOUT.size + _SIZE.size * count > length:
+        raise OSError(
+            f"framed message announces {count} buffers (at most "
+            f"{MAX_FRAME_BUFFERS}, within {length} bytes)"
+        )
+    sizes = struct.unpack(f">{count}Q", _recv_exact(sock, _SIZE.size * count))
+    if _LAYOUT.size + _SIZE.size * count + meta_size + sum(sizes) != length:
+        raise OSError(
+            f"framed message sections do not add up to its {length} bytes"
+        )
+    meta = _recv_exact(sock, meta_size)
+    buffers: List[bytearray] = []
+    for size in sizes:
+        buffers.append(bytearray(size))
+        _recv_into(sock, buffers[-1])
+    message = pickle.loads(meta, buffers=buffers)
     if not isinstance(message, dict):
         raise OSError(f"expected a message dict, got {type(message).__name__}")
     return message
@@ -583,11 +680,8 @@ class WorkerServer:
                 self._inject(
                     "truncate_frame", f"truncated result frame {frame}"
                 )
-                payload = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
                 try:
-                    conn.sendall(
-                        _HEADER.pack(len(payload)) + payload[: len(payload) // 2]
-                    )
+                    conn.sendall(_torn_frame(reply))
                 except OSError:
                     pass
                 return
@@ -681,15 +775,24 @@ class _WorkerSession:
 
 
 class _RunState:
-    """Shared scheduler state for one batch (guarded by ``cond``)."""
+    """Shared scheduler state for one batch (guarded by ``cond``).
+
+    Boundary hand-off: chunks ``[0, resolved)`` have their boundary
+    snapshot resolved, and ``payloads`` holds it for each of them that
+    has not completed.  ``claimed`` is one past the highest chunk id any
+    host has claimed; the driver's main thread resolves boundaries in
+    chunk order until ``resolved`` catches up with it.
+    """
 
     def __init__(
         self,
         chunks: Sequence[Sequence[TrialSpec]],
         hosts: Sequence[str],
         dealt: Optional[Mapping[str, Sequence[int]]] = None,
+        boundaries: Optional[Sequence[int]] = None,
     ) -> None:
         self.cond = threading.Condition()
+        self.chunks = chunks
         self.total_chunks = len(chunks)
         self.total_trials = sum(len(chunk) for chunk in chunks)
         self.queues: Dict[str, deque] = {host: deque() for host in hosts}
@@ -699,12 +802,23 @@ class _RunState:
         else:
             for host, ids in dealt.items():
                 self.queues[host].extend(ids)
+        # The boundary each chunk resumes from; a batch without them
+        # ships no snapshots, so it starts out resolved.
+        self.boundaries: List[Optional[int]] = (
+            list(boundaries) if boundaries is not None else [None] * len(chunks)
+        )
+        self.resolved = 0 if boundaries is not None else len(chunks)
+        self.claimed = 0
+        self.payloads: Dict[int, Optional[Mapping[str, Any]]] = {}
         self.live = set(hosts)
+        self.dispatching = len(hosts)
         self.in_flight: Dict[str, int] = {}
         self.completed: Dict[int, List[TrialResult]] = {}
         self.announced: set = set()
         self.done_trials = 0
-        self.error: Optional[Tuple[int, str]] = None
+        # The batch's failure: a worker's error frame or a boundary that
+        # could not be resolved.  ``run`` raises it once threads drain.
+        self.error: Optional[Exception] = None
         # Dispatch sessions by host, registered so the heartbeat monitor
         # can sever a blocked request when it declares the host dead.
         self.sessions: Dict[str, _WorkerSession] = {}
@@ -818,12 +932,15 @@ class ClusterExecutor:
         started = time.perf_counter()
         self.progress.on_event("batch_start", total=len(specs), workers=len(self.hosts))
         chunks, dealt = self._plan(specs)
-        boundaries, payloads = self._boundary_payloads(chunks)
-        state = _RunState(chunks, self.hosts, dealt)
+        backbone = boundaries = None
+        if len(chunks) > 1 and chunks[0][0].kind in SNAPSHOT_KINDS:
+            backbone = SnapshotBackbone(chunks[0][0], self.snapshot_store, self.progress)
+            boundaries = [min(spec.index for spec in chunk) - 1 for chunk in chunks]
+        state = _RunState(chunks, self.hosts, dealt, boundaries)
         threads = [
             threading.Thread(
                 target=self._serve_host,
-                args=(state, host, chunks, boundaries, payloads),
+                args=(state, host),
                 name=f"cluster-{host}",
                 daemon=True,
             )
@@ -844,6 +961,8 @@ class ClusterExecutor:
             thread.start()
         for monitor in monitors:
             monitor.start()
+        if backbone is not None:
+            self._feed_boundaries(state, backbone)
         for thread in threads:
             thread.join()
         state.finished.set()
@@ -852,14 +971,13 @@ class ClusterExecutor:
             state.monitor_sessions.clear()
         for session in leftover_sessions:
             session.close()
+        # No thread outlives the batch: a monitor's pause ends on
+        # ``finished`` and its dial and ping are bounded by their timeouts.
         for monitor in monitors:
-            monitor.join(timeout=0.5)
+            monitor.join()
 
         if state.error is not None:
-            chunk_id, remote_error = state.error
-            raise RuntimeError(
-                f"chunk {chunk_id} failed on a cluster worker:\n{remote_error}"
-            )
+            raise state.error
 
         leftover = [
             i for i in range(len(chunks)) if i not in state.completed
@@ -877,8 +995,10 @@ class ClusterExecutor:
             )
             for chunk_id in leftover:
                 if chunk_id not in state.announced:
-                    self._chunk_start(chunk_id, chunks, boundaries)
-                part = run_chunk(chunks[chunk_id], payloads.get(chunk_id))
+                    self._chunk_start(state, chunk_id)
+                while state.resolved <= chunk_id:
+                    self._resolve_next(state, backbone)
+                part = run_chunk(chunks[chunk_id], state.payloads.get(chunk_id))
                 self._record(state, None, chunk_id, part)
 
         results = [r for i in sorted(state.completed) for r in state.completed[i]]
@@ -956,29 +1076,49 @@ class ClusterExecutor:
             else:
                 self._latency[host] = 0.5 * previous + 0.5 * per_trial
 
-    def _boundary_payloads(
-        self, chunks: Sequence[Sequence[TrialSpec]]
-    ) -> Tuple[Dict[int, Optional[int]], Dict[int, Optional[Mapping[str, Any]]]]:
-        """Resolve every chunk's hand-off snapshot before dispatch begins.
+    # -- boundary hand-off (main thread) ------------------------------------
 
-        Unlike the pool — where a boundary payload is consumed by exactly
-        one submission — the cluster retains all payloads for the whole
-        batch, because any chunk may need re-shipping to a different host
-        after a failure.  The backbone advance is the same single
-        O(horizon) pass either way.
+    def _feed_boundaries(self, state: _RunState, backbone: SnapshotBackbone) -> None:
+        """Resolve boundaries as hosts claim chunks, until dispatch drains.
+
+        Runs on the driver's main thread, the only thread that touches
+        the backbone.  Unlike the pool — where a payload is consumed by
+        exactly one submission — a chunk's payload is held until the chunk
+        completes, because a failure may re-ship it to another host.  A
+        boundary that cannot be resolved becomes the batch's error: the
+        waiting hosts exit, and :meth:`run` raises it.
         """
-        boundaries: Dict[int, Optional[int]] = {i: None for i in range(len(chunks))}
-        payloads: Dict[int, Optional[Mapping[str, Any]]] = {
-            i: None for i in range(len(chunks))
-        }
-        if len(chunks) == 1 or chunks[0][0].kind not in SNAPSHOT_KINDS:
-            return boundaries, payloads
-        backbone = SnapshotBackbone(chunks[0][0], self.snapshot_store, self.progress)
-        for i, chunk in enumerate(chunks):
-            target = min(spec.index for spec in chunk) - 1
-            boundaries[i] = target
-            payloads[i] = backbone.payload_at(target)
-        return boundaries, payloads
+        while True:
+            with state.cond:
+                state.cond.wait_for(
+                    lambda: not state.dispatching
+                    or state.error is not None
+                    or state.claimed > state.resolved
+                )
+                if not state.dispatching or state.error is not None:
+                    return
+            try:
+                self._resolve_next(state, backbone)
+            except Exception as exc:
+                with state.cond:
+                    if state.error is None:
+                        state.error = exc
+                    state.cond.notify_all()
+                return
+
+    def _resolve_next(self, state: _RunState, backbone: SnapshotBackbone) -> None:
+        """Advance the backbone to the next chunk's boundary and hold it.
+
+        Boundaries resolve in chunk order, which keeps the backbone's
+        targets monotone; the advance runs outside the lock, so hosts keep
+        dispatching and recording meanwhile.
+        """
+        chunk_id = state.resolved
+        payload = backbone.payload_at(state.boundaries[chunk_id])
+        with state.cond:
+            state.payloads[chunk_id] = payload
+            state.resolved = chunk_id + 1
+            state.cond.notify_all()
 
     # -- heartbeat monitor -------------------------------------------------
 
@@ -1054,21 +1194,15 @@ class ClusterExecutor:
 
     # -- per-host driver thread --------------------------------------------
 
-    def _serve_host(
-        self,
-        state: _RunState,
-        host: str,
-        chunks: Sequence[Sequence[TrialSpec]],
-        boundaries: Mapping[int, Optional[int]],
-        payloads: Mapping[int, Optional[Mapping[str, Any]]],
-    ) -> None:
+    def _serve_host(self, state: _RunState, host: str) -> None:
         session: Optional[_WorkerSession] = None
         failures = 0
         try:
             while True:
-                chunk_id = self._claim(state, host, chunks, boundaries)
-                if chunk_id is None:
+                chunk_id = self._claim(state, host)
+                if chunk_id is None or not self._await_boundary(state, host, chunk_id):
                     return
+                chunk = state.chunks[chunk_id]
                 try:
                     if session is None:
                         session = _WorkerSession.connect(host, self.connect_timeout)
@@ -1082,8 +1216,8 @@ class ClusterExecutor:
                         {
                             "type": "chunk",
                             "chunk": chunk_id,
-                            "specs": list(chunks[chunk_id]),
-                            "snapshot": payloads.get(chunk_id),
+                            "specs": list(chunk),
+                            "snapshot": state.payloads.get(chunk_id),
                         }
                     )
                     elapsed = time.perf_counter() - dispatched
@@ -1112,7 +1246,7 @@ class ClusterExecutor:
                     return
                 failures = 0
                 if reply.get("type") == "result":
-                    self._note_latency(host, elapsed, len(chunks[chunk_id]))
+                    self._note_latency(host, elapsed, len(chunk))
                     self._record(state, host, chunk_id, reply.get("results") or [])
                 else:
                     # A worker-side exception is deterministic — the chunk
@@ -1120,9 +1254,9 @@ class ClusterExecutor:
                     # of migrating.
                     with state.cond:
                         if state.error is None:
-                            state.error = (
-                                chunk_id,
-                                str(reply.get("error", reply)),
+                            state.error = RuntimeError(
+                                f"chunk {chunk_id} failed on a cluster worker:\n"
+                                f"{reply.get('error', reply)}"
                             )
                         state.in_flight.pop(host, None)
                         state.cond.notify_all()
@@ -1131,21 +1265,19 @@ class ClusterExecutor:
             with state.cond:
                 if state.sessions.get(host) is session:
                     state.sessions.pop(host, None)
+                state.dispatching -= 1
+                state.cond.notify_all()
             if session is not None:
                 session.close(polite=True)
 
-    def _claim(
-        self,
-        state: _RunState,
-        host: str,
-        chunks: Sequence[Sequence[TrialSpec]],
-        boundaries: Mapping[int, Optional[int]],
-    ) -> Optional[int]:
+    def _claim(self, state: _RunState, host: str) -> Optional[int]:
         """Pop this host's next chunk, stealing from a busy peer when idle.
 
         Blocks while other live hosts still have queued or in-flight work
         that could migrate here; returns ``None`` when the batch is done,
-        aborted, or no future work can possibly reach this host.
+        aborted, or no future work can possibly reach this host.  A chunk
+        that completed elsewhere while it sat in a queue — say, migrated
+        off a host whose result was already on its way — is dropped.
         """
         with state.cond:
             while True:
@@ -1165,14 +1297,18 @@ class ClusterExecutor:
                         stolen_from = victim
                 if queue:
                     chunk_id = queue.popleft()
+                    if chunk_id in state.completed:
+                        continue
                     state.in_flight[host] = chunk_id
+                    state.claimed = max(state.claimed, chunk_id + 1)
+                    state.cond.notify_all()
                     if stolen_from is not None:
                         self.progress.on_event(
                             "steal", chunk=chunk_id, from_host=stolen_from, to_host=host
                         )
                     if chunk_id not in state.announced:
                         state.announced.add(chunk_id)
-                        self._chunk_start(chunk_id, chunks, boundaries)
+                        self._chunk_start(state, chunk_id)
                     return chunk_id
                 if len(state.completed) == state.total_chunks:
                     return None
@@ -1183,6 +1319,20 @@ class ClusterExecutor:
                 if not pending_elsewhere:
                     return None
                 state.cond.wait(timeout=0.05)
+
+    def _await_boundary(self, state: _RunState, host: str, chunk_id: int) -> bool:
+        """Wait until the main thread has resolved ``chunk_id``'s boundary.
+
+        ``False`` means the batch aborted or this host was declared lost
+        meanwhile (its claimed chunk has then already migrated).
+        """
+        with state.cond:
+            state.cond.wait_for(
+                lambda: state.resolved > chunk_id
+                or state.error is not None
+                or host not in state.live
+            )
+            return state.error is None and host in state.live
 
     def _host_lost(
         self,
@@ -1235,17 +1385,12 @@ class ClusterExecutor:
         for session in sessions:
             session.close()
 
-    def _chunk_start(
-        self,
-        chunk_id: int,
-        chunks: Sequence[Sequence[TrialSpec]],
-        boundaries: Mapping[int, Optional[int]],
-    ) -> None:
+    def _chunk_start(self, state: _RunState, chunk_id: int) -> None:
         self.progress.on_event(
             "chunk_start",
             chunk=chunk_id,
-            trials=len(chunks[chunk_id]),
-            boundary=boundaries[chunk_id],
+            trials=len(state.chunks[chunk_id]),
+            boundary=state.boundaries[chunk_id],
         )
 
     def _record(
@@ -1255,7 +1400,8 @@ class ClusterExecutor:
         chunk_id: int,
         results: List[TrialResult],
     ) -> None:
-        """Record a completed chunk exactly once and wake waiting peers.
+        """Record a completed chunk exactly once, drop its boundary payload
+        and wake waiting peers.
 
         ``host`` is ``None`` for a chunk the driver ran itself.
         """
@@ -1263,6 +1409,7 @@ class ClusterExecutor:
             state.in_flight.pop(host, None)
             if chunk_id not in state.completed:
                 state.completed[chunk_id] = results
+                state.payloads.pop(chunk_id, None)
                 state.done_trials += len(results)
                 self.progress.on_event(
                     "chunk_done", chunk=chunk_id, trials=len(results), results=results

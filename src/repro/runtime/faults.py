@@ -280,12 +280,20 @@ def chaos_matrix(slow_seconds: float = 0.2) -> Dict[str, FaultPlan]:
     One plan per failure class the acceptance criteria name — worker
     kill, heartbeat stall, frame truncation, slow host — each targeting a
     different worker index so 2- and 3-host runs both exercise it.
+
+    The kill and truncation faults fire on their host's first chunk.
+    That chunk heads the host's dealt queue, and a peer steals from a
+    queue's tail, only once its own queue is empty, so peers could reach
+    that head only after claiming every other chunk of the batch — long
+    after the host's thread has claimed it.  How many chunks a host
+    serves after its first depends on stealing and latency, so a fault
+    keyed to a later chunk fires on some runs only.
     """
     return {
         "kill_worker": FaultPlan(
             seed=101,
             name="kill_worker",
-            events=(Fault("kill_worker", host=1, after=1),),
+            events=(Fault("kill_worker", host=1, after=0),),
         ),
         "heartbeat_stall": FaultPlan(
             seed=102,
@@ -295,7 +303,7 @@ def chaos_matrix(slow_seconds: float = 0.2) -> Dict[str, FaultPlan]:
         "frame_truncate": FaultPlan(
             seed=103,
             name="frame_truncate",
-            events=(Fault("truncate_frame", host=0, after=1),),
+            events=(Fault("truncate_frame", host=0, after=0),),
         ),
         "slow_host": FaultPlan(
             seed=104,

@@ -22,6 +22,7 @@ import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.analysis.obs_report import (
@@ -51,10 +52,12 @@ from repro.runtime import (
 from repro.runtime.cluster import (
     MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
+    _RunState,
     _WorkerSession,
     recv_message,
     send_message,
 )
+from repro.runtime.pool import SnapshotBackbone
 from repro.sim.rng import RngHub
 
 
@@ -206,16 +209,43 @@ class TestProtocol:
     def test_non_dict_message_rejected(self):
         a, b = socket.socketpair()
         try:
-            blob = pickle.dumps([1, 2, 3])
-            a.sendall(struct.pack(">Q", len(blob)) + blob)
-            with pytest.raises(OSError):
+            blob = pickle.dumps([1, 2, 3], protocol=5)
+            layout = struct.pack(">IQ", 0, len(blob))
+            a.sendall(struct.pack(">Q", len(layout) + len(blob)) + layout + blob)
+            with pytest.raises(OSError, match="expected a message dict"):
                 recv_message(b)
         finally:
             a.close(), b.close()
 
+    def test_arrays_round_trip_through_partial_sends(self):
+        """A frame far larger than the socket buffer, sent from a socket
+        with a timeout (whose sends may stop short), arrives whole."""
+        a, b = socket.socketpair()
+        a.settimeout(10.0)
+        message = {
+            "type": "chunk",
+            "snapshot": {
+                "nodes": np.arange(300_000, dtype=np.int32),
+                "indices": np.arange(1_000_000, dtype=np.int64)[::-1].copy(),
+                "values": np.linspace(0.0, 1.0, 200_000),
+            },
+        }
+        sender = threading.Thread(target=send_message, args=(a, message))
+        try:
+            sender.start()
+            got = recv_message(b)
+            sender.join()
+        finally:
+            a.close(), b.close()
+        assert got["type"] == "chunk"
+        for name, array in message["snapshot"].items():
+            assert got["snapshot"][name].dtype == array.dtype
+            np.testing.assert_array_equal(got["snapshot"][name], array)
+
     @pytest.mark.parametrize(
         "bad_version",
-        [0, -1, "2", None, True, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1],
+        # 1 is a retired version; the string spells the right number.
+        [0, -1, 1, str(PROTOCOL_VERSION), None, True, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1],
     )
     def test_handshake_invalid_version_is_fatal(self, bad_version):
         """Any hello but exactly PROTOCOL_VERSION gets an error frame, and
@@ -302,7 +332,7 @@ class TestClusterDeterminism:
             results = ClusterExecutor(hosts).run(list(specs))
         assert_results_equal(serial, results)
 
-    @pytest.mark.parametrize("host_count", [2, 3])
+    @pytest.mark.parametrize("host_count", [1, 2, 3])
     def test_replay_kind_matches_serial(self, host_count):
         specs = _replay_specs()
         serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
@@ -548,6 +578,169 @@ class TestScheduling:
 
     def test_empty_batch(self):
         assert ClusterExecutor(["127.0.0.1:1"]).run([]) == []
+
+
+class _CountingBackbone:
+    """A stand-in backbone: one fresh payload per boundary, targets logged."""
+
+    def __init__(self):
+        self.targets = []
+
+    def payload_at(self, target):
+        self.targets.append(target)
+        return {"boundary": target}
+
+
+def _hand_built_state(chunk_count, hosts, boundaries=True):
+    """A batch's scheduler state with no threads, sockets or backbone."""
+    specs = _static_specs(count=2 * chunk_count)
+    chunks = [specs[2 * i : 2 * i + 2] for i in range(chunk_count)]
+    targets = [10 * i for i in range(chunk_count)] if boundaries else None
+    return _RunState(chunks, hosts, boundaries=targets)
+
+
+class TestBoundaryHandOff:
+    """The scheduler state machine driven step by step: no thread timing."""
+
+    def test_claim_skips_a_chunk_completed_elsewhere(self):
+        telemetry = TelemetryCollector()
+        executor = ClusterExecutor(["a:1"], progress=telemetry)
+        state = _hand_built_state(3, ["a:1"], boundaries=False)
+        # Chunk 1 finished on another host while still queued here.
+        executor._record(state, "b:2", 1, [])
+        assert executor._claim(state, "a:1") == 0
+        executor._record(state, "a:1", 0, [])
+        assert executor._claim(state, "a:1") == 2
+        executor._record(state, "a:1", 2, [])
+        assert executor._claim(state, "a:1") is None
+        starts = [e["chunk"] for e in telemetry.events if e["event"] == "chunk_start"]
+        assert starts == [0, 2]
+
+    def test_steal_skips_a_chunk_completed_elsewhere(self):
+        hosts = ["a:1", "b:2"]
+        telemetry = TelemetryCollector()
+        executor = ClusterExecutor(hosts, progress=telemetry)
+        state = _hand_built_state(6, hosts, boundaries=False)
+        state.queues["a:1"].clear()
+        # b's tail (chunk 5) completed already; a steals 3 instead.
+        executor._record(state, None, 5, [])
+        assert executor._claim(state, "a:1") == 3
+        assert [e["chunk"] for e in telemetry.events if e["event"] == "steal"] == [3]
+        assert list(state.queues["b:2"]) == [1]
+
+    @pytest.mark.parametrize("host_count", [1, 2, 3])
+    def test_round_robin_claims_hold_one_payload_per_host(self, host_count):
+        hosts = [f"h{i}:1" for i in range(host_count)]
+        executor = ClusterExecutor(hosts)
+        state = _hand_built_state(8, hosts)
+        backbone = _CountingBackbone()
+        held = []
+
+        def claim(host):
+            chunk_id = executor._claim(state, host)
+            while state.resolved < state.claimed:
+                executor._resolve_next(state, backbone)
+            assert state.payloads[chunk_id] == {"boundary": state.boundaries[chunk_id]}
+            held.append(len(state.payloads))
+            return chunk_id
+
+        running = {host: claim(host) for host in hosts}
+        while running:
+            for host in list(running):
+                executor._record(state, host, running.pop(host), [])
+                held.append(len(state.payloads))
+                if state.queues[host]:
+                    running[host] = claim(host)
+        assert max(held) == host_count
+        assert backbone.targets == state.boundaries
+        assert state.payloads == {}
+        assert sorted(state.completed) == list(range(8))
+
+    def test_a_migrated_chunk_keeps_its_payload(self):
+        hosts = ["a:1", "b:2"]
+        executor = ClusterExecutor(hosts)
+        state = _hand_built_state(4, hosts)
+        backbone = _CountingBackbone()
+        first = executor._claim(state, "a:1")
+        executor._resolve_next(state, backbone)
+        executor._host_lost(state, "a:1", "test")
+        # b runs its own chunks 1 and 3, then the migrated chunk 0 with
+        # the payload resolved for a: each boundary resolves once.
+        assert executor._claim(state, "b:2") == 1
+        executor._resolve_next(state, backbone)
+        executor._record(state, "b:2", 1, [])
+        assert executor._claim(state, "b:2") == 3
+        executor._resolve_next(state, backbone)
+        executor._resolve_next(state, backbone)
+        executor._record(state, "b:2", 3, [])
+        assert executor._claim(state, "b:2") == first
+        assert executor._await_boundary(state, "b:2", first)
+        assert state.payloads[first] == {"boundary": 0}
+        assert backbone.targets == [0, 10, 20, 30]
+
+
+class TestBoundaryFailures:
+    def test_losing_every_host_resolves_the_rest_in_the_fallback(self):
+        """Both hosts die on their second chunk: the driver finishes the
+        batch serially and must resolve the unclaimed boundaries itself.
+        The join timeout only detects a hang."""
+        specs = _replay_specs()
+        serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
+        telemetry = TelemetryCollector()
+        run_box = {}
+        with cluster(2, **KILL_AFTER_ONE) as hosts:
+            executor = ClusterExecutor(
+                hosts, chunk_size=3, progress=telemetry, retries=0, heartbeat_interval=0
+            )
+            runner = threading.Thread(
+                target=lambda: run_box.update(results=executor.run(list(specs))),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=60.0)
+            assert not runner.is_alive(), "ClusterExecutor.run hung"
+        assert_results_equal(serial, run_box["results"])
+        assert telemetry.count("worker_lost") == 2
+        assert telemetry.count("partial_fallback") == 1
+        # Every boundary resolved exactly once, in chunk order (chunk i
+        # starts at spec 3i, index 3i // 2 + 1): at most four chunks were
+        # claimed before both hosts died, so the fallback resolved the
+        # other six.
+        targets = [e["target"] for e in telemetry.events if e["event"] == "snapshot_boundary"]
+        assert targets == [3 * i // 2 for i in range(10)]
+        dones = [e["chunk"] for e in telemetry.events if e["event"] == "chunk_done"]
+        assert sorted(dones) == list(range(10))
+
+    def test_a_boundary_that_fails_to_resolve_fails_the_run(self, monkeypatch):
+        """``payload_at`` raising is the batch's error, not a transport
+        failure of the host that claimed the chunk; no dispatch or
+        heartbeat thread outlives ``run``."""
+
+        class Boom(Exception):
+            pass
+
+        real = SnapshotBackbone.payload_at
+
+        def payload_at(self, target):
+            if target == 4:
+                raise Boom(f"boundary {target}")
+            return real(self, target)
+
+        monkeypatch.setattr(SnapshotBackbone, "payload_at", payload_at)
+        specs = _replay_specs()
+        telemetry = TelemetryCollector()
+        with cluster(2) as hosts:
+            executor = ClusterExecutor(
+                hosts, chunk_size=3, progress=telemetry, retries=0, heartbeat_interval=0.05
+            )
+            with pytest.raises(Boom, match="boundary 4"):
+                executor.run(list(specs))
+            names = {f"cluster-{h}" for h in hosts} | {f"heartbeat-{h}" for h in hosts}
+            assert [t.name for t in threading.enumerate() if t.name in names] == []
+        assert telemetry.count("worker_lost") == 0
+        assert telemetry.count("batch_finish") == 0
+        targets = [e["target"] for e in telemetry.events if e["event"] == "snapshot_boundary"]
+        assert targets == [0, 1, 3]
 
 
 # ----------------------------------------------------------------------

@@ -1,27 +1,34 @@
 """Property tests for the cluster's length-prefixed frame codec.
 
 The codec (``send_message`` / ``recv_message``) must round-trip any
-message dict through arbitrarily fragmented reads, surface truncation as
-:class:`EOFError`, reject oversize length prefixes *before* allocating,
-and never hang or return a non-dict no matter what bytes a confused peer
-sends.  These are wire-level invariants the chaos harness's frame faults
-rely on: a torn frame must look like a transport error, never like data.
+message dict — numpy arrays included, which travel as out-of-band
+buffers behind the pickled metadata — through arbitrarily fragmented
+reads, surface truncation as :class:`EOFError`, reject oversize length
+prefixes, buffer counts and buffer sizes *before* allocating, and never
+hang or return a non-dict no matter what bytes a confused peer sends.
+These are wire-level invariants the chaos harness's frame faults rely
+on: a torn frame must look like a transport error, never like data.
 """
 
 from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.runtime.cluster import (
+    MAX_FRAME_BUFFERS,
     MAX_MESSAGE_BYTES,
+    _torn_frame,
     recv_message,
     send_message,
 )
 
 _HEADER = struct.Struct(">Q")
+_LAYOUT = struct.Struct(">IQ")
 
 
 class ScriptedSocket:
@@ -38,6 +45,8 @@ class ScriptedSocket:
         self._stops = sorted({c for c in cuts if 0 < c < len(data)})
         self.sent = bytearray()
         self.recv_sizes = []
+        #: The objects ``recv_into`` filled (the receive buffers).
+        self.filled = []
 
     def recv(self, size: int) -> bytes:
         self.recv_sizes.append(size)
@@ -52,8 +61,23 @@ class ScriptedSocket:
         self._pos = end
         return part
 
+    def recv_into(self, buffer, nbytes: int = 0) -> int:
+        view = memoryview(buffer)
+        part = self.recv(nbytes or len(view))
+        view[: len(part)] = part
+        if part:
+            self.filled.append(view.obj)
+        return len(part)
+
     def sendall(self, data: bytes) -> None:
         self.sent.extend(data)
+
+    def sendmsg(self, buffers) -> int:
+        sent = 0
+        for buffer in buffers:
+            self.sent.extend(buffer)
+            sent += memoryview(buffer).nbytes
+        return sent
 
 
 def framed(message) -> bytes:
@@ -74,6 +98,44 @@ messages = st.dictionaries(
     ),
     max_size=8,
 )
+
+arrays = hnp.arrays(
+    dtype=st.sampled_from([np.int32, np.int64, np.float64]),
+    shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=40),
+)
+
+#: Messages shaped like a chunk frame: metadata beside a few arrays.
+array_messages = st.fixed_dictionaries(
+    {"type": st.just("chunk"), "chunk": st.integers(0, 99)},
+    optional={
+        "snapshot": st.dictionaries(
+            st.sampled_from(["nodes", "indptr", "indices", "values"]), arrays, max_size=4
+        )
+    },
+)
+
+
+def assert_same_message(got, want):
+    """Equality that compares arrays by dtype, shape and bytes (NaN-safe)."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, dict):
+            assert_same_message(got[key], value)
+        elif isinstance(value, np.ndarray):
+            assert isinstance(got[key], np.ndarray)
+            assert got[key].dtype == value.dtype
+            assert got[key].shape == value.shape
+            assert got[key].tobytes() == value.tobytes()
+        else:
+            assert got[key] == value
+
+
+def table_frame(count, meta_size, sizes, length=None):
+    """A hand-built frame head: prefix, layout and buffer size table."""
+    body = _LAYOUT.pack(count, meta_size) + b"".join(struct.pack(">Q", n) for n in sizes)
+    if length is None:
+        length = len(body) + meta_size + sum(sizes)
+    return _HEADER.pack(length) + body
 
 
 class TestRoundTrip:
@@ -130,11 +192,40 @@ class TestOversize:
         assert all(size <= _HEADER.size for size in sock.recv_sizes)
 
     def test_limit_itself_is_not_rejected_by_the_guard(self):
-        # A frame of exactly MAX_MESSAGE_BYTES passes the size check and
-        # then fails as a short read — EOFError, not the OSError guard.
-        sock = ScriptedSocket(_HEADER.pack(MAX_MESSAGE_BYTES) + b"x" * 16)
+        # A frame of exactly MAX_MESSAGE_BYTES (its layout consistent)
+        # passes the size checks and then fails as a short read —
+        # EOFError, not the OSError guard.
+        head = table_frame(0, MAX_MESSAGE_BYTES - _LAYOUT.size, [])
+        sock = ScriptedSocket(head + b"x" * 16)
         with pytest.raises(EOFError):
             recv_message(sock)
+
+    def test_buffer_count_over_the_limit_is_refused_before_its_size_table(self):
+        count = MAX_FRAME_BUFFERS + 1
+        head = table_frame(count, 0, [0] * count)
+        sock = ScriptedSocket(head + bytes(64))
+        with pytest.raises(OSError, match="buffers"):
+            recv_message(sock)
+        # The prefix and the layout were read; the size table was not.
+        assert sock.recv_sizes == [_HEADER.size, _LAYOUT.size]
+
+    def test_size_table_longer_than_the_frame_is_refused_unread(self):
+        head = table_frame(4, 0, [0] * 4, length=_LAYOUT.size + 8)
+        sock = ScriptedSocket(head)
+        with pytest.raises(OSError, match="buffers"):
+            recv_message(sock)
+        assert sock.recv_sizes == [_HEADER.size, _LAYOUT.size]
+
+    @pytest.mark.parametrize("size", [MAX_MESSAGE_BYTES, 2**62])
+    def test_buffer_sizes_beyond_the_frame_are_refused_before_allocating(self, size):
+        # The frame's own length is small and valid; the buffer it
+        # announces is not.  Allocating 2**62 bytes would raise
+        # MemoryError, so reaching the OSError proves nothing was.
+        head = table_frame(1, 0, [size], length=_LAYOUT.size + 8)
+        sock = ScriptedSocket(head + bytes(64))
+        with pytest.raises(OSError, match="add up"):
+            recv_message(sock)
+        assert sock.filled == []
 
 
 class TestGarbage:
@@ -156,3 +247,84 @@ class TestGarbage:
         sock = ScriptedSocket(junk[: _HEADER.size - 1])
         with pytest.raises(EOFError):
             recv_message(sock)
+
+
+class TestArrays:
+    """Arrays leave in their own memory and arrive in their own buffers."""
+
+    @given(message=array_messages, data=st.data())
+    @settings(max_examples=60)
+    def test_arrays_round_trip_under_any_fragmentation(self, message, data):
+        wire = framed(message)
+        cuts = data.draw(
+            st.lists(st.integers(min_value=1, max_value=max(1, len(wire) - 1)), max_size=12)
+        )
+        assert_same_message(recv_message(ScriptedSocket(wire, cuts=cuts)), message)
+
+    def test_every_array_is_an_out_of_band_buffer(self):
+        message = {
+            "nodes": np.arange(300, dtype=np.int32),
+            "indptr": np.arange(301, dtype=np.int64),
+            "values": np.linspace(0.0, 1.0, 300),
+        }
+        wire = framed(message)
+        count, meta_size = _LAYOUT.unpack_from(wire, _HEADER.size)
+        assert count == 3
+        sizes = struct.unpack_from(">3Q", wire, _HEADER.size + _LAYOUT.size)
+        assert list(sizes) == [a.nbytes for a in message.values()]
+        # The metadata is small: the array bytes are not pickled into it.
+        assert meta_size < 1024
+        assert _HEADER.unpack_from(wire)[0] == len(wire) - _HEADER.size
+
+    @given(
+        message=array_messages.filter(
+            lambda m: any(a.nbytes for a in m.get("snapshot", {}).values())
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60)
+    def test_truncation_inside_a_buffer_raises_eoferror(self, message, data):
+        wire = framed(message)
+        nbytes = sum(a.nbytes for a in message["snapshot"].values())
+        cut = data.draw(st.integers(min_value=len(wire) - nbytes, max_value=len(wire) - 1))
+        with pytest.raises(EOFError):
+            recv_message(ScriptedSocket(wire[:cut]))
+
+    def test_received_array_shares_memory_with_its_receive_buffer(self):
+        sent = np.arange(1000, dtype=np.int64)
+        sock = ScriptedSocket(framed({"indices": sent}), cuts=(100, 3000))
+        got = recv_message(sock)["indices"]
+        np.testing.assert_array_equal(got, sent)
+        buffers = {id(obj): obj for obj in sock.filled if isinstance(obj, bytearray)}
+        assert len(buffers) == 1
+        (buffer,) = buffers.values()
+        assert np.shares_memory(got, np.frombuffer(buffer, dtype=np.uint8))
+        assert got.flags.writeable
+
+    def test_non_contiguous_arrays_travel_in_band(self):
+        message = {"strided": np.arange(20)[::3]}
+        wire = framed(message)
+        assert _LAYOUT.unpack_from(wire, _HEADER.size)[0] == 0
+        assert_same_message(recv_message(ScriptedSocket(wire)), message)
+
+
+class TestTornFrame:
+    """The worker's ``truncate_frame`` fault sends ``_torn_frame``."""
+
+    def test_cut_falls_inside_the_buffer_section(self):
+        message = {"type": "result", "values": np.arange(512, dtype=np.float64)}
+        wire = framed(message)
+        torn = _torn_frame(message)
+        assert wire.startswith(torn)
+        assert len(wire) - 512 * 8 < len(torn) < len(wire)
+        with pytest.raises(EOFError):
+            recv_message(ScriptedSocket(torn))
+
+    def test_cut_falls_inside_the_metadata_without_arrays(self):
+        message = {"type": "result", "chunk": 3, "results": list(range(50))}
+        wire = framed(message)
+        torn = _torn_frame(message)
+        assert wire.startswith(torn)
+        assert _HEADER.size + _LAYOUT.size < len(torn) < len(wire)
+        with pytest.raises(EOFError):
+            recv_message(ScriptedSocket(torn))
