@@ -46,8 +46,9 @@ WORKERS = int(os.environ.get("REPRO_WORKERS", "1"))
 #: Optional per-run trend summary file (e.g. BENCH_trends.json).
 BENCH_TRENDS = os.environ.get("REPRO_BENCH_TRENDS") or None
 #: Graph backend for kernel-capable estimators (docs/KERNELS.md).  "array"
-#: runs the batched numpy kernels; results are distributionally — not
-#: bitwise — equivalent and cache under distinct content addresses.
+#: runs the batched numpy kernels; Sample&Collide results are
+#: distributionally — not bitwise — equivalent, and every array result
+#: caches under a distinct content address.
 GRAPH_BACKEND = os.environ.get("REPRO_GRAPH_BACKEND", "dict")
 
 

@@ -36,7 +36,7 @@ Two interfaces are provided:
 Performance: the pairwise-averaging round is inherently sequential (each
 contact must see the current values of both parties or mass conservation —
 and with it exactness — is lost).  Per the HPC guides we vectorize what can
-be vectorized (partner selection over the CSR snapshot, value remapping
+be vectorized (partner selection over the overlay's CSR twin, value remapping
 after churn) and run the contact loop over plain Python lists, which are
 ≈5× faster than NumPy scalar indexing for this access pattern.
 """
@@ -47,7 +47,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..overlay.graph import CsrView, OverlayGraph
+from ..overlay.arraygraph import ArrayOverlayGraph
+from ..overlay.graph import OverlayGraph
 from ..sim.messages import MessageKind, MessageMeter
 from ..sim.rng import RngLike, as_generator, generator_from_state, generator_state
 from ..sim.rounds import PRIORITY_PROTOCOL, RoundDriver
@@ -83,9 +84,9 @@ class AggregationProtocol:
         self._epoch = 0
         self._rounds_in_epoch = 0
         self._initiator: Optional[int] = None
-        # Per-round fast path: values aligned with a cached CSR view so the
-        # dict round-trip is only paid when the overlay actually changed.
-        self._cached_view: Optional[CsrView] = None
+        # Per-round fast path: values aligned with the cached CSR twin so
+        # the dict round-trip is only paid when the overlay actually changed.
+        self._cached_view: Optional[ArrayOverlayGraph] = None
         self._cached_vals: Optional[List[float]] = None
         self._values_stale = False
 
@@ -146,7 +147,7 @@ class AggregationProtocol:
         """
         if self._epoch == 0:
             raise EstimatorError("aggregation: call start_epoch() first")
-        view = self.graph.csr()
+        view = self.graph.to_array()
         n = view.n
         if n == 0:
             return 0
@@ -230,10 +231,10 @@ class AggregationProtocol:
     def read_all(self) -> np.ndarray:
         """Per-node estimates (``inf`` where the value is still 0).
 
-        Ordered by the current CSR snapshot's node order.
+        Ordered by the rows of the overlay's CSR twin (ascending ids).
         """
         self._flush_cache()
-        view = self.graph.csr()
+        view = self.graph.to_array()
         vals = np.array([self._values.get(int(u), 0.0) for u in view.nodes])
         with np.errstate(divide="ignore"):
             return np.where(vals > 0, 1.0 / np.maximum(vals, 1e-300), np.inf)
@@ -315,15 +316,16 @@ class AggregationProtocol:
     # internals
     # ------------------------------------------------------------------
 
-    def _sync_values(self, view: CsrView) -> List[float]:
+    def _sync_values(self, view: ArrayOverlayGraph) -> List[float]:
         """Array-of-values aligned with ``view``; rebuilt only on change.
 
         When the overlay churned since the last round, values are carried
-        over by a vectorized sorted-array join (both snapshots' node arrays
-        are sorted): present nodes keep their value, joiners enter at 0,
-        leavers drop their value (the mass-loss the paper's "conservative
-        effect" discussion hinges on).  The id→value dict is only
-        materialized on demand (:meth:`_flush_cache`) for point reads.
+        over by a vectorized sorted-array join (node ids ascend in every
+        twin, and so in the value dict, which is filled in twin row order):
+        present nodes keep their value, joiners enter at 0, leavers drop
+        their value (the mass-loss the paper's "conservative effect"
+        discussion hinges on).  The id→value dict is only materialized on
+        demand (:meth:`_flush_cache`) for point reads.
         """
         if view is self._cached_view and self._cached_vals is not None:
             return self._cached_vals
@@ -331,22 +333,14 @@ class AggregationProtocol:
             old_nodes = self._cached_view.nodes
             old_vals = np.asarray(self._cached_vals, dtype=np.float64)
         else:
-            old_nodes = np.fromiter(
-                self._values.keys(), dtype=np.int64, count=len(self._values)
-            )
-            order = np.argsort(old_nodes)
-            old_nodes = old_nodes[order]
-            old_vals = np.array(
-                [self._values[int(u)] for u in old_nodes], dtype=np.float64
-            )
-        new_nodes = view.nodes
-        pos = np.searchsorted(old_nodes, new_nodes)
-        pos_clipped = np.minimum(pos, max(old_nodes.shape[0] - 1, 0))
-        if old_nodes.shape[0]:
-            found = old_nodes[pos_clipped] == new_nodes
-            new_vals = np.where(found, old_vals[pos_clipped], 0.0)
-        else:
-            new_vals = np.zeros(new_nodes.shape[0], dtype=np.float64)
+            count = len(self._values)
+            old_nodes = np.fromiter(self._values.keys(), dtype=np.int64, count=count)
+            old_vals = np.fromiter(self._values.values(), dtype=np.float64, count=count)
+        new_vals = np.zeros(view.n)
+        if old_nodes.size:
+            pos = np.minimum(np.searchsorted(old_nodes, view.nodes), old_nodes.size - 1)
+            found = old_nodes[pos] == view.nodes
+            new_vals[found] = old_vals[pos[found]]
         vals = new_vals.tolist()
         self._cached_view = view
         self._cached_vals = vals

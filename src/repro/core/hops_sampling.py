@@ -40,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..overlay.arraygraph import ArrayOverlayGraph
 from ..overlay.graph import OverlayGraph
 from ..sim.messages import MessageKind, MessageMeter
 from ..sim.rng import RngLike
@@ -60,7 +61,7 @@ class SpreadResult:
     Attributes
     ----------
     hops:
-        Recorded min hopCount per CSR position (``-1`` = never reached).
+        Recorded min hopCount per twin row (``-1`` = never reached).
     spread_messages:
         Gossip messages sent during the spread.
     rounds:
@@ -85,7 +86,7 @@ class SpreadResult:
 
 
 def _gossip_spread(
-    view,
+    view: ArrayOverlayGraph,
     init_pos: int,
     gossip_to: int,
     gossip_for: int,
@@ -93,7 +94,7 @@ def _gossip_spread(
     rng: np.random.Generator,
 ) -> SpreadResult:
     """Run the push-gossip spread (:func:`~repro.core.kernels.gossip_spread_kernel`)
-    over ``view`` — the sorted CSR view or the array twin."""
+    over the overlay's CSR twin ``view``."""
     return SpreadResult(
         *gossip_spread_kernel(view, init_pos, gossip_to, gossip_for, gossip_until, rng)
     )
@@ -119,10 +120,10 @@ class HopsSamplingEstimator(SizeEstimator):
         distance (the spread still runs — and is billed — but its recorded
         distances are replaced by ground truth).  Removes the bias.
     backend:
-        ``"dict"`` (reference) or ``"array"``: the frontier kernels of
-        :mod:`repro.core.kernels` run over the sorted-id CSR view or over
-        the overlay's insertion-ordered array twin.  Distributionally —
-        not draw-for-draw — equivalent (docs/KERNELS.md).
+        ``"dict"`` or ``"array"``.  Both run the frontier kernels of
+        :mod:`repro.core.kernels` over the overlay's CSR twin and return
+        bit-identical estimates; only ``"array"`` profiles them under the
+        ``kernel`` phase (docs/KERNELS.md).
     """
 
     name = "hops_sampling"
@@ -168,10 +169,8 @@ class HopsSamplingEstimator(SizeEstimator):
         self._require_nonempty()
         before = self.meter.total
 
-        if self.backend == "array":
-            view, phase = self.graph.to_array(), kernel_phase()
-        else:
-            view, phase = self.graph.csr(), nullcontext()
+        view = self.graph.to_array()
+        phase = kernel_phase() if self.backend == "array" else nullcontext()
         init_pos = self._initiator_pos(view)
         with phase:
             spread = _gossip_spread(
@@ -220,11 +219,10 @@ class HopsSamplingEstimator(SizeEstimator):
 
     # ------------------------------------------------------------------
 
-    def _initiator_pos(self, view) -> int:
+    def _initiator_pos(self, view: ArrayOverlayGraph) -> int:
         if self.initiator is not None:
-            index = view.position_of if self.backend == "array" else view.index_of
-            pos = index.get(int(self.initiator))
-            if pos is None:
+            pos = view.position(self.initiator)
+            if pos < 0:
                 raise EstimatorError(
                     f"hops_sampling: initiator {self.initiator} departed"
                 )
@@ -276,14 +274,13 @@ class GossipSampleEstimator(SizeEstimator):
         """Spread the poll; count fixed-probability replies; extrapolate."""
         self._require_nonempty()
         before = self.meter.total
-        view = self.graph.csr()
+        view = self.graph.to_array()
         if self.initiator is not None:
-            pos = view.index_of.get(self.initiator)
-            if pos is None:
+            init_pos = view.position(self.initiator)
+            if init_pos < 0:
                 raise EstimatorError(
                     f"gossip_sample: initiator {self.initiator} departed"
                 )
-            init_pos = pos
         else:
             init_pos = int(self.rng.integers(view.n))
 

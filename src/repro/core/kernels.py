@@ -22,19 +22,20 @@ shape a later numba/GPU backend can adopt without an algorithm rewrite:
   HopsSampling spread and the oracle-distance BFS as frontier-array
   kernels.
 
-**RNG-lineage caveat** (docs/KERNELS.md): the kernels draw the same
-*distributions* as the serial reference but consume generator output in a
-different order and quantity (whole pre-drawn blocks per step instead of
-per-walk draws), so array-backend estimates are not bit-identical to dict
--backend ones.  They are exchangeable samples of the same estimator law —
-the property ``tests/core/test_kernel_distributions.py`` verifies with
-KS/bootstrap-CI gates against ``baselines/kernel_tolerances.json``.
+**RNG-lineage caveat** (docs/KERNELS.md): the Sample&Collide walkers
+draw the same *distributions* as the serial reference but consume
+generator output in a different order and quantity (whole pre-drawn
+blocks per step instead of per-walk draws), so array-backend
+Sample&Collide estimates are not bit-identical to dict-backend ones.
+They are exchangeable samples of the same estimator law — the property
+``tests/core/test_kernel_distributions.py`` verifies with KS/bootstrap-CI
+gates against ``baselines/kernel_tolerances.json``.  HopsSampling has no
+such split: both backends run the spread and the BFS below on the same
+twin, so their estimates are bit-identical.
 
-The spread and the BFS read only ``n``, ``indptr``, ``indices`` and
-``sample_neighbors``, so the dict backend runs them on its sorted
-:class:`~repro.overlay.graph.CsrView` too.  Every kernel gathers in the
-graph's own index dtype (``int32`` on a twin that fits it), and the
-spread holds its per-node state in ``int32`` arrays allocated once.
+Every kernel gathers in the graph's own index dtype (``int32`` on a twin
+that fits it), and the spread holds its per-node state in ``int32``
+arrays allocated once.
 
 Array-backend call sites profile kernel work under the ``kernel`` phase
 (:func:`kernel_phase`) when a recorder is installed (the trial runtime
@@ -47,12 +48,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..overlay.arraygraph import ArrayOverlayGraph
-from ..overlay.graph import CsrView
 from .base import EstimatorError
 from .birthday import sample_collide_estimate
 
@@ -67,8 +67,8 @@ __all__ = [
     "set_phase_recorder",
 ]
 
-#: Graph representations a kernel-capable estimator can run on: the
-#: dict-of-dicts reference, or the batched-kernel array twin.
+#: Estimator backends: ``"dict"`` runs the serial reference algorithm and
+#: ``"array"`` the batched kernels; both read the overlay's CSR twin.
 GRAPH_BACKENDS = ("dict", "array")
 
 
@@ -258,7 +258,7 @@ def sample_collide_sweep(
 
 
 def gossip_spread_kernel(
-    graph: Union[ArrayOverlayGraph, CsrView],
+    graph: ArrayOverlayGraph,
     init_pos: int,
     gossip_to: int,
     gossip_for: int,
@@ -339,9 +339,7 @@ def gossip_spread_kernel(
     return hops, spread_messages, rounds
 
 
-def bfs_frontier_distances(
-    graph: Union[ArrayOverlayGraph, CsrView], source_pos: int
-) -> np.ndarray:
+def bfs_frontier_distances(graph: ArrayOverlayGraph, source_pos: int) -> np.ndarray:
     """Hop distances from ``source_pos`` (``-1``: unreachable), frontier BFS.
 
     Neighbour expansion is a single gather per level: repeat each frontier

@@ -69,11 +69,11 @@ class RandomTourEstimator(SizeEstimator):
         """Walk until first return; ``N̂ = deg(i)·Σ 1/deg(X_t)``."""
         self._require_nonempty()
         before = self.meter.total
-        view = self.graph.csr()
+        view = self.graph.to_array()
         if self.initiator is not None:
-            if self.initiator not in view.index_of:
+            init_pos = view.position(self.initiator)
+            if init_pos < 0:
                 raise EstimatorError(f"random_tour: initiator {self.initiator} departed")
-            init_pos = view.index_of[self.initiator]
         else:
             init_pos = int(self.rng.integers(view.n))
         degrees = view.degrees()

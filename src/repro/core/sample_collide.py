@@ -65,8 +65,8 @@ class SampleCollideEstimator(SizeEstimator):
     backend:
         ``"dict"`` (reference, per-sample Python accounting) or
         ``"array"`` — the batched walker kernels of
-        :mod:`repro.core.kernels` over the overlay's array twin.  The two
-        backends are distributionally — not draw-for-draw — equivalent
+        :mod:`repro.core.kernels`.  Both read the overlay's CSR twin, and
+        are distributionally — not draw-for-draw — equivalent
         (docs/KERNELS.md).
     """
 
@@ -178,16 +178,16 @@ class SampleCollideEstimator(SizeEstimator):
 
         Same protocol, sizing policy and meta keys as the reference path;
         walker advancement and collision counting run as vector kernels on
-        the overlay's insertion-ordered CSR twin.  The initiator draw
-        consumes one uniform integer either way, but over insertion — not
-        sorted — node order, part of the documented RNG-lineage split.
+        the overlay's CSR twin.  The initiator draw consumes one uniform
+        integer over the same rows either way; the documented RNG-lineage
+        split is in the walkers.
         """
         self._require_nonempty()
         before = self.meter.total
         view = self.graph.to_array()
         if self.initiator is not None:
-            init_pos = view.position_of.get(int(self.initiator))
-            if init_pos is None:
+            init_pos = view.position(self.initiator)
+            if init_pos < 0:
                 raise EstimatorError(
                     f"sample_collide: initiator {self.initiator} departed"
                 )

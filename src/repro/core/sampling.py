@@ -19,7 +19,7 @@ time budget ``T`` therefore lands uniformly as ``T`` grows (mixing governed
 by graph expansion; the paper uses ``T = 10``).
 
 Implementation notes (per the HPC guides): walks are advanced in vectorized
-lock-step batches over the CSR snapshot — one NumPy pass per hop for the
+lock-step batches over the overlay's CSR twin — one NumPy pass per hop for the
 whole batch — instead of one Python loop per walk.  Expected hops per walk
 is ``T · d̄`` (each visited node consumes ``Exp(1)/d_i`` of budget and the
 degree-biased jump chain spends ``1/d̄`` per hop on average), so a batch of
@@ -33,7 +33,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..overlay.graph import CsrView, OverlayGraph
+from ..overlay.arraygraph import ArrayOverlayGraph
+from ..overlay.graph import OverlayGraph
 from ..sim.messages import MessageKind, MessageMeter
 from ..sim.rng import RngLike, as_generator
 
@@ -72,7 +73,7 @@ class UniformWalkSampler:
     Parameters
     ----------
     graph:
-        Overlay to sample from.  The CSR snapshot is taken lazily per batch,
+        Overlay to sample from.  The CSR twin is read afresh per batch,
         so the sampler survives churn between batches (matching the paper's
         perpetual monitoring mode) while each walk sees a consistent view.
     timer:
@@ -118,14 +119,14 @@ class UniformWalkSampler:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        view = self.graph.csr()
-        if initiator not in view.index_of:
+        view = self.graph.to_array()
+        init_pos = view.position(initiator)
+        if init_pos < 0:
             raise ValueError(f"initiator {initiator} is not alive")
         if count == 0:
             return WalkBatch(
                 samples=np.empty(0, dtype=np.int64), hops=np.empty(0, dtype=np.int64)
             )
-        init_pos = view.index_of[initiator]
         pos, hops = self._advance(view, init_pos, count)
         samples = view.nodes[pos]
         if meter is not None:
@@ -136,7 +137,7 @@ class UniformWalkSampler:
     # ------------------------------------------------------------------
 
     def _advance(
-        self, view: CsrView, init_pos: int, count: int
+        self, view: ArrayOverlayGraph, init_pos: int, count: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Lock-step advance ``count`` walks; returns (positions, hops)."""
         rng = self.rng

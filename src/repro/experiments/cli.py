@@ -284,10 +284,11 @@ def _add_run_parser(subparsers) -> None:
         choices=("dict", "array"),
         default=os.environ.get("REPRO_GRAPH_BACKEND", "dict"),
         help=(
-            "graph representation for kernel-capable estimators: 'dict' "
-            "(reference) or 'array' (batched numpy kernels; distributionally "
-            "equivalent but not bit-identical to the reference, and cached "
-            "under a distinct content address — see docs/KERNELS.md; "
+            "backend of kernel-capable estimators: 'dict' (reference) or "
+            "'array' (batched numpy kernels; Sample&Collide is "
+            "distributionally equivalent but not bit-identical to the "
+            "reference, and every array result is cached under a distinct "
+            "content address — see docs/KERNELS.md; "
             "default: $REPRO_GRAPH_BACKEND or 'dict')"
         ),
     )

@@ -8,7 +8,7 @@ from .builders import (
     scale_free,
 )
 from .arraygraph import ArrayOverlayGraph
-from .graph import CsrView, GraphError, OverlayGraph
+from .graph import GraphError, OverlayGraph
 from .membership import JoinReport, MembershipPolicy
 from .repair import DegreeRepair, FullRepair, NoRepair, RepairPolicy
 from .views import (
@@ -23,7 +23,6 @@ from .views import (
 
 __all__ = [
     "ArrayOverlayGraph",
-    "CsrView",
     "DegreeStats",
     "GraphError",
     "JoinReport",

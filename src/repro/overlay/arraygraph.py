@@ -1,21 +1,24 @@
 """Insertion-ordered CSR twin of :class:`~repro.overlay.graph.OverlayGraph`.
 
-:class:`ArrayOverlayGraph` is the flat-array representation the batched
-estimator kernels (:mod:`repro.core.kernels`) run on: node ids, a CSR row
-pointer and a flat neighbour array, held as contiguous numpy arrays so a
-walker batch advances with gathers instead of dict lookups.  Each array is
+:class:`ArrayOverlayGraph` is the overlay's one flat-array encoding:
+every estimator reads it on either backend (the batched kernels of
+:mod:`repro.core.kernels` included), and so do the aggregation round and
+:mod:`repro.overlay.views`.  It holds node ids, a CSR row pointer and a
+flat neighbour array as contiguous numpy arrays, so a walker batch
+advances with gathers instead of dict lookups.  Each array is
 ``int32`` when its values fit and ``int64`` otherwise (only ids of
 ``2**31`` and up, or more than ``2**31`` nodes or half-edges, need the
 wide form); every twin this module or the builders produce follows that
 rule, so the kernels gather over half the bytes.
 
-It differs from :class:`~repro.overlay.graph.CsrView` in one load-bearing
-way: **rows and row contents keep the dict graph's insertion order** (the
-PR-5 determinism contract, ``docs/SNAPSHOTS.md``) instead of sorting node
-ids.  That makes the twin a lossless re-encoding of the dict graph's
-behavioural state — :meth:`to_overlay` reconstructs a graph whose node
-iteration order, neighbour iteration order and ``next_id`` are identical,
-and :meth:`snapshot` produces byte-for-byte the same payload as
+It is a lossless re-encoding of the dict graph's behavioural state:
+**rows and row contents keep the dict graph's insertion order** (the PR-5
+determinism contract, ``docs/SNAPSHOTS.md``), and because ids are never
+re-added below ``next_id`` that order is ascending id order, so the twin
+is also the graph's sorted CSR encoding (:meth:`position` is a binary
+search).  :meth:`to_overlay` reconstructs a graph whose node iteration
+order, neighbour iteration order and ``next_id`` are identical, and
+:meth:`snapshot` produces byte-for-byte the same payload as
 :meth:`OverlayGraph.snapshot`.  The equivalence suite
 (``tests/overlay/test_arraygraph_equivalence.py``) holds both properties
 under churn/repair round-trips.
@@ -86,7 +89,8 @@ class ArrayOverlayGraph:
     Attributes
     ----------
     nodes:
-        Alive node ids in dict-graph insertion order, shape ``(n,)``.
+        Alive node ids in dict-graph insertion order, which is ascending
+        id order (:meth:`check_invariants`), shape ``(n,)``.
     indptr:
         CSR row pointer, shape ``(n + 1,)``.
     indices:
@@ -102,7 +106,7 @@ class ArrayOverlayGraph:
     hand it arrays that follow the ``int32``-when-it-fits rule.
     """
 
-    __slots__ = ("nodes", "indptr", "indices", "next_id", "_position_of", "_inv_deg")
+    __slots__ = ("nodes", "indptr", "indices", "next_id", "_inv_deg")
 
     def __init__(
         self,
@@ -115,7 +119,6 @@ class ArrayOverlayGraph:
         self.indptr = indptr
         self.indices = indices
         self.next_id = int(next_id)
-        self._position_of: Optional[Dict[int, int]] = None
         self._inv_deg: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -140,9 +143,8 @@ class ArrayOverlayGraph:
         Raw neighbour ids translate to compact positions via a dense
         id → position lookup table when ids are counter-dense (the normal
         case: ids come from the graph's ``next_id`` counter, so
-        ``max_id < next_id ≈ n + departures``), falling back to the
-        ``argsort`` + ``searchsorted`` idiom for sparse id spaces —
-        ``nodes`` is *not* sorted, so a permutation must mediate either way.
+        ``max_id < next_id ≈ n + departures``), and by a binary search over
+        the ascending ``nodes`` for sparse id spaces.
         """
         nodes, indptr, flat = graph.neighbour_arrays()
         return cls._narrowed(
@@ -151,18 +153,17 @@ class ArrayOverlayGraph:
 
     @staticmethod
     def _compact_indices(nodes: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        """Translate raw neighbour ids to positions into ``nodes``."""
+        """Translate raw neighbour ids to positions into the ascending ``nodes``."""
         if not flat.size:
             return np.zeros(0, dtype=np.int32)
-        max_id = int(nodes.max())
+        max_id = int(nodes[-1])
         if max_id < 4 * nodes.shape[0] + 1024:
             n = nodes.shape[0]
             wide = n > _INT32.max + 1  # positions 0..n-1 need int64
             lut = np.empty(max_id + 1, dtype=np.int64 if wide else np.int32)
             lut[nodes] = np.arange(n, dtype=lut.dtype)
             return lut[flat]
-        order = np.argsort(nodes, kind="stable")
-        return order[np.searchsorted(nodes[order], flat)]
+        return np.searchsorted(nodes, flat)
 
     @classmethod
     def from_overlay_incremental(
@@ -177,36 +178,30 @@ class ArrayOverlayGraph:
 
         ``base`` is a twin of some *earlier* state of ``graph``; ``dirty``
         holds ids whose neighbour row changed since then, ``removed`` ids
-        that departed (even if later re-added), and ``appended`` ids added
-        since — in call order, duplicates resolved last-add-wins.  Rows the
-        mutation log never touched copy over as vectorized segment gathers,
-        so only the changed rows pay the per-edge Python iteration that
-        dominates :meth:`from_overlay`.  Insertion order is preserved by
+        that departed, and ``appended`` ids added since, in call order
+        (ascending: an id is never added twice).  Rows the mutation log
+        never touched copy over as vectorized segment gathers, so only the
+        changed rows pay the per-edge Python iteration that dominates
+        :meth:`from_overlay`.  Insertion order is preserved by
         construction: survivors keep their relative order (dict removals
-        never reorder the rest) and (re-)added rows append at the end,
-        exactly as the source dict iterates.  The result is bit-identical
-        to ``from_overlay(graph)``.
+        never reorder the rest) and added rows append at the end, exactly
+        as the source dict iterates.  The result is bit-identical to
+        ``from_overlay(graph)``.
         """
         adj = graph._adj
         old_nodes = base.nodes
         old_deg = np.diff(base.indptr)
         old_flat_ids = old_nodes[base.indices]
 
-        lut_size = int(old_nodes.max()) + 1
+        lut_size = int(old_nodes[-1]) + 1
         survivor = ~_member_mask(removed, lut_size)[old_nodes]
         old_dirty = _member_mask(dirty, lut_size)[old_nodes]
         surv_nodes = old_nodes[survivor]
         surv_dirty = old_dirty[survivor]
 
-        # (Re-)added rows sit at the end of the dict in last-add order.
-        seen: set = set()
-        app: List[int] = []
-        for u in reversed(list(appended)):
-            if u not in seen:
-                seen.add(u)
-                if u in adj:
-                    app.append(u)
-        app.reverse()
+        # Added rows sit at the end of the dict; an id added and removed
+        # again since ``base`` is in neither.
+        app = [u for u in appended if u in adj]
         app_arr = np.fromiter(app, dtype=np.int64, count=len(app))
 
         nodes_new = np.concatenate([surv_nodes, app_arr])
@@ -397,12 +392,18 @@ class ArrayOverlayGraph:
         """Number of undirected edges."""
         return int(self.indices.shape[0]) // 2
 
-    @property
-    def position_of(self) -> Dict[int, int]:
-        """Raw node id → row position (built lazily, like ``CsrView.index_of``)."""
-        if self._position_of is None:
-            self._position_of = {int(u): i for i, u in enumerate(self.nodes)}
-        return self._position_of
+    def position(self, node: int) -> int:
+        """Row of ``node``, or ``-1`` when it is not in the overlay.
+
+        One binary search over the ascending :attr:`nodes`; the id is
+        compared in their dtype, so no lookup copies the array.
+        """
+        nodes = self.nodes
+        node = int(node)
+        if not 0 <= node <= np.iinfo(nodes.dtype).max:
+            return -1
+        row = int(nodes.searchsorted(nodes.dtype.type(node)))
+        return row if row < nodes.shape[0] and nodes[row] == node else -1
 
     def degrees(self) -> np.ndarray:
         """Degree per row, aligned with :attr:`nodes` (insertion order)."""
@@ -430,8 +431,8 @@ class ArrayOverlayGraph:
 
     def neighbor_ids(self, node: int) -> np.ndarray:
         """Raw neighbour ids of ``node`` in insertion order."""
-        pos = self.position_of.get(int(node))
-        if pos is None:
+        pos = self.position(node)
+        if pos < 0:
             raise GraphError(f"node {node} is not in the overlay")
         return self.nodes[self.neighbors(pos)]
 
@@ -440,8 +441,7 @@ class ArrayOverlayGraph:
     ) -> np.ndarray:
         """One uniform random neighbour per position (``-1`` when isolated).
 
-        Identical draw pattern to :meth:`CsrView.sample_neighbors`: a
-        single pre-drawn uniform block scaled by the degree vector.  The
+        A single pre-drawn uniform block scaled by the degree vector; the
         gathers stay in the twin's own dtypes.
         """
         positions = np.asarray(positions)
@@ -460,9 +460,10 @@ class ArrayOverlayGraph:
 
     def check_invariants(self) -> None:
         """Raise :class:`GraphError` unless the arrays form a valid CSR
-        twin: row pointer, neighbour range, node ids, ``next_id``, and
-        links that are undirected — no self-loop, no repeated neighbour
-        entry, every half-edge mirrored."""
+        twin: row pointer, neighbour range, strictly ascending
+        non-negative node ids, ``next_id``, and links that are undirected
+        — no self-loop, no repeated neighbour entry, every half-edge
+        mirrored."""
         n = self.n
         indptr, indices, nodes = self.indptr, self.indices, self.nodes
         if indptr.shape[0] != n + 1 or indptr[0] != 0:
@@ -473,12 +474,11 @@ class ArrayOverlayGraph:
             raise GraphError("indptr tail must equal len(indices)")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise GraphError("neighbour position out of range")
-        if n and nodes.min() < 0:
+        if np.any(nodes[1:] <= nodes[:-1]):
+            raise GraphError("node ids must ascend")
+        if n and nodes[0] < 0:
             raise GraphError("node ids must be non-negative")
-        ordered = np.sort(nodes)
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise GraphError("duplicate node ids")
-        if self.next_id < 0 or (n and self.next_id <= nodes.max()):
+        if self.next_id < 0 or (n and self.next_id <= nodes[-1]):
             raise GraphError("next_id must exceed every node id")
         # One sort checks the links: half-edge (r, c) gets the key
         # 2*(min*n + max) + (r < c), so a valid twin sorts into pairs

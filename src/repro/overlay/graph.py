@@ -11,12 +11,12 @@ Two representations are kept in sync:
 
 * a mutable adjacency map (``dict[int, dict[int, None]]``) supporting O(1)
   joins, leaves and link edits — the source of truth once it exists;
-* immutable flat-array views rebuilt lazily after mutations: the sorted
-  :class:`CsrView` and the insertion-ordered array twin
-  (:meth:`OverlayGraph.to_array`), used by every vectorized kernel (gossip
-  spread, BFS, neighbour sampling, walker batches).  Per the HPC guides,
-  all hot loops operate on these flat, contiguous arrays rather than on
-  Python dictionaries.
+* one immutable CSR encoding rebuilt lazily after mutations, the array
+  twin (:meth:`OverlayGraph.to_array`).  Every estimator on either
+  backend, the aggregation round, :meth:`OverlayGraph.random_node` and
+  :mod:`repro.overlay.views` read it (gossip spread, BFS, neighbour
+  sampling, walker batches).  Per the HPC guides, all hot loops operate
+  on these flat, contiguous arrays rather than on Python dictionaries.
 
 Overlays are built array-first:
 :func:`~repro.overlay.builders.heterogeneous_random` wires straight into
@@ -27,28 +27,33 @@ iteration), :meth:`~OverlayGraph.to_array`, :meth:`~OverlayGraph.snapshot`
 and :meth:`~OverlayGraph.copy` answer from the twin, and a batch of
 departures (:meth:`~OverlayGraph.remove_nodes`, which
 :meth:`MembershipPolicy.leave <repro.overlay.membership.MembershipPolicy.leave>`
-uses) swaps in a new twin computed with numpy.  Every other call —
-membership, neighbour and degree queries, ``csr()``, random sampling,
-invariant checks and every other mutation, joins included — builds the
-dict first, once, in bounded row blocks (one shared int object per node
-id).  From then on the dict is the source of truth and costs nothing
-extra per access; the twin stays cached until the first mutation drops
-it, and no mutation log is kept for it (the next ``to_array()`` encodes
-afresh).  An array-backend run on a static or shrinking overlay
-therefore never builds the dict.
+uses) swaps in a new twin computed with numpy, and membership tests
+(``in``) and :meth:`~OverlayGraph.random_node` read the twin too.  Every
+other call — neighbour and degree queries, invariant checks and every
+other mutation, joins included — builds the dict first, once, in bounded
+row blocks (one shared int object per node id).  From then on the dict
+is the source of truth and costs nothing extra per access; the twin
+stays cached until the first mutation drops it, and no mutation log is
+kept for it (the next ``to_array()`` encodes afresh).  An estimate on a
+static or shrinking overlay therefore never builds the dict, on either
+backend.
 
-Node identifiers are opaque non-negative integers.  Identifiers of departed
-nodes are never reused within one graph's lifetime, which lets churn traces
-and estimator logs refer to nodes unambiguously.
+Node identifiers are opaque non-negative integers that **ascend in
+insertion order**: :meth:`~OverlayGraph.add_node` refuses an id below
+``next_id``, and the constructor and :meth:`~OverlayGraph.restore` refuse
+ids out of order.  So identifiers of departed nodes are never reused
+within one graph's lifetime, which lets churn traces and estimator logs
+refer to nodes unambiguously, and the twin's rows are sorted by id.
 
 Determinism contract (see ``docs/SNAPSHOTS.md``): node order and
 per-node neighbour order are **insertion order**, a language-level dict
-guarantee.  Every consumer of adjacency order (CSR row layout, hence
-``CsrView.sample_neighbors``; ``random_neighbor``; join candidate lists)
-therefore behaves as a pure function of the operation history — and a
-graph rebuilt from :meth:`OverlayGraph.snapshot` is *behaviorally
-identical* to the live one for all future operations, which is what makes
-mid-replay state hand-off between worker processes bit-exact.  (Neighbour
+guarantee.  Every consumer of adjacency order (the twin's row layout,
+hence ``ArrayOverlayGraph.sample_neighbors``; ``random_neighbor``; join
+candidate lists) therefore behaves as a pure function of the operation
+history — and a graph rebuilt from :meth:`OverlayGraph.snapshot` is
+*behaviorally identical* to the live one for all future operations,
+which is what makes mid-replay state hand-off between worker processes
+bit-exact.  (Neighbour
 sets would not give this: CPython set iteration order depends on internal
 table history that no reconstruction can reproduce.)
 """
@@ -56,6 +61,7 @@ table history that no reconstruction can reproduce.)
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -77,124 +83,15 @@ from ..sim.rng import RngLike, as_generator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .arraygraph import ArrayOverlayGraph
 
-__all__ = ["OverlayGraph", "CsrView", "GraphError"]
+__all__ = ["OverlayGraph", "GraphError"]
 
 
 class GraphError(ValueError):
     """Raised on structurally invalid graph operations."""
 
 
-class CsrView:
-    """Immutable flat-array snapshot of an :class:`OverlayGraph`.
-
-    Attributes
-    ----------
-    nodes:
-        Sorted array of alive node ids, shape ``(n,)``.
-    indptr:
-        CSR row pointer, shape ``(n + 1,)``; neighbours of the ``k``-th node
-        in ``nodes`` are ``indices[indptr[k]:indptr[k+1]]``.
-    indices:
-        Flat neighbour array holding *positions into* ``nodes`` (not raw
-        ids), so kernels can work purely in compact ``0..n-1`` space.
-    index_of:
-        Mapping from raw node id to its position in ``nodes``; built lazily
-        on first access (churn-heavy simulations rebuild snapshots far more
-        often than they look up raw ids).
-    """
-
-    __slots__ = ("nodes", "indptr", "indices", "_index_of")
-
-    def __init__(
-        self, nodes: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-    ) -> None:
-        self.nodes = nodes
-        self.indptr = indptr
-        self.indices = indices
-        self._index_of: Optional[Dict[int, int]] = None
-
-    @property
-    def index_of(self) -> Dict[int, int]:
-        if self._index_of is None:
-            self._index_of = {int(u): i for i, u in enumerate(self.nodes)}
-        return self._index_of
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CsrView(n={self.n}, m={self.m})"
-
-    @property
-    def n(self) -> int:
-        """Number of alive nodes in the snapshot."""
-        return int(self.nodes.shape[0])
-
-    @property
-    def m(self) -> int:
-        """Number of undirected edges in the snapshot."""
-        return int(self.indices.shape[0]) // 2
-
-    def degrees(self) -> np.ndarray:
-        """Degree of each node, aligned with ``nodes``."""
-        return np.diff(self.indptr)
-
-    def neighbors(self, pos: int) -> np.ndarray:
-        """Compact positions of the neighbours of the node at ``pos``."""
-        return self.indices[self.indptr[pos] : self.indptr[pos + 1]]
-
-    def sample_neighbors(self, positions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized choice of one uniform random neighbour per position.
-
-        Positions with degree zero map to ``-1`` (no neighbour available);
-        callers must handle that sentinel.  This is the inner step of both
-        the push-pull aggregation round and gossip fan-out selection.
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        starts = self.indptr[positions]
-        degs = self.indptr[positions + 1] - starts
-        out = np.full(positions.shape, -1, dtype=np.int64)
-        nz = degs > 0
-        if np.any(nz):
-            offsets = (rng.random(int(nz.sum())) * degs[nz]).astype(np.int64)
-            out[nz] = self.indices[starts[nz] + offsets]
-        return out
-
-    def bfs_distances(self, source_pos: int) -> np.ndarray:
-        """Hop distance from ``source_pos`` to every node (``-1``: unreachable).
-
-        The frontier BFS kernel
-        (:func:`~repro.core.kernels.bfs_frontier_distances`) over this view;
-        used by graph diagnostics and the HopsSampling bias analysis (§V of
-        the paper, where exact distances de-bias the poll).
-        """
-        from ..core.kernels import bfs_frontier_distances
-
-        return bfs_frontier_distances(self, source_pos)
-
-    def connected_component_sizes(self) -> List[int]:
-        """Sizes of connected components, descending."""
-        n = self.n
-        seen = np.zeros(n, dtype=bool)
-        sizes: List[int] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            count = 1
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in self.neighbors(u):
-                    v = int(v)
-                    if not seen[v]:
-                        seen[v] = True
-                        count += 1
-                        stack.append(v)
-            sizes.append(count)
-        sizes.sort(reverse=True)
-        return sizes
-
-
 class OverlayGraph:
-    """Mutable undirected overlay with lazily rebuilt CSR snapshots.
+    """Mutable undirected overlay with a lazily rebuilt CSR twin.
 
     All links are bidirectional (paper §IV-A: "whenever a node contacts
     another one, the reached node also ... keeps a link back").  Self-loops
@@ -203,7 +100,7 @@ class OverlayGraph:
     Parameters
     ----------
     nodes:
-        Optional initial node ids.
+        Optional initial node ids, in ascending order.
     edges:
         Optional initial undirected edges as ``(u, v)`` pairs.
     """
@@ -221,14 +118,14 @@ class OverlayGraph:
         # docstring); None once ``_adj`` exists.
         self._twin: Optional["ArrayOverlayGraph"] = None
         self._next_id = 0
-        self._csr: Optional[CsrView] = None
+        # The cached twin; every mutation of the dict drops it.
         self._array: Optional["ArrayOverlayGraph"] = None
         self._edge_count = 0
         # Incremental-twin bookkeeping: once a twin has been built
         # (``_array_base``), mutations record which rows they touched so
         # ``to_array`` can patch the base instead of re-encoding the whole
         # adjacency.  All three stay empty until the first ``to_array``
-        # call, so graphs that never use the array backend pay nothing.
+        # call, so graphs whose twin is never read pay nothing.
         self._array_base: Optional["ArrayOverlayGraph"] = None
         self._array_dirty: set = set()
         self._array_removed: set = set()
@@ -286,7 +183,8 @@ class OverlayGraph:
         return self.size
 
     def __contains__(self, node: int) -> bool:
-        return node in self._adj
+        twin = self._twin
+        return node in self._adj if twin is None else twin.position(node) >= 0
 
     def __iter__(self) -> Iterator[int]:
         twin = self._twin
@@ -334,18 +232,16 @@ class OverlayGraph:
 
     def average_degree(self) -> float:
         """Mean degree over alive nodes (0.0 for the empty graph)."""
-        if not self._adj:
-            return 0.0
-        return 2.0 * self._edge_count / len(self._adj)
+        n = self.size
+        return 2.0 * self._edge_count / n if n else 0.0
 
     def degrees(self) -> np.ndarray:
         """Bulk degree array in node *insertion* order.
 
         One C-level pass over the adjacency — consumers that previously
         looped ``[g.degree(u) for u in g.nodes()]`` re-walked the dict per
-        node.  Note :meth:`CsrView.degrees` returns the same values in
-        *sorted*-id order; this accessor is aligned with :meth:`nodes` and
-        with :class:`~repro.overlay.arraygraph.ArrayOverlayGraph` rows.
+        node.  This accessor is aligned with :meth:`nodes` and with
+        :class:`~repro.overlay.arraygraph.ArrayOverlayGraph` rows.
         """
         return np.fromiter(
             (len(nbrs) for nbrs in self._adj.values()),
@@ -376,12 +272,12 @@ class OverlayGraph:
         return nodes, indptr, flat
 
     def random_node(self, rng: RngLike = None) -> int:
-        """A uniformly random alive node (uses the CSR snapshot)."""
-        view = self.csr()
-        if view.n == 0:
+        """A uniformly random alive node (one draw over the twin's rows)."""
+        nodes = self.to_array().nodes
+        if not nodes.size:
             raise GraphError("cannot sample from an empty overlay")
         gen = as_generator(rng)
-        return int(view.nodes[gen.integers(view.n)])
+        return int(nodes[gen.integers(nodes.size)])
 
     def random_neighbor(self, node: int, rng: RngLike = None) -> Optional[int]:
         """A uniformly random neighbour of ``node`` or ``None`` if isolated."""
@@ -390,7 +286,7 @@ class OverlayGraph:
             return None
         gen = as_generator(rng)
         # tuple() copy is O(deg) but deg is small (≤ max_degree ≈ 10) in the
-        # paper's overlays; kernels that need bulk sampling use CsrView.
+        # paper's overlays; kernels that need bulk sampling use the twin.
         options = tuple(nbrs)
         return options[int(gen.integers(len(options)))]
 
@@ -401,7 +297,9 @@ class OverlayGraph:
     def add_node(self, node: Optional[int] = None) -> int:
         """Add an isolated node; auto-assigns the id when ``node`` is None.
 
-        Returns the id of the added node.
+        An explicit id must be at least :attr:`next_id`, so ids ascend in
+        insertion order and a departed id is never reused.  Returns the id
+        of the added node.
         """
         if node is None:
             node = self._next_id
@@ -410,11 +308,15 @@ class OverlayGraph:
             raise GraphError("node ids must be non-negative")
         if node in self._adj:
             raise GraphError(f"node {node} already present")
+        if node < self._next_id:
+            raise GraphError(
+                f"node {node} is below next_id {self._next_id}: ids must ascend"
+            )
         self._adj[node] = {}
-        self._next_id = max(self._next_id, node + 1)
+        self._next_id = node + 1
         if self._array_base is not None:
             self._array_appended.append(node)
-        self._invalidate()
+        self._array = None
         return node
 
     def add_nodes(self, count: int) -> List[int]:
@@ -438,7 +340,7 @@ class OverlayGraph:
         if self._array_base is not None:
             self._array_removed.add(node)
             self._array_dirty.update(nbrs)
-        self._invalidate()
+        self._array = None
 
     def remove_nodes(self, nodes: Sequence[int]) -> None:
         """Remove the distinct alive ``nodes``, as :meth:`remove_node` on
@@ -470,7 +372,7 @@ class OverlayGraph:
         if self._array_base is not None:
             self._array_dirty.add(u)
             self._array_dirty.add(v)
-        self._invalidate()
+        self._array = None
 
     def try_add_edge(self, u: int, v: int) -> bool:
         """Like :meth:`add_edge` but returns False instead of raising on
@@ -483,7 +385,7 @@ class OverlayGraph:
         if self._array_base is not None:
             self._array_dirty.add(u)
             self._array_dirty.add(v)
-        self._invalidate()
+        self._array = None
         return True
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -496,37 +398,22 @@ class OverlayGraph:
         if self._array_base is not None:
             self._array_dirty.add(u)
             self._array_dirty.add(v)
-        self._invalidate()
+        self._array = None
 
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
 
-    def _invalidate(self) -> None:
-        """Drop cached flat-array views after a mutation."""
-        self._csr = None
-        self._array = None
-
-    def csr(self) -> CsrView:
-        """Return the current CSR snapshot, rebuilding it if stale.
-
-        Rebuild cost is O(n + m); mutations merely invalidate the cache so
-        bursts of churn pay for a single rebuild at the next kernel call.
-        """
-        if self._csr is None:
-            self._csr = self._build_csr()
-        return self._csr
-
     def to_array(self) -> "ArrayOverlayGraph":
         """The insertion-ordered CSR twin of this graph (cached).
 
-        Unlike :meth:`csr` (sorted node ids), the
-        :class:`~repro.overlay.arraygraph.ArrayOverlayGraph` preserves node
-        and per-node neighbour *insertion* order, so
-        :meth:`from_array` round-trips to a behaviorally identical dict
-        graph and ``to_array().snapshot() == snapshot()`` exactly.  Like
-        the CSR view, the twin is immutable and rebuilt lazily after
-        mutations.
+        The :class:`~repro.overlay.arraygraph.ArrayOverlayGraph` preserves
+        node and per-node neighbour *insertion* order (node order is also
+        ascending id order), so :meth:`from_array` round-trips to a
+        behaviorally identical dict graph and ``to_array().snapshot() ==
+        snapshot()`` exactly.  The twin is immutable and rebuilt lazily
+        after mutations, so bursts of churn pay for one rebuild at the
+        next read.
 
         Rebuilds are *incremental* when possible: once a twin exists,
         mutations record which rows they touched, and as long as fewer
@@ -578,26 +465,6 @@ class OverlayGraph:
         g._next_id = array.next_id
         g._edge_count = array.m
         return g
-
-    def _build_csr(self) -> CsrView:
-        n = len(self._adj)
-        ids = np.fromiter(self._adj.keys(), dtype=np.int64, count=n)
-        ids.sort()
-        id_list = ids.tolist()
-        adj = self._adj
-        degs = np.fromiter((len(adj[u]) for u in id_list), dtype=np.int64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        total = int(indptr[-1])
-        # Single C-level pass over the adjacency, then one vectorized
-        # id→position translation (ids are sorted, so searchsorted is it).
-        flat = np.fromiter(
-            itertools.chain.from_iterable(map(adj.__getitem__, id_list)),
-            dtype=np.int64,
-            count=total,
-        )
-        indices = np.searchsorted(ids, flat)
-        return CsrView(nodes=ids, indptr=indptr, indices=indices)
 
     # ------------------------------------------------------------------
     # integrity
@@ -666,15 +533,18 @@ class OverlayGraph:
         """Rebuild a graph from a :meth:`snapshot` payload.
 
         Inverse of :meth:`snapshot`; validates nothing beyond basic shape
-        (payloads come from our own snapshot chain or the content-addressed
-        store, both of which hash the producing configuration).
+        and ascending ids (payloads come from our own snapshot chain or the
+        content-addressed store, both of which hash the producing
+        configuration).
         """
+        ids = snap["nodes"]
+        if not all(map(operator.lt, ids, itertools.islice(ids, 1, None))):
+            raise GraphError("snapshot node ids must ascend")
         g = cls()
         # Ids are born plain ints in snapshot(), and both transports
         # (pickle, JSON) preserve that — no per-element coercion needed.
         adj: Dict[int, Dict[int, None]] = {
-            u: dict.fromkeys(nbrs)
-            for u, nbrs in zip(snap["nodes"], snap["adj"])
+            u: dict.fromkeys(nbrs) for u, nbrs in zip(ids, snap["adj"])
         }
         g._adj = adj
         g._edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2

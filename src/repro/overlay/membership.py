@@ -91,7 +91,7 @@ class MembershipPolicy:
         # One candidate list for the whole batch (joiners are appended and
         # thus become candidates for later joiners, as in a real system
         # where a bootstrap server learns of new arrivals immediately).
-        # Deliberately avoids graph.csr(): snapshot rebuilds per joiner
+        # Deliberately avoids graph.to_array(): twin rebuilds per joiner
         # would make mass-join churn events O(n·count).
         candidates: List[int] = self.graph.nodes()
         for _ in range(count):

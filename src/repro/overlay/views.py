@@ -3,7 +3,9 @@
 These helpers back Fig 7 (the scale-free degree distribution plot), the
 connectivity arguments in §IV-A (average degree over ``log10 N`` keeps the
 overlay connected) and §IV-D (aggregation degrades when departures disconnect
-the overlay), and the test-suite's structural assertions.
+the overlay), and the test-suite's structural assertions.  They read the
+graph's CSR twin (:meth:`~repro.overlay.graph.OverlayGraph.to_array`), so
+none of them builds the adjacency dict of a twin-backed graph.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .arraygraph import ArrayOverlayGraph
 from .graph import OverlayGraph
 
 __all__ = [
@@ -23,6 +26,7 @@ __all__ = [
     "largest_component_fraction",
     "powerlaw_exponent",
     "connectivity_margin",
+    "connected_component_sizes",
 ]
 
 
@@ -53,7 +57,7 @@ class DegreeStats:
 
 def degree_stats(graph: OverlayGraph) -> DegreeStats:
     """Compute :class:`DegreeStats` for ``graph`` (empty graphs allowed)."""
-    view = graph.csr()
+    view = graph.to_array()
     if view.n == 0:
         return DegreeStats(0, 0, 0, 0, 0.0, 0.0, 0)
     degs = view.degrees()
@@ -73,7 +77,7 @@ def degree_histogram(graph: OverlayGraph) -> List[Tuple[int, int]]:
 
     This is exactly the data behind the paper's Fig 7 log-log plot.
     """
-    view = graph.csr()
+    view = graph.to_array()
     if view.n == 0:
         return []
     degs = view.degrees()
@@ -83,11 +87,12 @@ def degree_histogram(graph: OverlayGraph) -> List[Tuple[int, int]]:
 
 def is_connected(graph: OverlayGraph) -> bool:
     """Whether all alive nodes form a single connected component."""
-    view = graph.csr()
+    from ..core.kernels import bfs_frontier_distances  # import cycle guard
+
+    view = graph.to_array()
     if view.n <= 1:
         return True
-    dist = view.bfs_distances(0)
-    return bool((dist >= 0).all())
+    return bool((bfs_frontier_distances(view, 0) >= 0).all())
 
 
 def largest_component_fraction(graph: OverlayGraph) -> float:
@@ -97,11 +102,34 @@ def largest_component_fraction(graph: OverlayGraph) -> float:
     departures to exactly this quantity dropping (§IV-D: "loss of
     connectivity of the overlay ... prevents the propagation").
     """
-    view = graph.csr()
+    view = graph.to_array()
     if view.n == 0:
         return 0.0
-    sizes = view.connected_component_sizes()
-    return sizes[0] / view.n
+    return connected_component_sizes(view)[0] / view.n
+
+
+def connected_component_sizes(view: ArrayOverlayGraph) -> List[int]:
+    """Sizes of the connected components of the twin ``view``, descending."""
+    n = view.n
+    seen = np.zeros(n, dtype=bool)
+    sizes: List[int] = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        count = 1
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in view.neighbors(u):
+                v = int(v)
+                if not seen[v]:
+                    seen[v] = True
+                    count += 1
+                    stack.append(v)
+        sizes.append(count)
+    sizes.sort(reverse=True)
+    return sizes
 
 
 def powerlaw_exponent(graph: OverlayGraph, d_min: int = 3) -> float:
@@ -111,7 +139,7 @@ def powerlaw_exponent(graph: OverlayGraph, d_min: int = 3) -> float:
     Used to confirm that :func:`repro.overlay.builders.scale_free` produces
     the ``P(d) ~ d^-gamma`` shape of Fig 7 (BA theory predicts gamma ≈ 3).
     """
-    view = graph.csr()
+    view = graph.to_array()
     degs = view.degrees()
     degs = degs[degs >= d_min]
     if degs.size < 2:

@@ -78,11 +78,12 @@ class RuntimeOptions:
     #: ``None`` auto-detects ($REPRO_GIT_REVISION, then ``git rev-parse``);
     #: like ``tag``, provenance only — never part of the content address.
     revision: Optional[str] = None
-    #: Graph representation kernel-capable estimators run on: ``"dict"``
-    #: (the reference) or ``"array"`` (the batched kernels of
+    #: Backend of the kernel-capable estimators: ``"dict"`` (the serial
+    #: reference algorithms) or ``"array"`` (the batched kernels of
     #: :mod:`repro.core.kernels`; the CLI's ``--graph-backend``).  Unlike
-    #: ``workers`` this is *not* execution detail: array-backend results
-    #: are distributionally — not bitwise — equivalent, so the backend is
+    #: ``workers`` this is *not* execution detail: array-backend
+    #: Sample&Collide results are distributionally — not bitwise —
+    #: equivalent (HopsSampling's are bit-identical), so the backend is
     #: injected into the estimator specs and perturbs the content address
     #: (docs/KERNELS.md).
     graph_backend: str = "dict"

@@ -241,6 +241,9 @@ def recv_message(sock: socket.socket) -> Dict[str, Any]:
     sizes is allocated or read, and the frame's length against
     :data:`MAX_MESSAGE_BYTES`; a violation raises :class:`OSError`.  Each
     buffer is read straight into the ``bytearray`` its array then wraps.
+    Metadata that fails to decode — unpickling may raise anything, say a
+    ``ValueError`` from a ``__reduce__`` — raises :class:`OSError` too, so
+    every caller treats it as the transport failure it is.
     """
     header = sock.recv(_HEADER.size)
     if not header:
@@ -271,7 +274,10 @@ def recv_message(sock: socket.socket) -> Dict[str, Any]:
     for size in sizes:
         buffers.append(bytearray(size))
         _recv_into(sock, buffers[-1])
-    message = pickle.loads(meta, buffers=buffers)
+    try:
+        message = pickle.loads(meta, buffers=buffers)
+    except Exception as exc:  # noqa: BLE001 - any decode failure is a torn peer
+        raise OSError(f"undecodable message: {type(exc).__name__}: {exc}") from exc
     if not isinstance(message, dict):
         raise OSError(f"expected a message dict, got {type(message).__name__}")
     return message
@@ -543,7 +549,7 @@ class WorkerServer:
         """One session: handshake, then a chunk loop or a heartbeat loop."""
         try:
             hello = recv_message(conn)
-        except (EOFError, OSError, pickle.UnpicklingError):
+        except (EOFError, OSError):
             return None
         if hello.get("type") != "hello" or not _is_protocol_version(
             hello.get("version")
@@ -586,7 +592,7 @@ class WorkerServer:
         while True:
             try:
                 message = recv_message(conn)
-            except (EOFError, OSError, pickle.UnpicklingError):
+            except (EOFError, OSError):
                 return
             kind = message.get("type")
             if kind == "bye":
@@ -610,7 +616,7 @@ class WorkerServer:
                 while True:  # swallow pings silently; never answer again
                     try:
                         recv_message(conn)
-                    except (EOFError, OSError, pickle.UnpicklingError):
+                    except (EOFError, OSError):
                         return
             with self._mutex:
                 self._pongs += 1

@@ -247,14 +247,14 @@ class TrialExecutor:
         try:
             with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
                 futures = self._submit(pool, chunks)
-                index_of = {future: i for i, future in enumerate(futures)}
+                chunk_of = {future: i for i, future in enumerate(futures)}
                 for future in as_completed(futures):
                     part = future.result()
-                    completed[index_of[future]] = part
+                    completed[chunk_of[future]] = part
                     done += len(part)
                     self.progress.on_event(
                         "chunk_done",
-                        chunk=index_of[future],
+                        chunk=chunk_of[future],
                         trials=len(part),
                         results=part,
                     )

@@ -329,7 +329,8 @@ class EstimatorSpec:
         reference backend is the unrecorded default, so historical
         artifacts (hashed before the parameter existed) stay addressable,
         while ``"array"`` perturbs the content address on purpose: its
-        results are distributionally, not bitwise, equivalent.
+        Sample&Collide results are distributionally, not bitwise,
+        equivalent.
         """
         if self.kind not in BACKEND_KINDS:
             return self

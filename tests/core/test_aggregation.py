@@ -67,7 +67,7 @@ class TestMassConservation:
         proto = AggregationProtocol(small_het_graph, rng=3)
         proto.start_epoch()
         proto.run_rounds(20)
-        view = small_het_graph.csr()
+        view = small_het_graph.to_array()
         for node in view.nodes:
             assert proto.value_of(int(node)) >= 0.0
 

@@ -42,9 +42,9 @@ class TestReadPaths:
         proto.start_epoch(initiator=0)
         proto.run_rounds(5)
         ests = proto.read_all()
-        view = g.csr()
-        assert np.isinf(ests[view.index_of[2]])
-        assert np.isfinite(ests[view.index_of[0]])
+        view = g.to_array()
+        assert np.isinf(ests[view.position(2)])
+        assert np.isfinite(ests[view.position(0)])
 
     def test_best_informed_fallback_requires_alive_participant(self):
         g = heterogeneous_random(20, rng=5)

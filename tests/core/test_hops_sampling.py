@@ -11,6 +11,7 @@ from repro.core.hops_sampling import (
     HopsSamplingEstimator,
     _gossip_spread,
 )
+from repro.core.kernels import bfs_frontier_distances
 from repro.overlay.builders import heterogeneous_random
 from repro.overlay.graph import OverlayGraph
 from repro.sim.messages import MessageKind, MessageMeter
@@ -20,32 +21,32 @@ class TestSpread:
     def test_coverage_band(self, het_graph):
         # Fanout 2 with one duplicate-triggered re-gossip reaches most but
         # not all of the overlay — the paper measured ≈89%.
-        view = het_graph.csr()
+        view = het_graph.to_array()
         rng = np.random.default_rng(1)
         spread = _gossip_spread(view, 0, gossip_to=2, gossip_for=1, gossip_until=1, rng=rng)
         assert 0.80 <= spread.coverage() <= 0.99
 
     def test_initiator_at_distance_zero(self, small_het_graph):
-        view = small_het_graph.csr()
+        view = small_het_graph.to_array()
         spread = _gossip_spread(view, 5, 2, 1, 1, np.random.default_rng(2))
         assert spread.hops[5] == 0
 
     def test_recorded_distances_bounded_by_bfs_below(self, small_het_graph):
         # Gossip paths are never shorter than shortest paths.
-        view = small_het_graph.csr()
+        view = small_het_graph.to_array()
         spread = _gossip_spread(view, 0, 2, 1, 1, np.random.default_rng(3))
-        bfs = view.bfs_distances(0)
+        bfs = bfs_frontier_distances(view, 0)
         reached = spread.hops >= 0
         assert (spread.hops[reached] >= bfs[reached]).all()
 
     def test_higher_fanout_improves_coverage(self, het_graph):
-        view = het_graph.csr()
+        view = het_graph.to_array()
         c2 = _gossip_spread(view, 0, 2, 1, 1, np.random.default_rng(4)).coverage()
         c5 = _gossip_spread(view, 0, 5, 1, 1, np.random.default_rng(4)).coverage()
         assert c5 > c2
 
     def test_message_count_tracks_fanout(self, het_graph):
-        view = het_graph.csr()
+        view = het_graph.to_array()
         s = _gossip_spread(view, 0, 2, 1, 1, np.random.default_rng(5))
         # every informed node sends gossip_to messages at least once
         assert s.spread_messages >= 2 * 0.8 * s.reached
@@ -53,7 +54,7 @@ class TestSpread:
 
     def test_single_node_spread(self):
         g = OverlayGraph(nodes=[0])
-        view = g.csr()
+        view = g.to_array()
         s = _gossip_spread(view, 0, 2, 1, 1, np.random.default_rng(6))
         assert s.reached == 1
         assert s.spread_messages == 0

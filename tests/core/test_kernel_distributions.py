@@ -18,6 +18,7 @@ still derives from ``(hub_seed, index)`` alone).
 
 from __future__ import annotations
 
+import collections
 import json
 import pathlib
 
@@ -102,7 +103,7 @@ class TestEstimatorDistributions:
         # must match UniformWalkSampler draw-for-law (not draw-for-draw).
         view = small_het_graph.to_array()
         initiator = next(iter(small_het_graph))
-        init_pos = view.position_of[initiator]
+        init_pos = view.position(initiator)
         serial = UniformWalkSampler(
             small_het_graph, timer=5.0, rng=np.random.default_rng(SEED_BASE)
         )
@@ -159,9 +160,9 @@ class TestWalkerSemantics:
         g = OverlayGraph(nodes=[0, 1, 2], edges=[(1, 2)])
         view = g.to_array()
         pos, hops = advance_walkers(
-            view, view.position_of[0], 8, 10.0, np.random.default_rng(0)
+            view, view.position(0), 8, 10.0, np.random.default_rng(0)
         )
-        assert (pos == view.position_of[0]).all()
+        assert (pos == view.position(0)).all()
         assert (hops == 0).all()
 
     def test_dead_end_absorbs_walks(self):
@@ -170,9 +171,9 @@ class TestWalkerSemantics:
         g = OverlayGraph(nodes=[0, 1], edges=[(0, 1)])
         view = g.to_array()
         pos, hops = advance_walkers(
-            view, view.position_of[0], 16, 3.0, np.random.default_rng(1)
+            view, view.position(0), 16, 3.0, np.random.default_rng(1)
         )
-        assert set(pos.tolist()) <= {view.position_of[0], view.position_of[1]}
+        assert set(pos.tolist()) <= {view.position(0), view.position(1)}
         assert (hops >= 1).all()
 
     def test_max_hops_stops_in_place(self, tiny_graph):
@@ -189,16 +190,21 @@ class TestWalkerSemantics:
         assert pos.size == 0 and hops.size == 0
 
     def test_bfs_matches_csr_reference(self, small_het_graph):
+        # The frontier kernel on the twin against a plain breadth-first
+        # search over the adjacency dict, node id by node id.
         view = small_het_graph.to_array()
-        csr = small_het_graph.csr()
         src_id = int(view.nodes[0])
         ours = bfs_frontier_distances(view, 0)
-        theirs = csr.bfs_distances(csr.index_of[src_id])
-        # Same distance *multiset* and same per-node distances under the
-        # id translation (row orders differ between the two views).
-        by_id_ours = {int(view.nodes[i]): int(d) for i, d in enumerate(ours)}
-        by_id_theirs = {int(csr.nodes[i]): int(d) for i, d in enumerate(theirs)}
-        assert by_id_ours == by_id_theirs
+        theirs = {src_id: 0}
+        queue = collections.deque([src_id])
+        while queue:
+            u = queue.popleft()
+            for v in small_het_graph.neighbors(u):
+                if v not in theirs:
+                    theirs[v] = theirs[u] + 1
+                    queue.append(v)
+        by_id_ours = {int(view.nodes[i]): int(d) for i, d in enumerate(ours) if d >= 0}
+        assert by_id_ours == theirs
 
 
 class TestRuntimeIntegration:

@@ -114,10 +114,10 @@ class TestUniformity:
         sampler = UniformWalkSampler(graph, timer=timer, rng=seed)
         init = graph.random_node(0)
         batch = sampler.sample_batch(init, draws)
-        view = graph.csr()
+        view = graph.to_array()
         counts = np.zeros(view.n)
         for s in batch.samples:
-            counts[view.index_of[int(s)]] += 1
+            counts[view.position(s)] += 1
         expected = draws / view.n
         chi2 = ((counts - expected) ** 2 / expected).sum()
         return stats.chi2.sf(chi2, df=view.n - 1)
@@ -145,10 +145,10 @@ class TestUniformity:
         g = scale_free(200, m=2, rng=23)
         sampler = UniformWalkSampler(g, timer=30.0, rng=24)
         batch = sampler.sample_batch(g.random_node(0), 8_000)
-        view = g.csr()
+        view = g.to_array()
         counts = np.zeros(view.n)
         for s in batch.samples:
-            counts[view.index_of[int(s)]] += 1
+            counts[view.position(s)] += 1
         degs = view.degrees().astype(float)
         corr = np.corrcoef(degs, counts)[0, 1]
         assert abs(corr) < 0.12

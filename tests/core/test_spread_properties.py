@@ -35,7 +35,7 @@ class TestSpreadInvariants:
         recorded distance is strictly smaller — i.e. recorded distances
         witness actual gossip paths back to the initiator."""
         g = _overlay(kind, n, seed)
-        view = g.csr()
+        view = g.to_array()
         rng = np.random.default_rng(seed + 1)
         spread = _gossip_spread(view, 0, fanout, 1, 1, rng)
         hops = spread.hops
@@ -52,7 +52,7 @@ class TestSpreadInvariants:
     @settings(max_examples=60, deadline=None)
     def test_spread_accounting(self, kind, n, seed):
         g = _overlay(kind, n, seed)
-        view = g.csr()
+        view = g.to_array()
         spread = _gossip_spread(view, 0, 2, 1, 1, np.random.default_rng(seed))
         assert 1 <= spread.reached <= view.n
         assert spread.rounds >= 1
@@ -65,7 +65,7 @@ class TestSpreadInvariants:
     @settings(max_examples=40, deadline=None)
     def test_initiator_always_reached_at_zero(self, n, seed):
         g = heterogeneous_random(n, rng=seed)
-        view = g.csr()
+        view = g.to_array()
         init = int(seed % view.n)
         spread = _gossip_spread(view, init, 2, 1, 1, np.random.default_rng(seed))
         assert spread.hops[init] == 0

@@ -90,11 +90,14 @@ class TestStaticEquivalence:
             twin.neighbor_ids(999)
 
     def test_sparse_id_space_fallback(self):
-        # Ids far above the dense-LUT threshold exercise the
-        # argsort/searchsorted translation path.
-        ids = [7, 10_000_003, 51, 92_000_017]
+        # Ids far above the dense-LUT threshold exercise the binary-search
+        # translation over the ascending node ids.
+        ids = [7, 51, 10_000_003, 92_000_017]
         g = OverlayGraph(nodes=ids, edges=[(7, 51), (51, 92_000_017)])
         assert_twin_matches(g)
+        twin = g.to_array()
+        assert [twin.position(u) for u in ids] == [0, 1, 2, 3]
+        assert [twin.position(u) for u in (0, 52, -1, 2**40)] == [-1] * 4
 
 
 def _dict_built(graph: OverlayGraph) -> bool:
@@ -204,6 +207,7 @@ _BAD_PACKS = {
     "indptr_tail": lambda p: p.update(indices=p["indices"][:-1]),
     "negative_id": lambda p: p["nodes"].__setitem__(0, -1),
     "duplicate_ids": lambda p: p["nodes"].__setitem__(1, p["nodes"][0]),
+    "descending_ids": lambda p: p["nodes"].__setitem__(slice(0, 2), p["nodes"][1::-1]),
 }
 
 
@@ -215,6 +219,18 @@ class TestUnpackValidation:
         _BAD_PACKS[fault](packed)
         with pytest.raises(GraphError):
             ArrayOverlayGraph.unpack(packed)
+
+    def test_unpack_refuses_ids_out_of_order(self):
+        packed = {
+            "nodes": np.array([0, 2, 1], dtype=np.int32),
+            "indptr": np.array([0, 1, 2, 2], dtype=np.int32),
+            "indices": np.array([1, 0], dtype=np.int32),
+            "next_id": 3,
+        }
+        with pytest.raises(GraphError, match="ascend"):
+            ArrayOverlayGraph.unpack(packed)
+        packed["nodes"] = np.array([0, 1, 2], dtype=np.int32)
+        assert ArrayOverlayGraph.unpack(packed).m == 1
 
     @pytest.mark.parametrize(
         "rows, reason",
@@ -280,29 +296,23 @@ class TestChurnEquivalence:
 
 
 class TestCsrConsistency:
-    """The twin agrees with the sorted CsrView on order-free facts."""
+    """The twin agrees with the dict graph on order-free facts."""
 
     def test_same_edge_set(self, small_het_graph):
         twin = small_het_graph.to_array()
-        view = small_het_graph.csr()
-        assert twin.m == view.m
+        assert twin.m == small_het_graph.num_edges
         twin_edges = {
             tuple(sorted((int(twin.nodes[r]), int(twin.nodes[c]))))
             for r in range(twin.n)
             for c in twin.neighbors(r)
         }
-        view_edges = {
-            tuple(sorted((int(view.nodes[r]), int(view.nodes[c]))))
-            for r in range(view.n)
-            for c in view.neighbors(r)
-        }
-        assert twin_edges == view_edges
+        assert twin_edges == set(small_het_graph.edges())
 
     def test_same_degree_multiset(self, small_het_graph):
         twin = small_het_graph.to_array()
-        view = small_het_graph.csr()
-        assert sorted(twin.degrees().tolist()) == sorted(view.degrees().tolist())
-        assert twin.average_degree() == pytest.approx(2.0 * view.m / view.n)
+        degrees = [small_het_graph.degree(u) for u in small_het_graph]
+        assert sorted(twin.degrees().tolist()) == sorted(degrees)
+        assert twin.average_degree() == pytest.approx(small_het_graph.average_degree())
 
 
 class TestBulkAccessors:
@@ -352,10 +362,10 @@ class TestIncrementalPatch:
         g = OverlayGraph(nodes=[0, 1, 2], edges=[(0, 1), (1, 2), (0, 2)])
         g.to_array()
         g.remove_node(1)
-        g.add_node(1)
-        g.add_edge(1, 2)
-        # Row 1 must move to the *end* of the insertion order.
-        assert list(g) == [0, 2, 1]
+        # A departed id is never reused, so rows stay in ascending order.
+        with pytest.raises(GraphError, match="ascend"):
+            g.add_node(1)
+        assert list(g) == [0, 2]
         self._assert_patched_equals_fresh(g)
 
     def test_add_remove_add_cycle(self):
@@ -364,7 +374,10 @@ class TestIncrementalPatch:
         new = g.add_node()
         g.add_edge(new, 0)
         g.remove_node(new)
-        g.add_node(new)  # re-add the appended-then-removed id
+        with pytest.raises(GraphError, match="ascend"):
+            g.add_node(new)  # the appended-then-removed id stays retired
+        assert g.add_node() == new + 1
+        g.add_edge(new + 1, 1)
         self._assert_patched_equals_fresh(g)
 
     def test_removed_node_was_already_dirty(self):

@@ -53,8 +53,8 @@ def _apply(g: OverlayGraph, ops, offset: int = 0, seed: int = 0):
             continue
         a, b = a + offset, b + offset
         if kind == "add_node":
-            if a not in g:
-                g.add_node(a)
+            # Ids ascend: a slot below next_id takes the next fresh id.
+            g.add_node(max(a, g.next_id))
         elif kind == "remove_node":
             if a in g:
                 g.remove_node(a)

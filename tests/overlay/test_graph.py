@@ -1,11 +1,13 @@
-"""Unit tests for the dynamic overlay graph and its CSR snapshots."""
+"""Unit tests for the dynamic overlay graph and its CSR twin."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core.kernels import bfs_frontier_distances
 from repro.overlay.graph import GraphError, OverlayGraph
+from repro.overlay.views import connected_component_sizes
 
 
 class TestConstruction:
@@ -50,6 +52,22 @@ class TestConstruction:
     def test_negative_node_id_rejected(self):
         with pytest.raises(GraphError):
             OverlayGraph().add_node(-5)
+
+    def test_ids_below_next_id_rejected(self):
+        g = OverlayGraph(nodes=[0, 4])
+        with pytest.raises(GraphError, match="ascend"):
+            g.add_node(2)
+        assert g.add_node(5) == 5
+        with pytest.raises(GraphError, match="ascend"):
+            OverlayGraph(nodes=[2, 1])
+
+    def test_restore_rejects_ids_out_of_order(self):
+        snap = {"nodes": [0, 2, 1], "adj": [[1], [], [0]], "next_id": 3}
+        with pytest.raises(GraphError, match="ascend"):
+            OverlayGraph.restore(snap)
+        snap["nodes"] = [0, 1, 2]
+        snap["adj"] = [[1], [0], []]
+        assert OverlayGraph.restore(snap).num_edges == 1
 
 
 class TestEdges:
@@ -172,57 +190,58 @@ class TestAccessors:
         tiny_graph.check_invariants()
 
 
-class TestCsrView:
+class TestTwin:
     def test_shapes_and_counts(self, tiny_graph):
-        view = tiny_graph.csr()
+        view = tiny_graph.to_array()
         assert view.n == 5
         assert view.m == 4
         assert view.indptr.shape == (6,)
         assert view.indices.shape == (8,)
 
     def test_nodes_sorted(self, tiny_graph):
-        view = tiny_graph.csr()
+        view = tiny_graph.to_array()
         assert list(view.nodes) == sorted(view.nodes)
 
-    def test_index_of_roundtrip(self, tiny_graph):
-        view = tiny_graph.csr()
-        for node, pos in view.index_of.items():
-            assert int(view.nodes[pos]) == node
+    def test_position_roundtrip(self, tiny_graph):
+        view = tiny_graph.to_array()
+        for pos, node in enumerate(view.nodes.tolist()):
+            assert view.position(node) == pos
+        assert view.position(99) == -1
 
     def test_degrees_match_graph(self, tiny_graph):
-        view = tiny_graph.csr()
-        for node, pos in view.index_of.items():
-            assert view.degrees()[pos] == tiny_graph.degree(node)
+        view = tiny_graph.to_array()
+        for node in tiny_graph:
+            assert view.degrees()[view.position(node)] == tiny_graph.degree(node)
 
     def test_neighbors_match_graph(self, tiny_graph):
-        view = tiny_graph.csr()
-        for node, pos in view.index_of.items():
-            got = {int(view.nodes[q]) for q in view.neighbors(pos)}
+        view = tiny_graph.to_array()
+        for node in tiny_graph:
+            got = {int(view.nodes[q]) for q in view.neighbors(view.position(node))}
             assert got == tiny_graph.neighbors(node)
 
     def test_snapshot_cached_until_mutation(self, tiny_graph):
-        v1 = tiny_graph.csr()
-        assert tiny_graph.csr() is v1
+        v1 = tiny_graph.to_array()
+        assert tiny_graph.to_array() is v1
         tiny_graph.add_node()
-        assert tiny_graph.csr() is not v1
+        assert tiny_graph.to_array() is not v1
 
     def test_stale_after_edge_ops(self):
         g = OverlayGraph(nodes=[0, 1])
-        v1 = g.csr()
+        v1 = g.to_array()
         g.add_edge(0, 1)
-        v2 = g.csr()
+        v2 = g.to_array()
         assert v2 is not v1
         assert v2.m == 1
         g.remove_edge(0, 1)
-        assert g.csr().m == 0
+        assert g.to_array().m == 0
 
     def test_empty_graph_view(self):
-        view = OverlayGraph().csr()
+        view = OverlayGraph().to_array()
         assert view.n == 0
         assert view.m == 0
 
     def test_sample_neighbors_lands_on_neighbors(self, het_graph):
-        view = het_graph.csr()
+        view = het_graph.to_array()
         rng = np.random.default_rng(0)
         positions = rng.integers(view.n, size=200)
         chosen = view.sample_neighbors(positions, rng)
@@ -232,41 +251,41 @@ class TestCsrView:
 
     def test_sample_neighbors_isolated_gives_minus_one(self):
         g = OverlayGraph(nodes=[0, 1], edges=[])
-        view = g.csr()
+        view = g.to_array()
         rng = np.random.default_rng(0)
         out = view.sample_neighbors(np.array([0, 1]), rng)
         assert list(out) == [-1, -1]
 
     def test_sample_neighbors_empty_input(self, tiny_graph):
-        view = tiny_graph.csr()
+        view = tiny_graph.to_array()
         out = view.sample_neighbors(np.empty(0, dtype=np.int64), np.random.default_rng(0))
         assert out.shape == (0,)
 
 
 class TestBfsAndComponents:
     def test_bfs_distances_on_path(self, tiny_graph):
-        view = tiny_graph.csr()
-        dist = view.bfs_distances(view.index_of[0])
+        view = tiny_graph.to_array()
+        dist = bfs_frontier_distances(view, view.position(0))
         by_node = {int(view.nodes[i]): int(d) for i, d in enumerate(dist)}
         assert by_node == {0: 0, 1: 1, 2: 2, 3: 3, 4: 2}
 
     def test_bfs_unreachable_is_minus_one(self):
         g = OverlayGraph(nodes=[0, 1, 2], edges=[(0, 1)])
-        view = g.csr()
-        dist = view.bfs_distances(view.index_of[0])
-        assert dist[view.index_of[2]] == -1
+        view = g.to_array()
+        dist = bfs_frontier_distances(view, view.position(0))
+        assert dist[view.position(2)] == -1
 
     def test_bfs_empty_graph(self):
-        view = OverlayGraph().csr()
-        assert view.bfs_distances(0).shape == (0,)
+        view = OverlayGraph().to_array()
+        assert bfs_frontier_distances(view, 0).shape == (0,)
 
     def test_component_sizes(self):
         g = OverlayGraph(nodes=range(6), edges=[(0, 1), (1, 2), (3, 4)])
-        sizes = g.csr().connected_component_sizes()
+        sizes = connected_component_sizes(g.to_array())
         assert sizes == [3, 2, 1]
 
     def test_component_sizes_connected(self, het_graph):
-        sizes = het_graph.csr().connected_component_sizes()
+        sizes = connected_component_sizes(het_graph.to_array())
         assert sum(sizes) == het_graph.size
 
 

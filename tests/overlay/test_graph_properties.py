@@ -1,5 +1,5 @@
 """Property-based tests: the overlay graph under arbitrary operation
-sequences, and CSR/adjacency coherence.
+sequences, and coherence of its CSR twin with the adjacency.
 
 These are the core structural invariants everything else relies on:
 bidirectional symmetry, exact edge accounting, and snapshot fidelity.
@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernels import bfs_frontier_distances
 from repro.overlay.graph import OverlayGraph
 
 # An operation is (kind, a, b) with node slots drawn from a small universe
@@ -29,8 +30,8 @@ _ops = st.lists(
 def _apply(g: OverlayGraph, ops) -> None:
     for kind, a, b in ops:
         if kind == "add_node":
-            if a not in g:
-                g.add_node(a)
+            # Ids ascend: a slot below next_id takes the next fresh id.
+            g.add_node(max(a, g.next_id))
         elif kind == "remove_node":
             if a in g:
                 g.remove_node(a)
@@ -55,12 +56,13 @@ def test_invariants_hold_under_any_op_sequence(ops):
 def test_csr_matches_adjacency_after_any_op_sequence(ops):
     g = OverlayGraph()
     _apply(g, ops)
-    view = g.csr()
+    view = g.to_array()
     assert view.n == g.size
     assert view.m == g.num_edges
+    assert view.nodes.tolist() == sorted(g.nodes())
     # Every adjacency entry appears in the CSR and vice versa.
     for node in g.nodes():
-        pos = view.index_of[node]
+        pos = view.position(node)
         from_view = {int(view.nodes[q]) for q in view.neighbors(pos)}
         assert from_view == g.neighbors(node)
 
@@ -70,7 +72,7 @@ def test_csr_matches_adjacency_after_any_op_sequence(ops):
 def test_sample_neighbors_always_valid(ops, seed):
     g = OverlayGraph()
     _apply(g, ops)
-    view = g.csr()
+    view = g.to_array()
     if view.n == 0:
         return
     rng = np.random.default_rng(seed)
@@ -114,10 +116,10 @@ def test_bfs_distances_are_metric_like(ops):
     """BFS distances: 0 at source, and adjacent nodes differ by at most 1."""
     g = OverlayGraph()
     _apply(g, ops)
-    view = g.csr()
+    view = g.to_array()
     if view.n == 0:
         return
-    dist = view.bfs_distances(0)
+    dist = bfs_frontier_distances(view, 0)
     assert dist[0] == 0
     for pos in range(view.n):
         for q in view.neighbors(pos):

@@ -129,6 +129,69 @@ def fake_worker(reply):
         thread.join(timeout=5.0)
 
 
+def _refuse_to_decode():
+    raise ValueError("this result does not decode")
+
+
+class _Undecodable:
+    """Pickles fine; unpickling it raises :class:`ValueError`."""
+
+    def __reduce__(self):
+        return (_refuse_to_decode, ())
+
+
+@contextlib.contextmanager
+def scripted_worker(answer):
+    """A worker that welcomes every dial, answers heartbeat pings and
+    answers every ``chunk`` message with ``answer(message)``.
+
+    Yields its address.  Unlike :func:`fake_worker` its heartbeat stays
+    healthy, so only the dispatch path can notice a bad reply.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    conns = []
+
+    def session(conn):
+        with conn:
+            try:
+                recv_message(conn)  # the hello
+                send_message(
+                    conn, {"type": "welcome", "version": PROTOCOL_VERSION, "pid": 1}
+                )
+                while True:
+                    message = recv_message(conn)
+                    if message.get("type") == "ping":
+                        send_message(conn, {"type": "pong", "seq": message.get("seq")})
+                    elif message.get("type") == "chunk":
+                        send_message(conn, answer(message))
+                    else:
+                        return
+            except (EOFError, OSError):
+                pass
+
+    def serve():
+        while True:
+            try:
+                conn, _addr = listener.accept()
+            except OSError:  # listener shut down
+                return
+            conns.append(conn)
+            threading.Thread(target=session, args=(conn,), daemon=True).start()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        with contextlib.suppress(OSError):
+            listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+        for conn in conns:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+        thread.join(timeout=5.0)
+
+
 N, COUNT = 300, 15
 
 #: Server kwargs for a worker that dies after serving one chunk.
@@ -513,6 +576,44 @@ class TestWorkerLoss:
         assert_results_equal(serial, run_box["results"])
         lost = [e for e in telemetry.events if e["event"] == "worker_lost"]
         assert [e["host"] for e in lost] == [bad]
+
+    def test_undecodable_result_loses_the_host_instead_of_hanging(self, tmp_path):
+        """A result frame whose metadata raises ``ValueError`` while it is
+        unpickled loses its host, and the chunk migrates.  The join
+        timeout only detects a hang: the error used to kill the host's
+        dispatch thread while its heartbeat stayed healthy, so the chunk
+        stayed in flight and the other host waited for it forever."""
+        specs = _static_specs(count=8)
+        serial = run_chunk(list(specs))
+        journal_path = tmp_path / "run.jsonl"
+
+        def undecodable(message):
+            return {"type": "result", "chunk": message["chunk"], "results": _Undecodable()}
+
+        run_box = {}
+        with JournalReporter(journal_path) as journal:
+            with cluster(1) as hosts, scripted_worker(undecodable) as bad:
+                executor = ClusterExecutor(
+                    [bad, hosts[0]],
+                    chunk_size=2,
+                    progress=journal,
+                    retries=0,
+                    heartbeat_interval=0.2,
+                    heartbeat_misses=5,
+                )
+                runner = threading.Thread(
+                    target=lambda: run_box.update(results=executor.run(list(specs))),
+                    daemon=True,
+                )
+                runner.start()
+                runner.join(timeout=30.0)
+                assert not runner.is_alive(), "ClusterExecutor.run hung"
+        assert_results_equal(serial, run_box["results"])
+        events = read_journal(journal_path)
+        assert validate_journal(events) == []
+        lost = [e for e in events if e["event"] == "worker_lost"]
+        assert [e["host"] for e in lost] == [bad]
+        assert "undecodable" in lost[0]["reason"]
 
     def test_worker_side_exception_aborts_the_batch(self):
         """A deterministic chunk error must raise, not migrate forever."""

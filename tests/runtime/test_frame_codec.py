@@ -5,7 +5,8 @@ message dict — numpy arrays included, which travel as out-of-band
 buffers behind the pickled metadata — through arbitrarily fragmented
 reads, surface truncation as :class:`EOFError`, reject oversize length
 prefixes, buffer counts and buffer sizes *before* allocating, and never
-hang or return a non-dict no matter what bytes a confused peer sends.
+hang, return a non-dict or raise anything but :class:`EOFError` and
+:class:`OSError`, no matter what bytes a confused peer sends.
 These are wire-level invariants the chaos harness's frame faults rely
 on: a torn frame must look like a transport error, never like data.
 """
@@ -29,6 +30,17 @@ from repro.runtime.cluster import (
 
 _HEADER = struct.Struct(">Q")
 _LAYOUT = struct.Struct(">IQ")
+
+
+def _refuse_to_decode():
+    raise ValueError("this metadata does not decode")
+
+
+class _Undecodable:
+    """Pickles fine; unpickling it raises :class:`ValueError`."""
+
+    def __reduce__(self):
+        return (_refuse_to_decode, ())
 
 
 class ScriptedSocket:
@@ -233,14 +245,22 @@ class TestGarbage:
     def test_garbage_payload_never_hangs_or_yields_non_dicts(self, payload):
         # A syntactically valid header framing arbitrary bytes: the codec
         # must either produce a dict (random bytes *can* be a valid
-        # pickle, e.g. b"}." is {}) or raise — never hang, never hand
-        # back a non-dict.
+        # pickle, e.g. b"}." is {}) or raise a transport error — never
+        # hang, never hand back a non-dict.
         sock = ScriptedSocket(_HEADER.pack(len(payload)) + payload)
         try:
             message = recv_message(sock)
-        except Exception:
+        except (EOFError, OSError):
             return
         assert isinstance(message, dict)
+
+    def test_metadata_that_fails_to_unpickle_is_an_oserror(self):
+        # Unpickling may raise anything, here a ValueError from a
+        # __reduce__; callers only handle transport errors.
+        sender = ScriptedSocket(b"")
+        send_message(sender, {"type": "result", "results": _Undecodable()})
+        with pytest.raises(OSError, match="undecodable.*ValueError"):
+            recv_message(ScriptedSocket(bytes(sender.sent)))
 
     @given(junk=st.binary(min_size=1, max_size=64))
     def test_garbage_prefix_shorter_than_a_header_is_eof(self, junk):

@@ -100,7 +100,7 @@ class TestGraphSnapshot:
         assert list(h) == list(g)  # node iteration order
         for u in g:
             assert list(h.neighbors(u)) == list(g.neighbors(u))
-        np.testing.assert_array_equal(h.csr().indices, g.csr().indices)
+        np.testing.assert_array_equal(h.to_array().indices, g.to_array().indices)
         h.check_invariants()
 
     def test_restored_graph_behaves_identically(self):
@@ -114,7 +114,7 @@ class TestGraphSnapshot:
         pol_a.leave(50), pol_b.leave(50)
         pol_a.join(30), pol_b.join(30)
         assert g.snapshot() == h.snapshot()
-        view_a, view_b = g.csr(), h.csr()
+        view_a, view_b = g.to_array(), h.to_array()
         np.testing.assert_array_equal(view_a.nodes, view_b.nodes)
         np.testing.assert_array_equal(view_a.indices, view_b.indices)
         draw = np.random.default_rng(3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.hops_sampling import _gossip_spread
+from repro.core.kernels import bfs_frontier_distances
 from repro.overlay.builders import heterogeneous_random
 from repro.overlay.graph import OverlayGraph
 from repro.sim.latency import LatencyModel
@@ -87,7 +88,7 @@ class TestMessageLevelSpread:
         same message-count scaling."""
         g = heterogeneous_random(1_500, rng=10)
         # round-level
-        view = g.csr()
+        view = g.to_array()
         rl = _gossip_spread(view, 0, 2, 1, 1, np.random.default_rng(11))
         # message-level (constant latency => pure ordering differences)
         net = Network(g, rng=12)
@@ -105,10 +106,10 @@ class TestMessageLevelSpread:
         spread.run(init)
         assert spread.hops[init] == 0
         # recorded hops never below BFS distance
-        view = g.csr()
-        bfs = view.bfs_distances(view.index_of[init])
+        view = g.to_array()
+        bfs = bfs_frontier_distances(view, view.position(init))
         for node, hop in spread.hops.items():
-            assert hop >= bfs[view.index_of[node]]
+            assert hop >= bfs[view.position(node)]
 
     def test_completion_time_positive_and_bounded(self):
         g = heterogeneous_random(500, rng=17)
