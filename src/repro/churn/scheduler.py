@@ -184,9 +184,9 @@ class ChurnScheduler:
         ``snap["graph"]`` is either :meth:`OverlayGraph.snapshot`'s lists
         or, in a replay hand-off payload (``repro.runtime.snapshots``),
         the packed twin of :meth:`ArrayOverlayGraph.pack`.  A packed twin
-        is validated and becomes a twin-backed graph: departures swap in
-        a smaller twin, and its dict is built only by the first join or
-        dict-only read (a dict-backend estimate, say).
+        is validated and becomes a twin-backed graph: departures and
+        joins swap in a new twin, and its dict is built only by a
+        dict-only read.
         """
         graph_snap = snap["graph"]
         if "indptr" in graph_snap:

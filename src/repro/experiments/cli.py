@@ -665,7 +665,7 @@ def _add_serve_parser(subparsers) -> None:
         "--queue-limit",
         type=int,
         default=10_000,
-        help="ingest queue bound; events beyond it are shed (default: 10000)",
+        help="ingest queue bound in joins plus leaves; events past it are shed (default: 10000)",
     )
     serve.add_argument(
         "--snapshot",

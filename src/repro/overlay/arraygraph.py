@@ -23,16 +23,16 @@ order, neighbour iteration order and ``next_id`` are identical, and
 (``tests/overlay/test_arraygraph_equivalence.py``) holds both properties
 under churn/repair round-trips.
 
-The twin is immutable: it captures one graph state.  A graph whose dict
-exists mutates the dict (the source of truth) and lazily rebuilds its
-cached twin via :meth:`OverlayGraph.to_array` — incrementally
-(:meth:`ArrayOverlayGraph.from_overlay_incremental`) when the mutation
-log since the previous twin touched only a fraction of the rows, as churn
-does.  The other direction is lazy too: overlay builders emit a twin
-first, and the graph :meth:`to_overlay` returns builds its dict from
-:meth:`iter_rows` only when first needed.  Until then a batch of
-departures never builds it: :meth:`without` computes the next twin with
-numpy, and the graph swaps it in (:meth:`OverlayGraph.remove_nodes`).
+The twin is immutable: it captures one graph state.  Every churn
+mutation maps one twin to the next with numpy, and the graph swaps the
+result in (:meth:`OverlayGraph.adopt_twin`): :meth:`without` drops the
+rows of departed nodes, and :meth:`with_links` splices in a batch of new
+links, plus fresh rows for joiners (:meth:`MembershipPolicy.join
+<repro.overlay.membership.MembershipPolicy.join>` and the repair rounds
+of :mod:`repro.overlay.repair`).  The graph :meth:`to_overlay` returns
+builds its adjacency dict from :meth:`iter_rows` only when a dict-only
+call first needs it; a graph whose dict exists encodes it once
+(:meth:`from_overlay`) when its twin is next read.
 
 :meth:`ArrayOverlayGraph.pack` and :meth:`ArrayOverlayGraph.unpack` are
 the twin's hand-off form (``docs/SNAPSHOTS.md``): the replay-state
@@ -43,8 +43,7 @@ them before a twin is built from them.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -71,18 +70,6 @@ def _narrow(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _member_mask(ids: Iterable[int], size: int) -> np.ndarray:
-    """Boolean membership table over ``0..size-1`` (ids beyond it ignored)."""
-    mask = np.zeros(max(size, 1), dtype=bool)
-    ids = list(ids)
-    if ids:
-        arr = np.fromiter(ids, dtype=np.int64, count=len(ids))
-        arr = arr[arr < size]
-        if arr.size:
-            mask[arr] = True
-    return mask
-
-
 class ArrayOverlayGraph:
     """Immutable insertion-ordered CSR snapshot of an overlay.
 
@@ -102,7 +89,8 @@ class ArrayOverlayGraph:
         full behavioural state.
 
     The constructor keeps the arrays it is given; the module's producers
-    (:meth:`from_overlay`, :meth:`without`, :meth:`unpack`, the builders)
+    (:meth:`from_overlay`, :meth:`without`, :meth:`with_links`,
+    :meth:`unpack`, the builders)
     hand it arrays that follow the ``int32``-when-it-fits rule.
     """
 
@@ -165,94 +153,6 @@ class ArrayOverlayGraph:
             return lut[flat]
         return np.searchsorted(nodes, flat)
 
-    @classmethod
-    def from_overlay_incremental(
-        cls,
-        graph: OverlayGraph,
-        base: "ArrayOverlayGraph",
-        dirty: Iterable[int],
-        removed: Iterable[int],
-        appended: Sequence[int],
-    ) -> "ArrayOverlayGraph":
-        """Re-encode ``graph`` by patching ``base``, touching only changed rows.
-
-        ``base`` is a twin of some *earlier* state of ``graph``; ``dirty``
-        holds ids whose neighbour row changed since then, ``removed`` ids
-        that departed, and ``appended`` ids added since, in call order
-        (ascending: an id is never added twice).  Rows the mutation log
-        never touched copy over as vectorized segment gathers, so only the
-        changed rows pay the per-edge Python iteration that dominates
-        :meth:`from_overlay`.  Insertion order is preserved by
-        construction: survivors keep their relative order (dict removals
-        never reorder the rest) and added rows append at the end, exactly
-        as the source dict iterates.  The result is bit-identical to
-        ``from_overlay(graph)``.
-        """
-        adj = graph._adj
-        old_nodes = base.nodes
-        old_deg = np.diff(base.indptr)
-        old_flat_ids = old_nodes[base.indices]
-
-        lut_size = int(old_nodes[-1]) + 1
-        survivor = ~_member_mask(removed, lut_size)[old_nodes]
-        old_dirty = _member_mask(dirty, lut_size)[old_nodes]
-        surv_nodes = old_nodes[survivor]
-        surv_dirty = old_dirty[survivor]
-
-        # Added rows sit at the end of the dict; an id added and removed
-        # again since ``base`` is in neither.
-        app = [u for u in appended if u in adj]
-        app_arr = np.fromiter(app, dtype=np.int64, count=len(app))
-
-        nodes_new = np.concatenate([surv_nodes, app_arr])
-        deg_surv = old_deg[survivor]
-        if surv_dirty.any():
-            fresh = surv_nodes[surv_dirty].tolist()
-            deg_surv = deg_surv.copy()
-            deg_surv[surv_dirty] = np.fromiter(
-                (len(adj[u]) for u in fresh), dtype=np.int64, count=len(fresh)
-            )
-        deg_app = np.fromiter(
-            (len(adj[u]) for u in app), dtype=np.int64, count=len(app)
-        )
-        degrees = np.concatenate([deg_surv, deg_app])
-        indptr = np.zeros(nodes_new.shape[0] + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-
-        # Changed rows re-read the dict (one chained pass over their edges
-        # only); unchanged rows gather their old flat segments in bulk.
-        flat = np.empty(int(indptr[-1]), dtype=np.int64)
-        row_dirty = np.concatenate([surv_dirty, np.ones(len(app), dtype=bool)])
-        edge_dirty = np.repeat(row_dirty, degrees)
-        changed_rows = itertools.chain(surv_nodes[surv_dirty].tolist(), app)
-        flat[edge_dirty] = np.fromiter(
-            itertools.chain.from_iterable(adj[u] for u in changed_rows),
-            dtype=np.int64,
-            count=int(degrees[row_dirty].sum()),
-        )
-        clean = survivor & ~old_dirty
-        lens = old_deg[clean]
-        total = int(lens.sum())
-        if total:
-            starts = base.indptr[:-1][clean]
-            shift = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(lens[:-1])]
-            )
-            gather = np.repeat(starts - shift, lens) + np.arange(
-                total, dtype=np.int64
-            )
-            flat[~edge_dirty] = old_flat_ids[gather]
-
-        if nodes_new.shape[0] != len(adj) or int(indptr[-1]) != 2 * graph.num_edges:
-            raise GraphError(
-                "incremental twin diverged from the overlay "
-                f"({nodes_new.shape[0]} rows vs {len(adj)}, "
-                f"{int(indptr[-1])} half-edges vs {2 * graph.num_edges})"
-            )
-        return cls._narrowed(
-            nodes_new, indptr, cls._compact_indices(nodes_new, flat), graph.next_id
-        )
-
     def without(self, victims: np.ndarray) -> "ArrayOverlayGraph":
         """This twin after the nodes ``victims`` (distinct ids) departed.
 
@@ -283,6 +183,35 @@ class ArrayOverlayGraph:
         if int(indptr[-1]) != indices.size:
             raise GraphError("twin rows are not symmetric")
         return ArrayOverlayGraph._narrowed(self.nodes[keep], indptr, indices, self.next_id)
+
+    def with_links(self, links: np.ndarray, count: int = 0) -> "ArrayOverlayGraph":
+        """This twin after a batch of new links, with ``count`` fresh rows.
+
+        ``links`` lists the links as row pairs ``u0, v0, u1, v1, ...`` in
+        creation order; rows ``n .. n + count - 1`` are fresh, with ids
+        ``next_id ..``, and links may name them.  Each row keeps its old
+        neighbours first and gains its new ones after them in creation
+        order, so the result equals the twin of a dict graph that added
+        ``count`` nodes and then each link in turn.  The old segments move
+        as one block copy; the new half-edges, stably sorted by row, land
+        at the ends of their rows' old segments.
+        """
+        rows = np.asarray(links, dtype=np.int64)
+        n = self.n + count
+        # Half-edge 2k is "u_k gains v_k", 2k + 1 is "v_k gains u_k".
+        cols = rows.reshape(-1, 2)[:, ::-1].ravel()
+        order = np.argsort(rows, kind="stable")
+        degrees = np.bincount(rows, minlength=n)
+        degrees[: self.n] += np.diff(self.indptr)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        # A fresh row's old segment is empty, at the tail.
+        ends = self.indptr[np.minimum(rows[order], self.n - 1) + 1]
+        indices = np.insert(self.indices, ends, cols[order])
+        nodes = np.concatenate(
+            [self.nodes, np.arange(self.next_id, self.next_id + count, dtype=np.int64)]
+        )
+        return ArrayOverlayGraph._narrowed(nodes, indptr, indices, self.next_id + count)
 
     def to_overlay(self) -> OverlayGraph:
         """Decode back to a behaviorally identical dict graph.

@@ -9,34 +9,43 @@ links with other nodes").
 
 Two representations are kept in sync:
 
-* a mutable adjacency map (``dict[int, dict[int, None]]``) supporting O(1)
-  joins, leaves and link edits — the source of truth once it exists;
-* one immutable CSR encoding rebuilt lazily after mutations, the array
-  twin (:meth:`OverlayGraph.to_array`).  Every estimator on either
-  backend, the aggregation round, :meth:`OverlayGraph.random_node` and
+* one immutable CSR encoding, the array twin
+  (:meth:`OverlayGraph.to_array`).  Every estimator on either backend,
+  the aggregation round, :meth:`OverlayGraph.random_node` and
   :mod:`repro.overlay.views` read it (gossip spread, BFS, neighbour
   sampling, walker batches).  Per the HPC guides, all hot loops operate
   on these flat, contiguous arrays rather than on Python dictionaries.
+* a mutable adjacency map (``dict[int, dict[int, None]]``), built only
+  when a dict-only call needs it, supporting O(1) single-node and
+  single-link edits (the small builders use them) — the source of truth
+  while it exists.
 
 Overlays are built array-first:
 :func:`~repro.overlay.builders.heterogeneous_random` wires straight into
 an array twin and returns :meth:`OverlayGraph.from_array`, a
 *twin-backed* graph whose adjacency dict does not exist yet.  ``size``,
 ``len()``, ``num_edges``, ``next_id``, node order (:meth:`~OverlayGraph.nodes`,
-iteration), :meth:`~OverlayGraph.to_array`, :meth:`~OverlayGraph.snapshot`
-and :meth:`~OverlayGraph.copy` answer from the twin, and a batch of
-departures (:meth:`~OverlayGraph.remove_nodes`, which
+iteration), membership tests (``in``), :meth:`~OverlayGraph.random_node`,
+:meth:`~OverlayGraph.to_array`, :meth:`~OverlayGraph.snapshot` and
+:meth:`~OverlayGraph.copy` answer from the twin.  Churn maps twin to
+twin with numpy and swaps the result in (:meth:`~OverlayGraph.adopt_twin`):
+a batch of departures (:meth:`~OverlayGraph.remove_nodes`, which
 :meth:`MembershipPolicy.leave <repro.overlay.membership.MembershipPolicy.leave>`
-uses) swaps in a new twin computed with numpy, and membership tests
-(``in``) and :meth:`~OverlayGraph.random_node` read the twin too.  Every
-other call — neighbour and degree queries, invariant checks and every
-other mutation, joins included — builds the dict first, once, in bounded
-row blocks (one shared int object per node id).  From then on the dict
-is the source of truth and costs nothing extra per access; the twin
-stays cached until the first mutation drops it, and no mutation log is
-kept for it (the next ``to_array()`` encodes afresh).  An estimate on a
-static or shrinking overlay therefore never builds the dict, on either
-backend.
+uses) through :meth:`ArrayOverlayGraph.without
+<repro.overlay.arraygraph.ArrayOverlayGraph.without>`, and a batch of
+joins (:meth:`MembershipPolicy.join
+<repro.overlay.membership.MembershipPolicy.join>`) or a repair round
+(:mod:`repro.overlay.repair`) through :meth:`ArrayOverlayGraph.with_links
+<repro.overlay.arraygraph.ArrayOverlayGraph.with_links>`.  A graph that
+has a dict encodes it once for that and drops it.  Every other call —
+neighbour and degree queries, invariant checks and the single-node and
+single-link mutations — builds the dict first, once, in bounded row
+blocks (one shared int object per node id).  From then on the dict is
+the source of truth and costs nothing extra per access; the twin stays
+cached until the first dict mutation drops it, and the next
+``to_array()`` encodes the dict afresh (no mutation log is kept).  An
+estimate on a growing, shrinking or repaired overlay therefore never
+builds the dict, on either backend.
 
 Node identifiers are opaque non-negative integers that **ascend in
 insertion order**: :meth:`~OverlayGraph.add_node` refuses an id below
@@ -121,15 +130,6 @@ class OverlayGraph:
         # The cached twin; every mutation of the dict drops it.
         self._array: Optional["ArrayOverlayGraph"] = None
         self._edge_count = 0
-        # Incremental-twin bookkeeping: once a twin has been built
-        # (``_array_base``), mutations record which rows they touched so
-        # ``to_array`` can patch the base instead of re-encoding the whole
-        # adjacency.  All three stay empty until the first ``to_array``
-        # call, so graphs whose twin is never read pay nothing.
-        self._array_base: Optional["ArrayOverlayGraph"] = None
-        self._array_dirty: set = set()
-        self._array_removed: set = set()
-        self._array_appended: List[int] = []
         if nodes is not None:
             for u in nodes:
                 self.add_node(u)
@@ -314,8 +314,6 @@ class OverlayGraph:
             )
         self._adj[node] = {}
         self._next_id = node + 1
-        if self._array_base is not None:
-            self._array_appended.append(node)
         self._array = None
         return node
 
@@ -337,26 +335,17 @@ class OverlayGraph:
         for v in nbrs:
             self._adj[v].pop(node, None)
         self._edge_count -= len(nbrs)
-        if self._array_base is not None:
-            self._array_removed.add(node)
-            self._array_dirty.update(nbrs)
         self._array = None
 
     def remove_nodes(self, nodes: Sequence[int]) -> None:
         """Remove the distinct alive ``nodes``, as :meth:`remove_node` on
         each in turn would.
 
-        A twin-backed graph swaps in the twin without them
+        The graph swaps in the twin without them
         (:meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.without`), so
-        departures alone never build its dict.
+        departures never build its dict.
         """
-        twin = self._twin
-        if twin is None:
-            for v in nodes:
-                self.remove_node(int(v))
-            return
-        self._twin = self._array = twin.without(nodes)
-        self._edge_count = self._twin.m
+        self.adopt_twin(self.to_array().without(nodes))
 
     def add_edge(self, u: int, v: int) -> None:
         """Create the undirected edge ``{u, v}``."""
@@ -369,9 +358,6 @@ class OverlayGraph:
         self._adj[u][v] = None
         self._adj[v][u] = None
         self._edge_count += 1
-        if self._array_base is not None:
-            self._array_dirty.add(u)
-            self._array_dirty.add(v)
         self._array = None
 
     def try_add_edge(self, u: int, v: int) -> bool:
@@ -382,9 +368,6 @@ class OverlayGraph:
         self._adj[u][v] = None
         self._adj[v][u] = None
         self._edge_count += 1
-        if self._array_base is not None:
-            self._array_dirty.add(u)
-            self._array_dirty.add(v)
         self._array = None
         return True
 
@@ -395,9 +378,6 @@ class OverlayGraph:
         self._adj[u].pop(v, None)
         self._adj[v].pop(u, None)
         self._edge_count -= 1
-        if self._array_base is not None:
-            self._array_dirty.add(u)
-            self._array_dirty.add(v)
         self._array = None
 
     # ------------------------------------------------------------------
@@ -411,43 +391,13 @@ class OverlayGraph:
         node and per-node neighbour *insertion* order (node order is also
         ascending id order), so :meth:`from_array` round-trips to a
         behaviorally identical dict graph and ``to_array().snapshot() ==
-        snapshot()`` exactly.  The twin is immutable and rebuilt lazily
-        after mutations, so bursts of churn pay for one rebuild at the
-        next read.
-
-        Rebuilds are *incremental* when possible: once a twin exists,
-        mutations record which rows they touched, and as long as fewer
-        than half of the base twin's rows changed the stale twin is
-        patched (only touched rows re-read the dict; everything else is
-        vectorized splicing) instead of re-encoding the whole adjacency.
-        Under churn this turns the per-step conversion from O(n + m)
-        Python iteration into O(changed) — the difference between the
-        array backend amortizing or losing its kernel win (see
-        ``docs/KERNELS.md``).
+        snapshot()`` exactly.  The twin is immutable; a graph whose dict
+        changed since the last read encodes it afresh, once.
         """
         if self._array is None:
             from .arraygraph import ArrayOverlayGraph
 
-            base = self._array_base
-            changed = (
-                len(self._array_dirty)
-                + len(self._array_removed)
-                + len(self._array_appended)
-            )
-            if base is not None and base.n and changed <= max(16, base.n // 2):
-                self._array = ArrayOverlayGraph.from_overlay_incremental(
-                    self,
-                    base,
-                    self._array_dirty,
-                    self._array_removed,
-                    self._array_appended,
-                )
-            else:
-                self._array = ArrayOverlayGraph.from_overlay(self)
-            self._array_base = self._array
-            self._array_dirty = set()
-            self._array_removed = set()
-            self._array_appended = []
+            self._array = ArrayOverlayGraph.from_overlay(self)
         return self._array
 
     @classmethod
@@ -456,15 +406,24 @@ class OverlayGraph:
 
         Nothing is decoded up front: ``array`` becomes the cached twin,
         and the adjacency dict is built from it on the first dict-only
-        access or mutation other than :meth:`remove_nodes` (module
-        docstring).
+        access or mutation (module docstring).
         """
         g = cls()
-        del g._adj  # rebuilt from the twin by __getattr__ when first needed
-        g._twin = g._array = array
-        g._next_id = array.next_id
-        g._edge_count = array.m
+        g.adopt_twin(array)
         return g
+
+    def adopt_twin(self, array: "ArrayOverlayGraph") -> None:
+        """Make ``array`` this graph's whole state, dropping its dict.
+
+        The churn mutations (:meth:`remove_nodes`, batch joins, repair
+        rounds) compute the next twin from :meth:`to_array` and swap it in
+        here; the dict, if any, is rebuilt from the twin by the next
+        dict-only call.
+        """
+        self.__dict__.pop("_adj", None)  # __getattr__ rebuilds it on demand
+        self._twin = self._array = array
+        self._next_id = array.next_id
+        self._edge_count = array.m
 
     # ------------------------------------------------------------------
     # integrity

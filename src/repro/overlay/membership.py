@@ -13,6 +13,7 @@ overlay:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List
 
@@ -82,38 +83,49 @@ class MembershipPolicy:
         is tiny or saturated the node may end with fewer links (possibly
         zero on an empty overlay) — mirroring reality, where a joiner only
         knows the peers its bootstrap gave it.
+
+        The batch runs over the twin's rows: joiners take rows ``n, n+1,
+        ...`` and every earlier row is a candidate, so joiners become
+        candidates for later joiners (as in a real system where a
+        bootstrap server learns of new arrivals immediately).  Degrees and
+        the batch's links live in ``int`` buffers, and one
+        :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.with_links`
+        splice swaps in the grown twin, so joins never build the dict.
         """
         if count < 0:
             raise GraphError("count must be non-negative")
+        graph = self.graph
+        first = graph.next_id
+        if not count:
+            return JoinReport(node_ids=[], links_created=0)
+        twin = graph.to_array()
         gen = self._rng
-        created: List[int] = []
-        links = 0
-        # One candidate list for the whole batch (joiners are appended and
-        # thus become candidates for later joiners, as in a real system
-        # where a bootstrap server learns of new arrivals immediately).
-        # Deliberately avoids graph.to_array(): twin rebuilds per joiner
-        # would make mass-join churn events O(n·count).
-        candidates: List[int] = self.graph.nodes()
-        for _ in range(count):
-            u = self.graph.add_node()
-            created.append(u)
-            pool = len(candidates)
-            if pool:
-                want = int(gen.integers(self.min_degree, self.max_degree + 1))
-                want = min(want, pool)
-                attempts = 0
-                budget = 20 * max(want, 1)
-                got = 0
-                while got < want and attempts < budget:
-                    attempts += 1
-                    v = candidates[int(gen.integers(pool))]
-                    if self.graph.degree(v) >= self.max_degree:
-                        continue
-                    if self.graph.try_add_edge(u, v):
-                        got += 1
-                        links += 1
-            candidates.append(u)
-        return JoinReport(node_ids=created, links_created=links)
+        max_degree = self.max_degree
+        degree = array("i", twin.degrees().astype(np.intc).tobytes())
+        degree.extend(array("i", [0]) * count)
+        links = array("i")
+        for u in range(twin.n, twin.n + count):
+            pool = u  # rows 0..u-1: the overlay, then earlier joiners
+            if not pool:
+                continue
+            want = min(int(gen.integers(self.min_degree, max_degree + 1)), pool)
+            partners: List[int] = []
+            attempts = 0
+            budget = 20 * max(want, 1)
+            while len(partners) < want and attempts < budget:
+                attempts += 1
+                v = int(gen.integers(pool))
+                if degree[v] >= max_degree or v in partners:
+                    continue
+                partners.append(v)
+                degree[v] += 1
+                links.append(u)
+                links.append(v)
+            degree[u] = len(partners)
+        graph.adopt_twin(twin.with_links(np.frombuffer(links, dtype=np.intc), count))
+        return JoinReport(
+            node_ids=list(range(first, first + count)), links_created=len(links) // 2
+        )
 
     def leave(self, count: int = 1) -> List[int]:
         """Remove ``count`` uniformly random alive nodes (fail-stop).

@@ -28,12 +28,16 @@ overhead it saves.
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Set
+
+import numpy as np
 
 from ..sim.messages import MessageKind, MessageMeter
 from ..sim.rng import RngLike, as_generator, generator_from_state, generator_state
 from ..sim.rounds import PRIORITY_CHURN, RoundDriver
+from .arraygraph import ArrayOverlayGraph
 from .graph import OverlayGraph
 
 __all__ = [
@@ -105,23 +109,60 @@ class RepairPolicy(abc.ABC):
 
     # ------------------------------------------------------------------
 
-    def _link_to_random_peers(self, node: int, want: int, candidates: List[int]) -> int:
-        """Open up to ``want`` links from ``node`` to random candidates."""
+    def _link_to_random_peers(self, links: "_RoundLinks", node: int, want: int) -> int:
+        """Open up to ``want`` links from row ``node`` to random rows."""
+        twin = links.twin
+        n = twin.n
+        old = set(twin.neighbors(node).tolist())
+        key = node * n
         formed = 0
         attempts = 0
-        pool = len(candidates)
         budget = 20 * max(want, 1)
-        while formed < want and attempts < budget and pool > 1:
+        while formed < want and attempts < budget:
             attempts += 1
-            v = candidates[int(self.rng.integers(pool))]
-            if v == node or v not in self.graph:
+            v = int(self.rng.integers(n))
+            if v == node or v in old or key + v in links.pairs:
                 continue
-            if self.graph.try_add_edge(node, v):
-                formed += 1
+            links.add(node, v)
+            formed += 1
         if formed:
             self.meter.add(MessageKind.CONTROL, formed)
             self.links_formed += formed
         return formed
+
+
+class _RoundLinks:
+    """The links one repair round forms between the rows of ``twin``.
+
+    ``degree`` holds each row's running degree and ``links`` the round's
+    links as row pairs in creation order, both ``int`` buffers; ``pairs``
+    keys each link in both directions, so "already linked" reads the old
+    row plus this round's links.  :meth:`finish` splices them into the
+    graph at once.
+    """
+
+    def __init__(self, twin: ArrayOverlayGraph) -> None:
+        self.twin = twin
+        self.degree = array("i", twin.degrees().astype(np.intc).tobytes())
+        self.links = array("i")
+        self.pairs: Set[int] = set()
+
+    def add(self, u: int, v: int) -> None:
+        """Record the new link ``{u, v}``."""
+        n = self.twin.n
+        self.pairs.add(u * n + v)
+        self.pairs.add(v * n + u)
+        self.links.append(u)
+        self.links.append(v)
+        self.degree[u] += 1
+        self.degree[v] += 1
+
+    def finish(self, graph: OverlayGraph) -> None:
+        """Swap the twin with this round's links into ``graph``, if any."""
+        if self.links:
+            graph.adopt_twin(
+                self.twin.with_links(np.frombuffer(self.links, dtype=np.intc))
+            )
 
 
 class NoRepair(RepairPolicy):
@@ -166,11 +207,10 @@ class DegreeRepair(RepairPolicy):
 
     def repair_round(self, round_number: int) -> int:
         """Re-link under-connected nodes within the round budget."""
-        g = self.graph
-        if g.size < 2:
+        if self.graph.size < 2:
             return 0
-        candidates = g.nodes()
-        needy = [u for u in candidates if g.degree(u) < self.min_degree]
+        links = _RoundLinks(self.graph.to_array())
+        needy = np.flatnonzero(links.twin.degrees() < self.min_degree).tolist()
         if not needy:
             return 0
         # Randomize service order so the budget isn't biased by node id.
@@ -181,11 +221,12 @@ class DegreeRepair(RepairPolicy):
                 break
             u = needy[int(i)]
             want = min(
-                self.target_degree - g.degree(u),
+                self.target_degree - links.degree[u],
                 self.max_links_per_round - formed,
             )
             if want > 0:
-                formed += self._link_to_random_peers(u, want, candidates)
+                formed += self._link_to_random_peers(links, u, want)
+        links.finish(self.graph)
         return formed
 
 
@@ -211,15 +252,15 @@ class FullRepair(RepairPolicy):
 
     def repair_round(self, round_number: int) -> int:
         """Top every node up to the target degree."""
-        g = self.graph
-        if g.size < 2:
+        if self.graph.size < 2:
             return 0
-        candidates = g.nodes()
+        links = _RoundLinks(self.graph.to_array())
         formed = 0
-        for u in candidates:
-            deficit = self.target_degree - g.degree(u)
+        for u in range(links.twin.n):
+            deficit = self.target_degree - links.degree[u]
             if deficit > 0:
-                formed += self._link_to_random_peers(u, deficit, candidates)
+                formed += self._link_to_random_peers(links, u, deficit)
+        links.finish(self.graph)
         return formed
 
 

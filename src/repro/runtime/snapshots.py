@@ -24,7 +24,7 @@ This module makes the scenario state an explicit, transferable object:
   guarantees this individually: see ``OverlayGraph.snapshot``,
   ``ChurnScheduler.pack``, ``AggregationProtocol.snapshot``,
   ``generator_state``), over a twin-backed overlay whose dict is built
-  only when a join or a dict-only read first needs it;
+  only when a dict-only read first needs it;
 * :func:`snapshot_config` derives the content address a boundary snapshot
   is stored under — the *scenario prefix* configuration (overlay, seed,
   churn trace, scenario params, boundary index), deliberately excluding

@@ -4,11 +4,12 @@ The service is the churn-replay machinery of :mod:`repro.runtime.snapshots`
 turned inside out.  A batch run replays a *fixed* trace and throws the
 scenario away; the service keeps one scenario resident forever:
 
-* membership events stream into a bounded ingest queue
+* membership events stream into an ingest queue bounded in members
   (:meth:`EstimationService.ingest`) and are folded into the live
   :class:`~repro.churn.scheduler.ChurnScheduler` at the next
   :meth:`~EstimationService.tick` — queue-based load leveling, with
-  load shedding once the queue is full;
+  load shedding once the queue is full, so one tick applies at most
+  ``queue_limit`` joins and leaves;
 * one **warm estimator per configured family** refreshes on a round
   cadence: the probe families (``sample_collide``, ``hops_sampling``)
   re-estimate every ``probe_interval`` rounds from a persistent
@@ -165,7 +166,8 @@ class ServiceConfig:
     hops_min_hops: int = 5
     #: Aggregation epoch length (paper's dynamic setting: 40-50 rounds).
     agg_restart_interval: int = 40
-    #: Ingest admission: queue bound (events beyond it are shed) ...
+    #: Ingest admission: queue bound in members, the joins plus leaves of
+    #: the queued events (an event that would overflow it is shed) ...
     queue_limit: int = 10_000
     #: ... and estimate admission: sustained requests/second (0 = unlimited).
     max_qps: float = 0.0
@@ -382,6 +384,8 @@ class EstimationService:
         self._lock = threading.RLock()
         self._bucket = TokenBucket(config.max_qps, config.burst, clock=clock)
         self._queue: Deque[Dict[str, Any]] = deque()
+        #: Members the queued events cost (:meth:`_members`).
+        self._queued_members = 0
         self.stats = _ServiceStats()
         self.round = 0
         #: family -> {"value": float|None, "round": int|None, "messages": int}
@@ -435,26 +439,39 @@ class EstimationService:
 
     # -- ingest / tick (write path) ------------------------------------
 
+    def _members(self, fields: Mapping[str, Any]) -> float:
+        """What one checked event costs the queue: the joins plus leaves it
+        applies at the current size (fractions resolved), at least 1."""
+        try:
+            return max(1, sum(ChurnEvent(time=0.0, **fields).resolve(self.graph.size)))
+        except OverflowError:  # a finite frac_joins times the size is not
+            return math.inf
+
     def ingest(self, events: Sequence[Mapping[str, Any]]) -> Tuple[int, int]:
         """Queue membership events; returns ``(accepted, dropped)``.
 
         Each event is a mapping with any of ``joins`` / ``leaves`` /
         ``frac_joins`` / ``frac_leaves`` (the :class:`ChurnEvent` fields
         minus ``time`` — arrival order *is* the time; every queued event
-        applies at the next tick's round).  Once ``queue_limit`` events
-        are queued, further events are shed and counted
-        (``ingest_dropped`` journal event) — bounded memory under any
-        arrival rate, per the queue-based load-leveling pattern.
+        applies at the next tick's round).  Every event is checked before
+        any is queued, so a batch with a bad event raises and queues
+        nothing.  The queue holds at most ``queue_limit`` members, each
+        event costing :meth:`_members`; an event that would overflow it
+        is shed and counted (``ingest_dropped`` journal event) — bounded
+        memory and bounded tick work under any arrival rate, per the
+        queue-based load-leveling pattern.
         """
         accepted = 0
         dropped = 0
+        checked = [_event_fields(event) for event in events]
         with self._lock:
-            for event in events:
-                fields = _event_fields(event)
-                if len(self._queue) >= self.config.queue_limit:
+            for fields in checked:
+                members = self._members(fields)
+                if self._queued_members + members > self.config.queue_limit:
                     dropped += 1
                 else:
                     self._queue.append(fields)
+                    self._queued_members += members
                     accepted += 1
             self.stats.ingest_accepted += accepted
             self.stats.ingest_dropped += dropped
@@ -481,6 +498,7 @@ class EstimationService:
                         dict(fields, time=float(self.round)) for fields in self._queue
                     ]
                     self._queue.clear()
+                    self._queued_members = 0
                     self.scheduler.feed(batch)
                 self.scheduler.advance_to(float(self.round))
                 family = self._families.get("aggregation")
@@ -693,6 +711,7 @@ class EstimationService:
                     "messages": int(entry["messages"]),
                 }
         service._queue.extend(_event_fields(f) for f in payload.get("pending", ()))
+        service._queued_members = sum(map(service._members, service._queue))
         service._announce()
         return service
 

@@ -41,12 +41,23 @@ from urllib.parse import parse_qs, urlparse
 from ..runtime.cluster import _HEADER, MAX_MESSAGE_BYTES, _Connections, _recv_exact
 from .core import EstimationService
 
-__all__ = ["MAX_BODY_BYTES", "ServiceClient", "ServiceServer", "recv_frame", "send_frame"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "MAX_TICK_ROUNDS",
+    "ServiceClient",
+    "ServiceServer",
+    "recv_frame",
+    "send_frame",
+]
 
 #: Largest request body the HTTP surface reads (4 MiB: ~150k ingest
 #: events, far beyond any queue limit); a longer ``Content-Length`` is
 #: answered ``413`` before a byte of the body is read.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Most rounds one ``/tick`` request advances; more is a ``400``, so one
+#: request cannot hold the service lock for as long as its sender likes.
+MAX_TICK_ROUNDS = 100
 
 
 # ----------------------------------------------------------------------
@@ -119,8 +130,8 @@ def _dispatch(service: EstimationService, op: str, body: Mapping[str, Any]) -> T
             rounds = int(body.get("rounds", 1))
         except (TypeError, ValueError):
             return 400, {"error": "rounds must be an integer"}
-        if rounds < 1:
-            return 400, {"error": "rounds must be >= 1"}
+        if not 1 <= rounds <= MAX_TICK_ROUNDS:
+            return 400, {"error": f"rounds must be in 1..{MAX_TICK_ROUNDS}"}
         return 200, {"round": service.tick(rounds)}
     if op == "checkpoint":
         try:

@@ -138,7 +138,6 @@ class TestTwinBackedGraph:
             graph.add_node()
             graph.remove_node(0)
         assert _dict_built(g)
-        assert g._array_base is None and not g._array_dirty  # no mutation log
         g.check_invariants()
         assert g.snapshot() == reference.snapshot()
         assert g.to_array().snapshot() == reference.snapshot()
@@ -339,23 +338,22 @@ class TestBulkAccessors:
         assert indptr.tolist() == [0]
 
 
-class TestIncrementalPatch:
-    """Edge cases of the incremental twin rebuild (mutation-log patching).
+class TestReencodeAfterMutations:
+    """The twin after odd dict mutation sequences.
 
-    ``to_array`` patches the previous twin once one exists, so every test
-    here builds a base twin first, applies a tricky mutation sequence and
-    then holds the full exactness contract — plus bit-identity with a
-    from-scratch encoding of the same graph.
+    Every test here reads a twin first, applies a tricky mutation sequence
+    and then holds the full exactness contract: the re-encoded twin
+    ``to_array`` caches equals a from-scratch encoding of the same graph.
     """
 
     @staticmethod
-    def _assert_patched_equals_fresh(graph: OverlayGraph) -> None:
-        patched = graph.to_array()
+    def _assert_cached_equals_fresh(graph: OverlayGraph) -> None:
+        cached = graph.to_array()
         fresh = ArrayOverlayGraph.from_overlay(graph)
-        np.testing.assert_array_equal(patched.nodes, fresh.nodes)
-        np.testing.assert_array_equal(patched.indptr, fresh.indptr)
-        np.testing.assert_array_equal(patched.indices, fresh.indices)
-        assert patched.next_id == fresh.next_id
+        np.testing.assert_array_equal(cached.nodes, fresh.nodes)
+        np.testing.assert_array_equal(cached.indptr, fresh.indptr)
+        np.testing.assert_array_equal(cached.indices, fresh.indices)
+        assert cached.next_id == fresh.next_id
         assert_twin_matches(graph)
 
     def test_remove_then_readd_same_id(self):
@@ -366,7 +364,7 @@ class TestIncrementalPatch:
         with pytest.raises(GraphError, match="ascend"):
             g.add_node(1)
         assert list(g) == [0, 2]
-        self._assert_patched_equals_fresh(g)
+        self._assert_cached_equals_fresh(g)
 
     def test_add_remove_add_cycle(self):
         g = OverlayGraph(nodes=[0, 1], edges=[(0, 1)])
@@ -378,14 +376,14 @@ class TestIncrementalPatch:
             g.add_node(new)  # the appended-then-removed id stays retired
         assert g.add_node() == new + 1
         g.add_edge(new + 1, 1)
-        self._assert_patched_equals_fresh(g)
+        self._assert_cached_equals_fresh(g)
 
     def test_removed_node_was_already_dirty(self):
         g = OverlayGraph(nodes=[0, 1, 2, 3], edges=[(0, 1), (2, 3)])
         g.to_array()
         g.add_edge(1, 2)  # dirties rows 1 and 2 ...
         g.remove_node(2)  # ... then 2 departs outright
-        self._assert_patched_equals_fresh(g)
+        self._assert_cached_equals_fresh(g)
 
     def test_appended_then_removed_never_materializes(self):
         g = OverlayGraph(nodes=[0, 1], edges=[(0, 1)])
@@ -393,9 +391,9 @@ class TestIncrementalPatch:
         doomed = g.add_node()
         g.remove_node(doomed)
         assert list(g) == [0, 1]
-        self._assert_patched_equals_fresh(g)
+        self._assert_cached_equals_fresh(g)
 
-    def test_repeated_patches_accumulate(self, small_het_graph):
+    def test_repeated_reencodes_accumulate(self, small_het_graph):
         rng = np.random.default_rng(3)
         g = small_het_graph
         g.to_array()
@@ -407,11 +405,11 @@ class TestIncrementalPatch:
             alive = list(g)
             for u in joined:
                 g.try_add_edge(u, int(rng.choice(alive[:-3])))
-            self._assert_patched_equals_fresh(g)
+            self._assert_cached_equals_fresh(g)
 
-    def test_wholesale_change_falls_back_to_full_encode(self):
+    def test_wholesale_change(self):
         g = OverlayGraph(nodes=range(40))
         g.to_array()
-        for u in range(30):  # > half the base rows: full rebuild path
+        for u in range(30):  # most of the rows depart
             g.remove_node(u)
-        self._assert_patched_equals_fresh(g)
+        self._assert_cached_equals_fresh(g)

@@ -6,20 +6,26 @@ full behavioural state: node order, per-node neighbour order, degree
 arrays, ``next_id`` and the content hash of the ``snapshot()`` payload.
 Departures also run through :class:`MembershipPolicy` (``leave``), which
 a twin-backed graph applies to its twin without building the dict.
+Batch joins and repair rounds, which splice into the twin, are checked
+against the dict-based loops of :mod:`dict_reference`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dict_reference
 from repro.overlay.arraygraph import ArrayOverlayGraph
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.membership import MembershipPolicy
+from repro.overlay.repair import DegreeRepair, FullRepair
+from repro.sim.messages import MessageKind
 from repro.sim.rng import generator_state
 
 # Same op-universe as test_graph_properties plus policy departures: a
@@ -37,6 +43,16 @@ _ops = st.lists(
 # Departures only: the sequences a twin-backed graph applies dict-free.
 _leaves = st.lists(
     st.tuples(st.just("leave"), st.integers(0, 14), st.integers(0, 14)), max_size=8
+)
+# The churn mutations that swap in a new twin: policy joins and leaves
+# and the two repair rounds.
+_policy_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["policy_join", "leave", "degree_repair", "full_repair"]),
+        st.integers(0, 14),
+        st.integers(0, 14),
+    ),
+    max_size=10,
 )
 
 
@@ -197,3 +213,115 @@ def test_twin_backed_graph_behaves_like_dict_graph(setup, ops, offset, seed):
     twin_backed.check_invariants()
     assert twin_backed.snapshot() == dict_built.snapshot()
     assert _snapshot_hash(twin_backed.to_array()) == _snapshot_hash(dict_built)
+
+
+# Degree policy of the policy-op test: a low cap saturates small graphs.
+_MAX_DEGREE = 4
+_REPAIR = {"min_degree": 2, "target_degree": 3, "max_links_per_round": 4}
+_FULL_TARGET = 5
+
+
+def _start(kind: str, setup, offset: int) -> OverlayGraph:
+    """A starting graph: twin-backed, dict-built, empty, or saturated (a
+    clique whose nodes all sit at ``_MAX_DEGREE``)."""
+    if kind == "empty":
+        return OverlayGraph()
+    if kind == "saturated":
+        ids = [offset + i for i in range(_MAX_DEGREE + 1)]
+        return OverlayGraph(nodes=ids, edges=itertools.combinations(ids, 2))
+    base = OverlayGraph()
+    _apply(base, setup, offset)
+    if kind == "twin":
+        return OverlayGraph.from_array(base.to_array())
+    return OverlayGraph.restore(base.snapshot())
+
+
+def _policy_run(g: OverlayGraph, ops, seed: int):
+    """The overlay code's run: the log of every op, then the generators
+    and (links formed, metered messages) of both repair policies."""
+    policy = MembershipPolicy(g, max_degree=_MAX_DEGREE, rng=seed)
+    degree = DegreeRepair(g, rng=seed + 1, **_REPAIR)
+    full = FullRepair(g, target_degree=_FULL_TARGET, rng=seed + 2)
+    log = []
+    for kind, a, _ in ops:
+        if kind == "policy_join":
+            report = policy.join(a)
+            log.append((report.node_ids, report.links_created))
+        elif kind == "leave":
+            log.append(policy.leave(min(a, g.size)))
+        elif kind == "degree_repair":
+            log.append(degree.repair_round(0))
+        else:
+            log.append(full.repair_round(0))
+    repairs = [(p.links_formed, p.meter.count(MessageKind.CONTROL)) for p in (degree, full)]
+    return log, [policy.rng, degree.rng, full.rng], repairs
+
+
+def _reference_run(g: OverlayGraph, ops, seed: int):
+    """:func:`_policy_run` through the dict-based reference loops."""
+    gens = [np.random.default_rng(seed + k) for k in range(3)]
+    log = []
+    formed = [0, 0]
+    for kind, a, _ in ops:
+        if kind == "policy_join":
+            log.append(dict_reference.join(g, a, gens[0], max_degree=_MAX_DEGREE))
+        elif kind == "leave":
+            victims = gens[0].choice(g.node_array(), size=min(a, g.size), replace=False)
+            for v in victims.tolist():
+                g.remove_node(v)
+            log.append(victims.tolist())
+        elif kind == "degree_repair":
+            log.append(dict_reference.degree_repair_round(g, gens[1], **_REPAIR))
+            formed[0] += log[-1]
+        else:
+            log.append(dict_reference.full_repair_round(g, gens[2], _FULL_TARGET))
+            formed[1] += log[-1]
+    return log, gens, [(f, f) for f in formed]
+
+
+@given(
+    st.sampled_from(["twin", "dict", "empty", "saturated"]),
+    _ops,
+    _policy_ops,
+    st.sampled_from([0, 2**31]),
+    st.integers(0, 2**32 - 4),
+)
+@example("empty", [], [("policy_join", 5, 0), ("full_repair", 0, 0)], 0, 3)
+@example("saturated", [], [("policy_join", 3, 0), ("degree_repair", 0, 0)], 2**31, 1)
+@example("saturated", [], [("full_repair", 0, 0), ("policy_join", 2, 0)], 0, 5)
+@example(
+    "twin",
+    [("join", 0, 0)] * 6 + [("add_edge", 0, 1)],
+    [("leave", 2, 0), ("degree_repair", 0, 0), ("policy_join", 4, 0), ("full_repair", 0, 0)],
+    2**31,
+    9,
+)
+@settings(max_examples=150, deadline=None)
+def test_policy_ops_match_the_dict_reference(start, setup, ops, offset, seed):
+    """Batch joins, leaves and repair rounds on the twin end every op
+    sequence as the dict-based loops do: same join reports, victims and
+    links formed, same arrays in the same dtypes, ``next_id`` and
+    generator end states.  None of them builds the dict, and a graph
+    that had one drops it at the first join."""
+    g = _start(start, setup, offset)
+    reference = OverlayGraph.restore(g.snapshot())
+    log, gens, repairs = _policy_run(g, ops, seed)
+    ref_log, ref_gens, ref_repairs = _reference_run(reference, ops, seed)
+    assert log == ref_log
+    assert repairs == ref_repairs
+    for gen, ref_gen in zip(gens, ref_gens):
+        assert generator_state(gen) == generator_state(ref_gen)
+    if start == "twin" or any(kind == "policy_join" and a for kind, a, _ in ops):
+        assert "_adj" not in vars(g)
+    a, b = g.to_array(), reference.to_array()
+    for name in ("nodes", "indptr", "indices"):
+        arr = getattr(a, name)
+        assert arr.dtype == getattr(b, name).dtype == _rule_dtype(arr)
+        np.testing.assert_array_equal(arr, getattr(b, name))
+    assert (g.size, g.num_edges, g.next_id, a.next_id) == (
+        reference.size,
+        reference.num_edges,
+        reference.next_id,
+        reference.next_id,
+    )
+    a.check_invariants()

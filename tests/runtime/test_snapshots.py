@@ -338,8 +338,8 @@ class TestReplayStates:
         state.advance(4)
         assert resumed.graph.snapshot() == state.graph.snapshot()
         for replay in (resumed, state):
-            replay.scheduler.policy.join(3)  # a join builds the dict
-        assert "_adj" in vars(resumed.graph)
+            replay.scheduler.policy.join(3)  # a join splices the twin
+        assert "_adj" not in vars(resumed.graph)
         assert resumed.graph.snapshot() == state.graph.snapshot()
 
     def test_restored_array_replay_never_builds_the_dict(self, monkeypatch):

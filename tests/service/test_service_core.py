@@ -212,6 +212,40 @@ class TestAdmission:
         events = [e for e in telemetry.events if e["event"] == "ingest_dropped"]
         assert events == [{"event": "ingest_dropped", "dropped": 2, "queued": 3}]
 
+    def test_a_batch_with_a_bad_event_queues_nothing(self):
+        service = EstimationService(small_config())
+        before = service.stats_dict()
+        with pytest.raises(ValueError):
+            service.ingest([{"joins": 2}, {"joins": -1}])
+        assert not service._queue and service.health()["queued"] == 0
+        service.tick()
+        after = service.stats_dict()
+        assert after["size"] == before["size"] == 300
+        for key in ("ingest_accepted", "ingest_dropped"):
+            assert after[key] == before[key] == 0
+
+    @pytest.mark.parametrize(
+        "event", [{"joins": 100_000}, {"frac_joins": 1e6}, {"frac_joins": 1e308}]
+    )
+    def test_an_event_above_the_queue_limit_is_shed(self, event):
+        telemetry = TelemetryCollector()
+        service = EstimationService(small_config(), progress=telemetry)
+        assert service.ingest([event]) == (0, 1)
+        service.tick()
+        assert service.graph.size == 300
+        events = [e for e in telemetry.events if e["event"] == "ingest_dropped"]
+        assert events == [{"event": "ingest_dropped", "dropped": 1, "queued": 0}]
+
+    def test_the_queue_counts_members(self):
+        service = EstimationService(small_config(queue_limit=30))
+        # 10 + 15 members fit; 10 more would make 35; 5 more make 30.
+        batch = [{"joins": 10}, {"leaves": 15}, {"frac_joins": 1 / 30}, {"joins": 5}]
+        assert service.ingest(batch) == (3, 1)
+        assert service.ingest([{"joins": 0}]) == (0, 1)  # every event costs >= 1
+        service.tick()
+        assert service.graph.size == 300 + 10 - 15 + 5
+        assert service.ingest([{"joins": 30}]) == (1, 0)  # the tick emptied it
+
 
 class TestCheckpointRestore:
     def test_restore_is_bit_identical_to_uninterrupted(self, tmp_path):

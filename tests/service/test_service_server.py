@@ -18,7 +18,7 @@ from repro.service import (
     send_frame,
 )
 from repro.runtime.store import read_archive
-from repro.service.server import MAX_BODY_BYTES, _dispatch, _ServiceHandler
+from repro.service.server import MAX_BODY_BYTES, MAX_TICK_ROUNDS, _dispatch, _ServiceHandler
 
 from test_service_core import FakeClock, canonical, small_config
 
@@ -433,6 +433,12 @@ class TestDispatch:
         assert _dispatch(service, "ingest", {"events": "nope"})[0] == 400
         assert _dispatch(service, "tick", {"rounds": 0})[0] == 400
         assert _dispatch(service, "tick", {"rounds": "x"})[0] == 400
+        assert _dispatch(service, "tick", {"rounds": 10**9})[0] == 400
+        assert _dispatch(service, "tick", {"rounds": MAX_TICK_ROUNDS + 1})[0] == 400
+        assert service.round == 0
+        bad = {"events": [{"joins": 2}, {"joins": -1}]}
+        assert _dispatch(service, "ingest", bad)[0] == 400
+        assert _dispatch(service, "health", {})[1]["queued"] == 0
         assert _dispatch(service, "checkpoint", {})[0] == 400  # no path configured
         assert _dispatch(service, "missing", {})[0] == 404
 
