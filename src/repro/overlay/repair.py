@@ -109,9 +109,9 @@ class RepairPolicy(abc.ABC):
 
     # ------------------------------------------------------------------
 
-    def _link_to_random_peers(self, links: "_RoundLinks", node: int, want: int) -> int:
+    def _link_to_random_peers(self, batch: "_RoundLinks", node: int, want: int) -> int:
         """Open up to ``want`` links from row ``node`` to random rows."""
-        twin = links.twin
+        twin = batch.twin
         n = twin.n
         old = set(twin.neighbors(node).tolist())
         key = node * n
@@ -121,9 +121,9 @@ class RepairPolicy(abc.ABC):
         while formed < want and attempts < budget:
             attempts += 1
             v = int(self.rng.integers(n))
-            if v == node or v in old or key + v in links.pairs:
+            if v == node or v in old or key + v in batch.pairs:
                 continue
-            links.add(node, v)
+            batch.add(node, v)
             formed += 1
         if formed:
             self.meter.add(MessageKind.CONTROL, formed)
@@ -209,8 +209,8 @@ class DegreeRepair(RepairPolicy):
         """Re-link under-connected nodes within the round budget."""
         if self.graph.size < 2:
             return 0
-        links = _RoundLinks(self.graph.to_array())
-        needy = np.flatnonzero(links.twin.degrees() < self.min_degree).tolist()
+        batch = _RoundLinks(self.graph.to_array())
+        needy = np.flatnonzero(batch.twin.degrees() < self.min_degree).tolist()
         if not needy:
             return 0
         # Randomize service order so the budget isn't biased by node id.
@@ -221,12 +221,12 @@ class DegreeRepair(RepairPolicy):
                 break
             u = needy[int(i)]
             want = min(
-                self.target_degree - links.degree[u],
+                self.target_degree - batch.degree[u],
                 self.max_links_per_round - formed,
             )
             if want > 0:
-                formed += self._link_to_random_peers(links, u, want)
-        links.finish(self.graph)
+                formed += self._link_to_random_peers(batch, u, want)
+        batch.finish(self.graph)
         return formed
 
 
@@ -254,13 +254,13 @@ class FullRepair(RepairPolicy):
         """Top every node up to the target degree."""
         if self.graph.size < 2:
             return 0
-        links = _RoundLinks(self.graph.to_array())
+        batch = _RoundLinks(self.graph.to_array())
         formed = 0
-        for u in range(links.twin.n):
-            deficit = self.target_degree - links.degree[u]
+        for u in range(batch.twin.n):
+            deficit = self.target_degree - batch.degree[u]
             if deficit > 0:
-                formed += self._link_to_random_peers(links, u, deficit)
-        links.finish(self.graph)
+                formed += self._link_to_random_peers(batch, u, deficit)
+        batch.finish(self.graph)
         return formed
 
 

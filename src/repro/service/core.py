@@ -384,8 +384,9 @@ class EstimationService:
         self._lock = threading.RLock()
         self._bucket = TokenBucket(config.max_qps, config.burst, clock=clock)
         self._queue: Deque[Dict[str, Any]] = deque()
-        #: Members the queued events cost (:meth:`_members`).
+        #: What the queued events cost (:meth:`_admit`), and their joins.
         self._queued_members = 0
+        self._queued_joins = 0
         self.stats = _ServiceStats()
         self.round = 0
         #: family -> {"value": float|None, "round": int|None, "messages": int}
@@ -439,13 +440,28 @@ class EstimationService:
 
     # -- ingest / tick (write path) ------------------------------------
 
-    def _members(self, fields: Mapping[str, Any]) -> float:
-        """What one checked event costs the queue: the joins plus leaves it
-        applies at the current size (fractions resolved), at least 1."""
+    def _admit(self, fields: Mapping[str, Any]) -> bool:
+        """Queue one checked event unless it would overflow the queue.
+
+        An event costs its joins plus leaves, at least 1, with fractions
+        resolved against the largest size the overlay can have when it
+        applies: the current size plus the joins queued ahead of it.  So
+        the queue's total bounds what the next tick applies, even when
+        fractional joins compound.
+        """
         try:
-            return max(1, sum(ChurnEvent(time=0.0, **fields).resolve(self.graph.size)))
+            joins, leaves = ChurnEvent(time=0.0, **fields).resolve(
+                self.graph.size + self._queued_joins
+            )
         except OverflowError:  # a finite frac_joins times the size is not
-            return math.inf
+            return False
+        members = max(1, joins + leaves)
+        if self._queued_members + members > self.config.queue_limit:
+            return False
+        self._queue.append(fields)
+        self._queued_members += members
+        self._queued_joins += joins
+        return True
 
     def ingest(self, events: Sequence[Mapping[str, Any]]) -> Tuple[int, int]:
         """Queue membership events; returns ``(accepted, dropped)``.
@@ -455,24 +471,16 @@ class EstimationService:
         minus ``time`` — arrival order *is* the time; every queued event
         applies at the next tick's round).  Every event is checked before
         any is queued, so a batch with a bad event raises and queues
-        nothing.  The queue holds at most ``queue_limit`` members, each
-        event costing :meth:`_members`; an event that would overflow it
-        is shed and counted (``ingest_dropped`` journal event) — bounded
-        memory and bounded tick work under any arrival rate, per the
-        queue-based load-leveling pattern.
+        nothing.  The queue holds at most ``queue_limit`` members
+        (:meth:`_admit`); an event that would overflow it is shed and
+        counted (``ingest_dropped`` journal event) — bounded memory and
+        bounded tick work under any arrival rate, per the queue-based
+        load-leveling pattern.
         """
-        accepted = 0
-        dropped = 0
         checked = [_event_fields(event) for event in events]
         with self._lock:
-            for fields in checked:
-                members = self._members(fields)
-                if self._queued_members + members > self.config.queue_limit:
-                    dropped += 1
-                else:
-                    self._queue.append(fields)
-                    self._queued_members += members
-                    accepted += 1
+            accepted = sum(map(self._admit, checked))
+            dropped = len(checked) - accepted
             self.stats.ingest_accepted += accepted
             self.stats.ingest_dropped += dropped
             if dropped:
@@ -498,7 +506,7 @@ class EstimationService:
                         dict(fields, time=float(self.round)) for fields in self._queue
                     ]
                     self._queue.clear()
-                    self._queued_members = 0
+                    self._queued_members = self._queued_joins = 0
                     self.scheduler.feed(batch)
                 self.scheduler.advance_to(float(self.round))
                 family = self._families.get("aggregation")
@@ -710,8 +718,9 @@ class EstimationService:
                     "round": None if rnd is None else int(rnd),
                     "messages": int(entry["messages"]),
                 }
-        service._queue.extend(_event_fields(f) for f in payload.get("pending", ()))
-        service._queued_members = sum(map(service._members, service._queue))
+        for fields in payload.get("pending", ()):
+            if not service._admit(_event_fields(fields)):
+                raise ValueError("the snapshot's pending events overflow the queue")
         service._announce()
         return service
 

@@ -246,6 +246,24 @@ class TestAdmission:
         assert service.graph.size == 300 + 10 - 15 + 5
         assert service.ingest([{"joins": 30}]) == (1, 0)  # the tick emptied it
 
+    def test_compounding_fractional_joins_stay_within_the_limit(self):
+        # Each event resolves to one join at the current size, but applied
+        # in turn they compound: the queue counts them against the size
+        # the joins queued ahead of them can reach.
+        service = EstimationService(small_config(queue_limit=500))
+        accepted, dropped = service.ingest([{"frac_joins": 0.0034}] * 2000)
+        assert accepted + dropped == 2000 and dropped > 0
+        service.tick()
+        assert 300 < service.graph.size <= 300 + 500
+
+    def test_restore_refuses_pending_events_that_overflow_the_queue(self):
+        service = EstimationService(small_config(queue_limit=20))
+        service.ingest([{"joins": 15}])
+        payload = service.snapshot()
+        payload["pending"].append({"joins": 10})
+        with pytest.raises(ValueError, match="overflow"):
+            EstimationService.from_snapshot(payload)
+
 
 class TestCheckpointRestore:
     def test_restore_is_bit_identical_to_uninterrupted(self, tmp_path):
