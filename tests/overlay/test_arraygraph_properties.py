@@ -50,7 +50,6 @@ _policy_ops = st.lists(
     st.tuples(
         st.sampled_from(["policy_join", "leave", "degree_repair", "full_repair"]),
         st.integers(0, 14),
-        st.integers(0, 14),
     ),
     max_size=10,
 )
@@ -243,7 +242,7 @@ def _policy_run(g: OverlayGraph, ops, seed: int):
     degree = DegreeRepair(g, rng=seed + 1, **_REPAIR)
     full = FullRepair(g, target_degree=_FULL_TARGET, rng=seed + 2)
     log = []
-    for kind, a, _ in ops:
+    for kind, a in ops:
         if kind == "policy_join":
             report = policy.join(a)
             log.append((report.node_ids, report.links_created))
@@ -262,7 +261,7 @@ def _reference_run(g: OverlayGraph, ops, seed: int):
     gens = [np.random.default_rng(seed + k) for k in range(3)]
     log = []
     formed = [0, 0]
-    for kind, a, _ in ops:
+    for kind, a in ops:
         if kind == "policy_join":
             log.append(dict_reference.join(g, a, gens[0], max_degree=_MAX_DEGREE))
         elif kind == "leave":
@@ -286,13 +285,13 @@ def _reference_run(g: OverlayGraph, ops, seed: int):
     st.sampled_from([0, 2**31]),
     st.integers(0, 2**32 - 4),
 )
-@example("empty", [], [("policy_join", 5, 0), ("full_repair", 0, 0)], 0, 3)
-@example("saturated", [], [("policy_join", 3, 0), ("degree_repair", 0, 0)], 2**31, 1)
-@example("saturated", [], [("full_repair", 0, 0), ("policy_join", 2, 0)], 0, 5)
+@example("empty", [], [("policy_join", 5), ("full_repair", 0)], 0, 3)
+@example("saturated", [], [("policy_join", 3), ("degree_repair", 0)], 2**31, 1)
+@example("saturated", [], [("full_repair", 0), ("policy_join", 2)], 0, 5)
 @example(
     "twin",
     [("join", 0, 0)] * 6 + [("add_edge", 0, 1)],
-    [("leave", 2, 0), ("degree_repair", 0, 0), ("policy_join", 4, 0), ("full_repair", 0, 0)],
+    [("leave", 2), ("degree_repair", 0), ("policy_join", 4), ("full_repair", 0)],
     2**31,
     9,
 )
@@ -311,7 +310,7 @@ def test_policy_ops_match_the_dict_reference(start, setup, ops, offset, seed):
     assert repairs == ref_repairs
     for gen, ref_gen in zip(gens, ref_gens):
         assert generator_state(gen) == generator_state(ref_gen)
-    if start == "twin" or any(kind == "policy_join" and a for kind, a, _ in ops):
+    if start == "twin" or any(kind == "policy_join" and a for kind, a in ops):
         assert "_adj" not in vars(g)
     a, b = g.to_array(), reference.to_array()
     for name in ("nodes", "indptr", "indices"):
