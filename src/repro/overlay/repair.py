@@ -209,10 +209,11 @@ class DegreeRepair(RepairPolicy):
         """Re-link under-connected nodes within the round budget."""
         if self.graph.size < 2:
             return 0
-        batch = _RoundLinks(self.graph.to_array())
-        needy = np.flatnonzero(batch.twin.degrees() < self.min_degree).tolist()
+        twin = self.graph.to_array()
+        needy = np.flatnonzero(twin.degrees() < self.min_degree).tolist()
         if not needy:
             return 0
+        batch = _RoundLinks(twin)
         # Randomize service order so the budget isn't biased by node id.
         order = self.rng.permutation(len(needy))
         formed = 0
