@@ -255,9 +255,14 @@ class FullRepair(RepairPolicy):
         """Top every node up to the target degree."""
         if self.graph.size < 2:
             return 0
-        batch = _RoundLinks(self.graph.to_array())
+        twin = self.graph.to_array()
+        # Degrees only grow within a round: a row at the target stays there.
+        short = np.flatnonzero(twin.degrees() < self.target_degree).tolist()
+        if not short:
+            return 0
+        batch = _RoundLinks(twin)
         formed = 0
-        for u in range(batch.twin.n):
+        for u in short:
             deficit = self.target_degree - batch.degree[u]
             if deficit > 0:
                 formed += self._link_to_random_peers(batch, u, deficit)
