@@ -22,6 +22,7 @@ whatever is alive then), matching the paper's "-25%" phrasing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -41,7 +42,8 @@ class ChurnEvent:
 
     Exactly one of (``joins``, ``frac_joins``) and one of (``leaves``,
     ``frac_leaves``) may be non-zero; fractions are resolved against the
-    population at application time.
+    population at application time.  ``time`` and both fractions must be
+    finite.
     """
 
     time: float
@@ -51,6 +53,9 @@ class ChurnEvent:
     frac_leaves: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("time", "frac_joins", "frac_leaves"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.joins < 0 or self.leaves < 0:
             raise ValueError("joins/leaves must be non-negative")
         if not (0.0 <= self.frac_joins) or not (0.0 <= self.frac_leaves <= 1.0):
@@ -61,8 +66,16 @@ class ChurnEvent:
             raise ValueError("specify leaves either absolutely or fractionally")
 
     def resolve(self, population: int) -> Tuple[int, int]:
-        """Concrete (joins, leaves) counts for the given population."""
-        joins = self.joins if self.joins else int(round(self.frac_joins * population))
+        """Concrete (joins, leaves) counts for the given population.
+
+        Raises :class:`ValueError` naming the event when a fraction of
+        ``population`` is not a finite count (a finite ``frac_joins`` as
+        large as ``1e308`` can overflow).
+        """
+        share = self.frac_joins * population
+        if not math.isfinite(share):
+            raise ValueError(f"{self!r}: frac_joins of {population} nodes is not a finite count")
+        joins = self.joins if self.joins else int(round(share))
         leaves = (
             self.leaves if self.leaves else int(round(self.frac_leaves * population))
         )

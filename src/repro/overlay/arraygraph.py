@@ -55,6 +55,13 @@ __all__ = ["ArrayOverlayGraph"]
 #: temporaries of a full decode at a few MB whatever the graph size.
 _ROW_BLOCK = 1 << 14
 
+#: Rows per block of the half-edge scans in
+#: :meth:`ArrayOverlayGraph.check_invariants` and
+#: :meth:`ArrayOverlayGraph.without`: their temporaries scale with one
+#: block's half-edges (~30k at the default overlay's mean degree), so
+#: neither holds a second copy of the half-edge array.
+_SCAN_BLOCK = 1 << 12
+
 #: Array dtypes :meth:`ArrayOverlayGraph.unpack` accepts.
 _PACKED_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 _INT32 = np.iinfo(np.int32)
@@ -162,27 +169,45 @@ class ArrayOverlayGraph:
         that called :meth:`OverlayGraph.remove_node` on each victim.  The
         degree update reads the victims' own rows, which list exactly the
         rows that lose a link because rows are symmetric without repeated
-        entries (:meth:`check_invariants`).  The new row pointer and
-        positions are computed in this twin's own dtypes.
+        entries (:meth:`check_invariants`).  The new neighbour array is
+        filled one row block at a time, in this twin's own dtypes, so no
+        temporary spans every half-edge.
         """
         victims = np.asarray(victims, dtype=np.int64)
-        gone = np.isin(self.nodes, victims)
-        keep = ~gone
-        if int(np.count_nonzero(gone)) != victims.size:
+        keep = ~np.isin(self.nodes, victims)
+        gone = np.flatnonzero(~keep)
+        if gone.size != victims.size:
             raise GraphError("departing nodes must be distinct nodes of the overlay")
-        deg = np.diff(self.indptr)
-        victim_half = np.repeat(gone, deg)
-        lost = np.bincount(self.indices[victim_half], minlength=self.n)
-        indptr = np.zeros(self.n - victims.size + 1, dtype=self.indptr.dtype)
-        np.cumsum((deg - lost)[keep], dtype=indptr.dtype, out=indptr[1:])
-        live_half = keep[self.indices]
-        live_half[victim_half] = False
-        position = np.cumsum(keep, dtype=self.indices.dtype)
+        indptr, indices = self.indptr, self.indices
+        # The victims' half-edges: their row segments as one index array.
+        starts = indptr[gone]
+        deg = indptr[gone + 1] - starts
+        victim_edges = np.arange(int(deg.sum())) + np.repeat(starts - np.cumsum(deg) + deg, deg)
+        lost = np.bincount(indices[victim_edges], minlength=self.n)
+        new_indptr = np.zeros(self.n - gone.size + 1, dtype=indptr.dtype)
+        np.cumsum((np.diff(indptr) - lost)[keep], dtype=indptr.dtype, out=new_indptr[1:])
+        del victim_edges, lost
+        # Survivor positions in the new twin; -1 marks a victim.
+        position = np.cumsum(keep, dtype=indices.dtype)
         position -= 1
-        indices = position[self.indices[live_half]]
-        if int(indptr[-1]) != indices.size:
+        position[gone] = -1
+        new_indices = np.empty(max(int(new_indptr[-1]), 0), dtype=indices.dtype)
+        filled = 0
+        for lo in range(0, self.n, _SCAN_BLOCK):
+            hi = min(lo + _SCAN_BLOCK, self.n)
+            block = position[indices[indptr[lo] : indptr[hi]]]
+            live = block >= 0
+            live &= np.repeat(keep[lo:hi], np.diff(indptr[lo : hi + 1]))
+            block = block[live]
+            if filled + block.size > new_indices.size:
+                raise GraphError("twin rows are not symmetric")
+            new_indices[filled : filled + block.size] = block
+            filled += block.size
+        if filled != new_indptr[-1]:
             raise GraphError("twin rows are not symmetric")
-        return ArrayOverlayGraph._narrowed(self.nodes[keep], indptr, indices, self.next_id)
+        return ArrayOverlayGraph._narrowed(
+            self.nodes[keep], new_indptr, new_indices, self.next_id
+        )
 
     def with_links(self, links: np.ndarray, count: int = 0) -> "ArrayOverlayGraph":
         """This twin after a batch of new links, with ``count`` fresh rows.
@@ -371,11 +396,19 @@ class ArrayOverlayGraph:
         """One uniform random neighbour per position (``-1`` when isolated).
 
         A single pre-drawn uniform block scaled by the degree vector; the
-        gathers stay in the twin's own dtypes.
+        gathers stay in the twin's own dtypes.  When every position has a
+        neighbour (the common case), the draws index the rows directly,
+        with no mask and no ``-1``-filled output.
         """
         positions = np.asarray(positions)
         starts = self.indptr[positions]
         degs = self.indptr[positions + 1] - starts
+        if degs.size and degs.min() > 0:
+            offsets = rng.random(degs.shape)
+            offsets *= degs
+            picks = offsets.astype(starts.dtype)
+            picks += starts
+            return self.indices[picks]
         out = np.full(positions.shape, -1, dtype=self.indices.dtype)
         nz = degs > 0
         if np.any(nz):
@@ -409,23 +442,52 @@ class ArrayOverlayGraph:
             raise GraphError("node ids must be non-negative")
         if self.next_id < 0 or (n and self.next_id <= nodes[-1]):
             raise GraphError("next_id must exceed every node id")
-        # One sort checks the links: half-edge (r, c) gets the key
-        # 2*(min*n + max) + (r < c), so a valid twin sorts into pairs
-        # (2k, 2k + 1), one per direction of each undirected link.
-        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        if np.any(keys == indices):
-            raise GraphError("self-loop in the neighbour rows")
-        upward = keys < indices
-        low = np.minimum(keys, indices)
-        np.maximum(keys, indices, out=keys)
-        low *= n
-        keys += low
-        del low
-        keys *= 2
-        keys += upward
-        keys.sort()
-        even, odd = keys[0::2], keys[1::2]
-        if keys.size % 2 or np.any(even & 1) or np.any(odd - even != 1):
+        # The links, in two passes over row blocks so the temporaries
+        # scale with one block.  The first checks for self-loops and keys
+        # each upward half-edge (r, c), r < c, as its mirror c*n + r;
+        # those keys are sorted once.  The second sorts each block's keys
+        # r*n + c, where a repeated entry shows as two equal keys (it lies
+        # inside one row, so inside one block), and requires the block's
+        # downward keys to equal the upward keys in its range
+        # [lo*n, hi*n).  The verdict is the first of self-loop, repeated
+        # entry and asymmetric link that the rows hold anywhere.  A
+        # symmetric twin has exactly half/2 upward half-edges; once a
+        # block would overrun that, they are only counted.
+        half = indices.shape[0]
+        upward = np.empty(half // 2, dtype=np.int64)
+        ups = 0
+
+        def block_rows(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+            rows = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1]))
+            return rows, indices[indptr[lo] : indptr[hi]]
+
+        for lo in range(0, n, _SCAN_BLOCK):
+            rows, cols = block_rows(lo, min(lo + _SCAN_BLOCK, n))
+            if np.any(rows == cols):
+                raise GraphError("self-loop in the neighbour rows")
+            up = rows < cols
+            keys = cols[up] * np.int64(n)
+            keys += rows[up]
+            if ups + keys.size <= upward.size:
+                upward[ups : ups + keys.size] = keys
+            ups += keys.size
+        symmetric = 2 * ups == half
+        if symmetric:
+            upward.sort()
+        for lo in range(0, n, _SCAN_BLOCK):
+            hi = min(lo + _SCAN_BLOCK, n)
+            rows, cols = block_rows(lo, hi)
+            keys = rows * n
+            keys += cols
+            keys.sort()
             if np.any(keys[1:] == keys[:-1]):
                 raise GraphError("repeated neighbour entry in a row")
+            if symmetric:
+                # Sorting keeps each key inside its row's segment, and
+                # r*n + c is downward iff it is below r*(n + 1).
+                rows *= n + 1
+                down = keys[keys < rows]
+                a, b = upward.searchsorted([lo * n, hi * n])
+                symmetric = np.array_equal(down, upward[a:b])
+        if not symmetric:
             raise GraphError("asymmetric link in the neighbour rows")

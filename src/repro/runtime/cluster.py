@@ -656,7 +656,7 @@ class WorkerServer:
                 )
                 time.sleep(self.faults.slow_seconds)
             try:
-                results = run_chunk(message["specs"], message.get("snapshot"))
+                results = run_chunk(message["specs"], message.pop("snapshot", None))
             except Exception:  # noqa: BLE001 - remote traceback travels back
                 send_message(
                     conn,

@@ -705,7 +705,7 @@ def _run_idspace_probe(specs: Sequence[TrialSpec]) -> List[TrialResult]:
 def _replay_probe(
     specs: Sequence[TrialSpec],
     estimate_at: Callable[[int, OverlayGraph, RngHub], List[TrialResult]],
-    snapshot: Optional[Mapping[str, Any]] = None,
+    state: Optional[ProbeReplayState] = None,
 ) -> List[TrialResult]:
     """Shared churn-replay skeleton for the probe-under-churn kinds.
 
@@ -715,20 +715,16 @@ def _replay_probe(
     the hub's ``"churn"`` stream while estimations draw from per-index
     child hubs.
 
-    With a ``snapshot`` (a :class:`~repro.runtime.snapshots.ProbeReplayState`
-    payload at some boundary index) the replay *resumes* there instead of
-    rebuilding the overlay and replaying the churn prefix from t=0 — the
-    state hand-off that makes chunked replay O(horizon) total.  Restored
-    or not, the step loop visits identical states, so results are
-    bit-identical either way.
+    With a ``state`` (restored by :func:`run_chunk` from a boundary
+    snapshot) the replay *resumes* there instead of rebuilding the overlay
+    and replaying the churn prefix from t=0 — the state hand-off that
+    makes chunked replay O(horizon) total.  ``None`` boots the scenario.
+    Restored or not, the step loop visits identical states, so results
+    are bit-identical either way.
     """
-    first = specs[0]
-    if snapshot is not None:
-        with phase("restore"):
-            state = ProbeReplayState.restore(first, snapshot)
-    else:
+    if state is None:
         with phase("boot"):
-            state = ProbeReplayState.boot(first)
+            state = ProbeReplayState.boot(specs[0])
     last = max(spec.index for spec in specs)
     out: List[TrialResult] = []
     for i in range(state.position + 1, last + 1):
@@ -742,7 +738,7 @@ def _replay_probe(
 
 def _run_dynamic_probe(
     specs: Sequence[TrialSpec],
-    snapshot: Optional[Mapping[str, Any]] = None,
+    state: Optional[ProbeReplayState] = None,
 ) -> List[TrialResult]:
     """Probe-style estimations interleaved with churn (single stream)."""
     wanted = {spec.index: spec for spec in specs}
@@ -761,12 +757,12 @@ def _run_dynamic_probe(
             value = float("nan")
         return [TrialResult(index=i, value=value, true_size=float(graph.size))]
 
-    return _replay_probe(specs, estimate_at, snapshot)
+    return _replay_probe(specs, estimate_at, state)
 
 
 def _run_multi_probe(
     specs: Sequence[TrialSpec],
-    snapshot: Optional[Mapping[str, Any]] = None,
+    state: Optional[ProbeReplayState] = None,
 ) -> List[TrialResult]:
     """Several estimation streams over one churning overlay (Figs 9-14)."""
     by_index: Dict[int, List[TrialSpec]] = {}
@@ -793,7 +789,7 @@ def _run_multi_probe(
             )
         return out
 
-    return _replay_probe(specs, estimate_at, snapshot)
+    return _replay_probe(specs, estimate_at, state)
 
 
 def _run_agg_convergence(specs: Sequence[TrialSpec]) -> List[TrialResult]:
@@ -987,7 +983,7 @@ def _run_delay_probe(specs: Sequence[TrialSpec]) -> List[TrialResult]:
 
 def _run_repair_replay(
     specs: Sequence[TrialSpec],
-    snapshot: Optional[Mapping[str, Any]] = None,
+    state: Optional[RepairReplayState] = None,
 ) -> List[TrialResult]:
     """Aggregation monitoring under churn *with overlay repair* (Fig 17
     revisited).  One chunk = one scenario replay: churn (``"churn"``
@@ -996,20 +992,17 @@ def _run_repair_replay(
     in lock step up to the chunk's highest wanted round, exactly as the
     serial loop did — a chunk holding only late rounds reproduces the
     identical prefix because every draw comes from named hub streams.
-    With a ``snapshot`` (a :class:`~repro.runtime.snapshots.RepairReplayState`
-    payload) the replay resumes at the captured round instead of
-    rebuilding from round 1.  Each trial records the held estimate and
-    true size at its round, plus the *cumulative* repair traffic and
-    failed-epoch count in ``extra`` (``messages``/``failures``), so the
-    final round carries the serial run's totals.
+    With a ``state`` (restored by :func:`run_chunk` from a boundary
+    snapshot) the replay resumes at the captured round instead of
+    rebuilding from round 1; ``None`` boots the scenario.  Each trial
+    records the held estimate and true size at its round, plus the
+    *cumulative* repair traffic and failed-epoch count in ``extra``
+    (``messages``/``failures``), so the final round carries the serial
+    run's totals.
     """
-    first = specs[0]
-    if snapshot is not None:
-        with phase("restore"):
-            state = RepairReplayState.restore(first, snapshot)
-    else:
+    if state is None:
         with phase("boot"):
-            state = RepairReplayState.boot(first)
+            state = RepairReplayState.boot(specs[0])
     base = state.position
     if min(spec.index for spec in specs) < 1:
         raise ValueError("repair_replay indices are 1-based round numbers")
@@ -1119,7 +1112,8 @@ def _run_stream_epoch(specs: Sequence[TrialSpec]) -> List[TrialResult]:
 
 #: trial kind -> chunk runner.  Extend to open new workloads.  Runners of
 #: kinds in :data:`~repro.runtime.snapshots.SNAPSHOT_KINDS` additionally
-#: accept an optional replay-state snapshot as second argument.
+#: accept the chunk's restored replay state (or ``None``) as second
+#: argument.
 TRIAL_KINDS: Dict[str, Callable[..., List[TrialResult]]] = {
     "static_probe": _run_static_probe,
     "fresh_probe": _run_fresh_probe,
@@ -1148,6 +1142,11 @@ def run_chunk(
     there instead of replaying the churn prefix from t=0.  ``None`` — the
     serial path, and any chunk the executor has no boundary for — replays
     the prefix instead; results are bit-identical either way.
+
+    The payload is restored here and this function's reference to it is
+    dropped before the replay starts, so a caller that keeps no reference
+    of its own (a worker host) frees the payload's arrays once the
+    restored overlay stops using them, at the chunk's first departure.
     """
     if not specs:
         return []
@@ -1165,7 +1164,12 @@ def run_chunk(
         raise ValueError(f"trial kind {kind!r} does not accept a replay snapshot")
     with chunk_profiler() as prof:
         if kind in SNAPSHOT_KINDS:
-            results = runner(specs, snapshot)
+            state = None
+            if snapshot is not None:
+                with phase("restore"):
+                    state = SNAPSHOT_KINDS[kind].restore(specs[0], snapshot)
+                del snapshot
+            results = runner(specs, state)
         else:
             results = runner(specs)
     return _attach_profiles(results, prof)

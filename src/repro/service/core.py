@@ -43,7 +43,6 @@ acceptance gate assert.  See ``docs/SERVICE.md``.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 import time
@@ -89,9 +88,9 @@ def _event_fields(event: Mapping[str, Any]) -> Dict[str, Any]:
     """The membership fields of one ingest event, checked before queueing.
 
     Keeps the :class:`ChurnEvent` fields minus ``time`` (other keys are
-    ignored), requires integer ``joins``/``leaves`` and a finite
-    ``frac_joins``, and builds the :class:`ChurnEvent` to check the rest,
-    so a queued event can never fail at the tick that applies it.
+    ignored), requires integer ``joins``/``leaves``, and builds the
+    :class:`ChurnEvent` to check the rest (finite fractions included), so
+    a queued event can never fail at the tick that applies it.
     ``/ingest`` and restored pending events both pass through here.
     """
     fields = {
@@ -101,8 +100,7 @@ def _event_fields(event: Mapping[str, Any]) -> Dict[str, Any]:
     }
     if not all(isinstance(fields.get(k, 0), int) for k in ("joins", "leaves")):
         raise ValueError(f"joins/leaves must be integers, got {fields}")
-    if not math.isfinite(ChurnEvent(time=0.0, **fields).frac_joins):
-        raise ValueError("frac_joins must be finite")
+    ChurnEvent(time=0.0, **fields)
     return fields
 
 
@@ -453,7 +451,7 @@ class EstimationService:
             joins, leaves = ChurnEvent(time=0.0, **fields).resolve(
                 self.graph.size + self._queued_joins
             )
-        except OverflowError:  # a finite frac_joins times the size is not
+        except ValueError:  # a finite frac_joins times the size is not
             return False
         members = max(1, joins + leaves)
         if self._queued_members + members > self.config.queue_limit:

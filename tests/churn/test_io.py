@@ -97,6 +97,22 @@ class TestErrors:
         with pytest.raises(TraceFormatError, match=":2:"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "record", [{"time": float("nan"), "joins": 1}, {"time": 1.0, "frac_joins": float("inf")}]
+    )
+    def test_non_finite_event_line_number_reported(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            json.dumps({"format": "repro-churn-trace", "version": FORMAT_VERSION})
+            + "\n"
+            + json.dumps({"time": 0.5, "joins": 1})
+            + "\n"
+            + json.dumps(record)
+            + "\n"
+        )
+        with pytest.raises(TraceFormatError, match=":3: bad event"):
+            load_trace(path)
+
     def test_event_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(

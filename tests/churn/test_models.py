@@ -48,6 +48,25 @@ class TestChurnEvent:
         with pytest.raises(ValueError):
             ChurnEvent(time=0, frac_leaves=1.5)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"time": float("nan")},
+            {"time": float("inf")},
+            {"time": 0.0, "frac_joins": float("inf")},
+            {"time": 0.0, "frac_joins": float("nan")},
+        ],
+    )
+    def test_non_finite_time_or_fraction_rejected(self, fields):
+        with pytest.raises(ValueError):
+            ChurnEvent(**fields)
+
+    def test_an_overflowing_fraction_names_the_event(self):
+        """A finite frac_joins whose count is not finite raised
+        OverflowError at the replay step that resolved it."""
+        with pytest.raises(ValueError, match=r"ChurnEvent\(time=0.0.*frac_joins=1e\+308"):
+            ChurnEvent(time=0.0, frac_joins=1e308).resolve(300)
+
 
 class TestChurnTrace:
     def test_sorted_by_time(self):

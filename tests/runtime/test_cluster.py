@@ -19,8 +19,10 @@ import pathlib
 import pickle
 import socket
 import struct
+import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from repro.analysis.obs_report import (
     validate_journal,
 )
 from repro.churn.models import shrinking_trace
+from repro.overlay.arraygraph import ArrayOverlayGraph
 from repro.overlay.builders import heterogeneous_random
 from repro.runtime import (
     ClusterExecutor,
@@ -58,6 +61,7 @@ from repro.runtime.cluster import (
     send_message,
 )
 from repro.runtime.pool import SnapshotBackbone
+from repro.runtime.snapshots import ProbeReplayState
 from repro.sim.rng import RngHub
 
 
@@ -778,6 +782,45 @@ class TestBoundaryHandOff:
         assert executor._await_boundary(state, "b:2", first)
         assert state.payloads[first] == {"boundary": 0}
         assert backbone.targets == [0, 10, 20, 30]
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 a caller's stack holds its call arguments until the call returns",
+    )
+    def test_a_host_frees_the_received_payload_at_the_first_departure(self, monkeypatch):
+        """A host keeps no reference to the boundary payload it received,
+        so the restored overlay holds the payload's arrays alone: they are
+        freed when the chunk's first departure swaps in a new twin, and
+        are dead by its second churn step."""
+        specs = _replay_specs()
+        booted = ProbeReplayState.boot(specs[0])
+        booted.advance(4)
+        chunk = {"type": "chunk", "chunk": 1, "specs": specs[8:], "snapshot": booted.snapshot()}
+        received = []
+        unpack = ArrayOverlayGraph.unpack.__func__
+
+        def watch_unpack(cls, packed):
+            received.append(weakref.ref(packed["indices"]))
+            return unpack(cls, packed)
+
+        alive = []
+        advance = ProbeReplayState.advance
+
+        def watch_advance(state, to_index):
+            alive.append(received[0]() is not None)
+            advance(state, to_index)
+
+        monkeypatch.setattr(ArrayOverlayGraph, "unpack", classmethod(watch_unpack))
+        monkeypatch.setattr(ProbeReplayState, "advance", watch_advance)
+        with cluster(1) as hosts:
+            session = _WorkerSession.connect(hosts[0], timeout=5.0)
+            try:
+                reply = session.request(chunk)
+            finally:
+                session.close()
+        assert reply["type"] == "result", reply
+        assert len(received) == 1 and len(alive) == COUNT - 4
+        assert alive[:2] == [True, False]
 
 
 class TestBoundaryFailures:
