@@ -24,87 +24,55 @@ Quickstart
 True
 """
 
-from .churn import (
-    ChurnEvent,
-    ChurnScheduler,
-    ChurnTrace,
-    catastrophic_trace,
-    growing_trace,
-    shrinking_trace,
-    steady_churn_trace,
-)
-from .core import (
-    AggregationMonitor,
-    AggregationProtocol,
-    Estimate,
-    EstimatorError,
-    GossipSampleEstimator,
-    HopsSamplingEstimator,
-    InvertedBirthdayEstimator,
-    RandomTourEstimator,
-    SampleCollideEstimator,
-    SizeEstimator,
-    UniformWalkSampler,
-)
-from .core.registry import available, create, register
-from .overlay import (
-    MembershipPolicy,
-    OverlayGraph,
-    erdos_renyi,
-    heterogeneous_random,
-    homogeneous_random,
-    ring_lattice,
-    scale_free,
-)
-from .sim import (
-    EstimateSeries,
-    MessageKind,
-    MessageMeter,
-    RngHub,
-    RollingAverage,
-    RoundDriver,
-    SimulationEngine,
-    quality_percent,
-)
+from . import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AggregationMonitor",
-    "AggregationProtocol",
-    "ChurnEvent",
-    "ChurnScheduler",
-    "ChurnTrace",
-    "Estimate",
-    "EstimateSeries",
-    "EstimatorError",
-    "GossipSampleEstimator",
-    "HopsSamplingEstimator",
-    "InvertedBirthdayEstimator",
-    "MembershipPolicy",
-    "MessageKind",
-    "MessageMeter",
-    "OverlayGraph",
-    "RandomTourEstimator",
-    "RngHub",
-    "RollingAverage",
-    "RoundDriver",
-    "SampleCollideEstimator",
-    "SimulationEngine",
-    "SizeEstimator",
-    "UniformWalkSampler",
-    "available",
-    "catastrophic_trace",
-    "create",
-    "erdos_renyi",
-    "growing_trace",
-    "heterogeneous_random",
-    "homogeneous_random",
-    "quality_percent",
-    "register",
-    "ring_lattice",
-    "scale_free",
-    "shrinking_trace",
-    "steady_churn_trace",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "churn": (
+            "ChurnEvent",
+            "ChurnScheduler",
+            "ChurnTrace",
+            "catastrophic_trace",
+            "growing_trace",
+            "shrinking_trace",
+            "steady_churn_trace",
+        ),
+        "core": (
+            "AggregationMonitor",
+            "AggregationProtocol",
+            "Estimate",
+            "EstimatorError",
+            "GossipSampleEstimator",
+            "HopsSamplingEstimator",
+            "InvertedBirthdayEstimator",
+            "RandomTourEstimator",
+            "SampleCollideEstimator",
+            "SizeEstimator",
+            "UniformWalkSampler",
+        ),
+        "core.registry": ("available", "create", "register"),
+        "overlay": (
+            "MembershipPolicy",
+            "OverlayGraph",
+            "erdos_renyi",
+            "heterogeneous_random",
+            "homogeneous_random",
+            "ring_lattice",
+            "scale_free",
+        ),
+        "sim": (
+            "EstimateSeries",
+            "MessageKind",
+            "MessageMeter",
+            "RngHub",
+            "RollingAverage",
+            "RoundDriver",
+            "SimulationEngine",
+            "quality_percent",
+        ),
+    },
+)
+__all__ += ["__version__"]

@@ -1,45 +1,31 @@
-"""Result containers and terminal rendering for experiment outputs."""
+"""Result containers and terminal rendering for experiment outputs.
 
-from .ascii_chart import line_chart, render_figure, render_table
-from .curves import Curve, FigureResult, TableResult
-from .obs_report import (
-    journal_to_trace,
-    read_journal,
-    render_obs_summary,
-    validate_journal,
-)
-from .validation import (
-    BiasVerdict,
-    BootstrapCI,
-    bias_test,
-    bootstrap_mean_ci,
-    detect_convergence,
-    variance_ratio_test,
-)
-from .trend_report import (
-    render_check_report,
-    render_comparison,
-    render_trend_report,
-)
+Each name imports its submodule on first use (:mod:`repro._lazy`), so
+reading a journal or computing a bootstrap interval does not load the
+renderers, and the trend tracker's statistics do not load the reports.
+"""
 
-__all__ = [
-    "BiasVerdict",
-    "BootstrapCI",
-    "Curve",
-    "bias_test",
-    "bootstrap_mean_ci",
-    "detect_convergence",
-    "variance_ratio_test",
-    "FigureResult",
-    "TableResult",
-    "journal_to_trace",
-    "line_chart",
-    "read_journal",
-    "render_check_report",
-    "render_comparison",
-    "render_figure",
-    "render_obs_summary",
-    "render_table",
-    "render_trend_report",
-    "validate_journal",
-]
+from .. import _lazy
+
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "ascii_chart": ("line_chart", "render_figure", "render_table"),
+        "curves": ("Curve", "FigureResult", "TableResult"),
+        "obs_report": (
+            "journal_to_trace",
+            "read_journal",
+            "render_obs_summary",
+            "validate_journal",
+        ),
+        "validation": (
+            "BiasVerdict",
+            "BootstrapCI",
+            "bias_test",
+            "bootstrap_mean_ci",
+            "detect_convergence",
+            "variance_ratio_test",
+        ),
+        "trend_report": ("render_check_report", "render_comparison", "render_trend_report"),
+    },
+)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence
 
-if TYPE_CHECKING:  # imported for annotations only: repro.runtime.trends
-    # imports this module back (rendering split from computation), so a
-    # runtime import here would make `import repro.runtime` order-dependent.
+if TYPE_CHECKING:  # imported for annotations only: rendering a report
+    # needs none of the computation (its store, statistics or numpy).
     from ..runtime.trends import (
         CheckReport,
         MetricComparison,

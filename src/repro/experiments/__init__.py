@@ -4,114 +4,50 @@ See DESIGN.md §4 for the experiment index.  Every function takes
 ``scale=`` (``"small" | "default" | "paper"`` or a
 :class:`~repro.experiments.config.Scale`) and ``seed=``, and returns a
 :class:`~repro.analysis.curves.FigureResult` or
-:class:`~repro.analysis.curves.TableResult`.
+:class:`~repro.analysis.curves.TableResult`.  :data:`FIGURES` and
+:data:`TABLES` (:mod:`~repro.experiments.catalog`) key them by target
+name.  Each name imports its module on first use (:mod:`repro._lazy`).
 """
 
-from .ablations import (
-    hops_min_reporting_sweep,
-    hops_oracle_bias,
-    random_tour_gap,
-    sc_cost_vs_l,
-    topology_comparison,
-)
-from .config import SCALES, ExperimentConfig, Scale, resolve_scale
-from .delay import delay_comparison
-from .dynamic import (
-    fig09_sc_catastrophic,
-    fig10_sc_growing,
-    fig11_sc_shrinking,
-    fig12_hops_catastrophic,
-    fig13_hops_growing,
-    fig14_hops_shrinking,
-    fig15_agg_failures,
-    fig16_agg_growing,
-    fig17_agg_shrinking,
-)
-from .overhead import analytic_overhead_models, table1_overhead
-from .idspace_exp import idspace_comparison
-from .repair_exp import repair_comparison
-from .timer_exp import sc_timer_sweep
-from .scale_free_exp import fig07_scale_free_degrees, fig08_scale_free_comparison
-from .static import (
-    fig01_sample_collide_100k,
-    fig02_sample_collide_1m,
-    fig03_hops_sampling_100k,
-    fig04_hops_sampling_1m,
-    fig05_aggregation_100k,
-    fig06_aggregation_1m,
-    fig18_sample_collide_l10,
-)
+from .. import _lazy
 
-#: All figure functions keyed by their paper id (used by the CLI).
-FIGURES = {
-    "fig1": fig01_sample_collide_100k,
-    "fig2": fig02_sample_collide_1m,
-    "fig3": fig03_hops_sampling_100k,
-    "fig4": fig04_hops_sampling_1m,
-    "fig5": fig05_aggregation_100k,
-    "fig6": fig06_aggregation_1m,
-    "fig7": fig07_scale_free_degrees,
-    "fig8": fig08_scale_free_comparison,
-    "fig9": fig09_sc_catastrophic,
-    "fig10": fig10_sc_growing,
-    "fig11": fig11_sc_shrinking,
-    "fig12": fig12_hops_catastrophic,
-    "fig13": fig13_hops_growing,
-    "fig14": fig14_hops_shrinking,
-    "fig15": fig15_agg_failures,
-    "fig16": fig16_agg_growing,
-    "fig17": fig17_agg_shrinking,
-    "fig18": fig18_sample_collide_l10,
-}
-
-#: All table/ablation functions keyed by name (used by the CLI).
-TABLES = {
-    "table1": table1_overhead,
-    "ablation_sc_l": sc_cost_vs_l,
-    "ablation_hops_oracle": hops_oracle_bias,
-    "ablation_random_tour": random_tour_gap,
-    "ablation_min_hops": hops_min_reporting_sweep,
-    "ablation_topology": topology_comparison,
-    "ablation_delay": delay_comparison,
-    "ablation_repair": repair_comparison,
-    "ablation_idspace": idspace_comparison,
-    "ablation_sc_timer": sc_timer_sweep,
-}
-
-__all__ = [
-    "FIGURES",
-    "TABLES",
-    "SCALES",
-    "ExperimentConfig",
-    "Scale",
-    "analytic_overhead_models",
-    "delay_comparison",
-    "idspace_comparison",
-    "repair_comparison",
-    "sc_timer_sweep",
-    "resolve_scale",
-    "table1_overhead",
-    "sc_cost_vs_l",
-    "hops_oracle_bias",
-    "random_tour_gap",
-    "hops_min_reporting_sweep",
-    "topology_comparison",
-    "fig01_sample_collide_100k",
-    "fig02_sample_collide_1m",
-    "fig03_hops_sampling_100k",
-    "fig04_hops_sampling_1m",
-    "fig05_aggregation_100k",
-    "fig06_aggregation_1m",
-    "fig07_scale_free_degrees",
-    "fig08_scale_free_comparison",
-    "fig09_sc_catastrophic",
-    "fig10_sc_growing",
-    "fig11_sc_shrinking",
-    "fig12_hops_catastrophic",
-    "fig13_hops_growing",
-    "fig14_hops_shrinking",
-    "fig15_agg_failures",
-    "fig16_agg_growing",
-    "fig17_agg_shrinking",
-    "fig18_sample_collide_l10",
-]
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "catalog": ("FIGURES", "TABLES"),
+        "config": ("SCALES", "ExperimentConfig", "Scale", "resolve_scale"),
+        "ablations": (
+            "sc_cost_vs_l",
+            "hops_oracle_bias",
+            "random_tour_gap",
+            "hops_min_reporting_sweep",
+            "topology_comparison",
+        ),
+        "delay": ("delay_comparison",),
+        "idspace_exp": ("idspace_comparison",),
+        "repair_exp": ("repair_comparison",),
+        "timer_exp": ("sc_timer_sweep",),
+        "overhead": ("analytic_overhead_models", "table1_overhead"),
+        "static": (
+            "fig01_sample_collide_100k",
+            "fig02_sample_collide_1m",
+            "fig03_hops_sampling_100k",
+            "fig04_hops_sampling_1m",
+            "fig05_aggregation_100k",
+            "fig06_aggregation_1m",
+            "fig18_sample_collide_l10",
+        ),
+        "scale_free_exp": ("fig07_scale_free_degrees", "fig08_scale_free_comparison"),
+        "dynamic": (
+            "fig09_sc_catastrophic",
+            "fig10_sc_growing",
+            "fig11_sc_shrinking",
+            "fig12_hops_catastrophic",
+            "fig13_hops_growing",
+            "fig14_hops_shrinking",
+            "fig15_agg_failures",
+            "fig16_agg_growing",
+            "fig17_agg_shrinking",
+        ),
+    },
+)

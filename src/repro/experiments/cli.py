@@ -85,50 +85,20 @@ import pathlib
 import re
 import sys
 import time
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ..analysis.ascii_chart import render_figure, render_table
-from ..analysis.curves import FigureResult, TableResult
-from ..analysis.obs_report import (
-    journal_to_trace,
-    read_journal,
-    render_obs_summary,
-    validate_journal,
-)
-from ..analysis.trend_report import (
-    render_check_report,
-    render_comparison,
-    render_trend_report,
-)
-from ..runtime import (
-    JOURNAL_SCHEMA_VERSION,
-    JournalReporter,
-    LogProgress,
-    ResultsStore,
-    RuntimeOptions,
-    TeeProgress,
-    WorkerServer,
-    parse_hosts,
-    supports_runtime,
-)
-from ..runtime.store import SnapshotRejected
-from ..runtime.trends import (
-    DEFAULT_CHECK_METRICS,
-    TREND_METRICS,
-    check_baseline,
-    compare_revisions,
-    load_baseline,
-    make_baseline,
-    trend_report,
-)
-from ..service import (
-    SERVICE_FAMILIES,
-    EstimationService,
-    ServiceConfig,
-    ServiceServer,
-)
-from . import FIGURES, TABLES
+# The parser needs names only; each command imports what it runs, so
+# `serve` loads no experiment, executor or report code, and `worker
+# serve` no experiment or service code (tests/test_import_graph.py).
+from ..runtime.provenance import DEFAULT_CHECK_METRICS, TREND_METRICS
+from ..service import SERVICE_FAMILIES
+from .catalog import FIGURES, TABLES
 from .config import SCALES
+
+if TYPE_CHECKING:
+    from ..runtime.api import RuntimeOptions
+    from ..runtime.obs import JournalReporter
+    from ..runtime.store import ResultsStore
 
 __all__ = ["main", "build_parser"]
 
@@ -738,6 +708,9 @@ def _runtime_options(
     args, tag: Optional[str] = None, journal: Optional[JournalReporter] = None
 ) -> RuntimeOptions:
     """Map parsed CLI arguments onto the runtime's execution knobs."""
+    from ..runtime.api import RuntimeOptions
+    from ..runtime.progress import LogProgress, TeeProgress
+
     reporters: List[object] = []
     if args.progress:
         reporters.append(LogProgress())
@@ -762,6 +735,10 @@ def _runtime_options(
 
 
 def _run_one(name: str, args, journal: Optional[JournalReporter] = None) -> object:
+    from ..analysis.ascii_chart import render_figure, render_table
+    from ..analysis.curves import FigureResult, TableResult
+    from ..runtime.api import supports_runtime
+
     fn = FIGURES.get(name) or TABLES.get(name)
     kwargs = {"scale": args.scale, "seed": args.seed}
     if supports_runtime(fn):
@@ -790,6 +767,8 @@ def _cmd_run(args) -> int:
     )
     journal = None
     if args.journal is not None:
+        from ..runtime.obs import JournalReporter
+
         args.journal.parent.mkdir(parents=True, exist_ok=True)
         journal = JournalReporter(args.journal)
     try:
@@ -808,6 +787,8 @@ def _cmd_list() -> int:
 
 
 def _resolve_store(args, parser: argparse.ArgumentParser) -> ResultsStore:
+    from ..runtime.store import ResultsStore
+
     cache_dir = args.cache_dir
     if cache_dir is None:
         env = os.environ.get("REPRO_CACHE_DIR")
@@ -1010,6 +991,19 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_trends(args, parser: argparse.ArgumentParser) -> int:
+    from ..analysis.trend_report import (
+        render_check_report,
+        render_comparison,
+        render_trend_report,
+    )
+    from ..runtime.trends import (
+        check_baseline,
+        compare_revisions,
+        load_baseline,
+        make_baseline,
+        trend_report,
+    )
+
     roots = _resolve_trend_roots(args, parser)
     cmd = args.trends_command
     if cmd == "report":
@@ -1088,6 +1082,14 @@ def _cmd_trends(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_obs(args, parser: argparse.ArgumentParser) -> int:
+    from ..analysis.obs_report import (
+        journal_to_trace,
+        read_journal,
+        render_obs_summary,
+        validate_journal,
+    )
+    from ..runtime.obs import JOURNAL_SCHEMA_VERSION
+
     try:
         events = read_journal(args.journal)
     except (OSError, ValueError) as exc:
@@ -1139,6 +1141,8 @@ def _parse_bind(value: str, label: str, parser: argparse.ArgumentParser):
 
 
 def _cmd_worker(args, parser: argparse.ArgumentParser) -> int:
+    from ..runtime.cluster import WorkerServer
+
     host, port = _parse_bind(args.bind, "worker serve", parser)
     try:
         server = WorkerServer(host, port, max_sessions=args.max_sessions)
@@ -1161,6 +1165,11 @@ def _cmd_worker(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_serve(args, parser: argparse.ArgumentParser) -> int:
+    from ..runtime.obs import JournalReporter
+    from ..runtime.store import SnapshotRejected
+    from ..service.core import EstimationService, ServiceConfig
+    from ..service.server import ServiceServer
+
     host, port = _parse_bind(args.bind, "serve", parser)
     binary_port = None
     binary_host = host
@@ -1257,6 +1266,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             # $REPRO_CACHE_DIR default, which bypasses argparse validation.
             _checked_dir(args.cache_dir, parser)
         if args.hosts is not None:
+            from ..runtime.cluster import parse_hosts
+
             # Surface a malformed --hosts / $REPRO_HOSTS as a usage error
             # here instead of a traceback after the first batch builds.
             try:

@@ -14,7 +14,8 @@ Transport
 The wire format follows the lightweight self-describing RPC approach of
 the Mercury extreme-scale RPC design rather than a heavyweight framework,
 which keeps small metadata apart from bulk buffers: each message is one
-dict pickled at protocol 5 behind an 8-byte big-endian length prefix, and
+dict pickled at protocol 5 behind the 8-byte big-endian length prefix of
+:mod:`~repro.runtime.framing` (shared with the service's binary mode), and
 every numpy array in it travels out of band, sent from its own memory and
 read straight into the buffer it is rebuilt over (:func:`send_message` /
 :func:`recv_message`).  A worker is just
@@ -102,6 +103,8 @@ from collections import deque
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .faults import WorkerFaults
+from .framing import _HEADER, _Connections, _recv_exact, _recv_length
+from .framing import MAX_MESSAGE_BYTES as MAX_MESSAGE_BYTES  # re-exported
 from .pool import CHUNKS_PER_WORKER, SnapshotBackbone, TrialExecutor, chunk_specs
 from .progress import NullProgress, ProgressReporter
 from .snapshots import SNAPSHOT_KINDS
@@ -123,19 +126,11 @@ __all__ = [
 #: sends numpy arrays as out-of-band buffers behind the pickled metadata.
 PROTOCOL_VERSION = 3
 
-#: 8-byte big-endian unsigned length prefix framing every message.
-_HEADER = struct.Struct(">Q")
-
-#: What follows the length prefix: the out-of-band buffer count and the
-#: size of the pickled metadata; one ``>Q`` size per buffer comes next.
+#: What follows the length prefix of :mod:`~repro.runtime.framing`: the
+#: out-of-band buffer count and the size of the pickled metadata; one
+#: ``>Q`` size per buffer comes next.
 _LAYOUT = struct.Struct(">IQ")
 _SIZE = struct.Struct(">Q")
-
-#: Upper bound on a single framed message, buffers included — far above
-#: any real chunk (specs + a snapshot whose packed overlay arrays take
-#: ~3.5 MB at n = 100k), low enough to reject a garbage prefix from a
-#: confused peer before allocating anything.
-MAX_MESSAGE_BYTES = 1 << 31
 
 #: Most out-of-band buffers a received frame may announce (a hand-off
 #: snapshot has three); it bounds the size table read before the
@@ -212,18 +207,6 @@ def _torn_frame(message: Mapping[str, Any]) -> bytes:
     return b"".join([head, *buffers])[: -((last + 1) // 2)]
 
 
-def _recv_exact(sock: socket.socket, size: int) -> bytes:
-    chunks: List[bytes] = []
-    remaining = size
-    while remaining > 0:
-        part = sock.recv(min(remaining, 1 << 20))
-        if not part:
-            raise EOFError("peer closed the connection mid-message")
-        chunks.append(part)
-        remaining -= len(part)
-    return b"".join(chunks)
-
-
 def _recv_into(sock: socket.socket, buffer: bytearray) -> None:
     """Fill ``buffer`` from ``sock`` in place (no intermediate copy)."""
     view = memoryview(buffer)
@@ -245,17 +228,7 @@ def recv_message(sock: socket.socket) -> Dict[str, Any]:
     ``ValueError`` from a ``__reduce__`` — raises :class:`OSError` too, so
     every caller treats it as the transport failure it is.
     """
-    header = sock.recv(_HEADER.size)
-    if not header:
-        raise EOFError("peer closed the connection")
-    if len(header) < _HEADER.size:
-        header += _recv_exact(sock, _HEADER.size - len(header))
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
-        raise OSError(
-            f"framed message of {length} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte limit (corrupt stream?)"
-        )
+    length = _recv_length(sock)
     if length < _LAYOUT.size:
         raise OSError(f"framed message of {length} bytes has no layout")
     count, meta_size = _LAYOUT.unpack(_recv_exact(sock, _LAYOUT.size))
@@ -323,42 +296,6 @@ def parse_hosts(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-
-
-class _Connections:
-    """The open connections of one server, so its ``close()`` can end them.
-
-    :class:`WorkerServer` and the estimation service's server each keep
-    one: a serving thread adds its connection and discards it when done,
-    and :meth:`sever` drops whatever is still open.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._open: set = set()
-
-    def add(self, conn: socket.socket) -> None:
-        with self._lock:
-            self._open.add(conn)
-
-    def discard(self, conn: socket.socket) -> None:
-        with self._lock:
-            self._open.discard(conn)
-
-    def sever(self) -> None:
-        """Shut every open connection down (a thread blocked reading it
-        sees EOF at once) and close it."""
-        with self._lock:
-            conns = list(self._open)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:  # pragma: no cover - peer may be gone already
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
 
 
 class WorkerServer:

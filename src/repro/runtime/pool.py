@@ -305,5 +305,16 @@ class TrialExecutor:
                 "chunk_start", chunk=i, trials=len(chunk), boundary=target
             )
             payload = backbone.payload_at(target) if backbone is not None else None
-            futures.append(pool.submit(run_chunk, chunk, payload))
+            futures.append(pool.submit(_run_boxed_chunk, chunk, [payload]))
         return futures
+
+
+def _run_boxed_chunk(specs: Sequence[TrialSpec], box: List[Any]) -> List[TrialResult]:
+    """Pool-worker entry: :func:`run_chunk` on the payload popped from ``box``.
+
+    A pool worker keeps the submitted call's arguments alive until the
+    call returns; boxing the payload leaves it an empty list to keep, so
+    ``run_chunk`` holds the only reference and frees the payload at the
+    chunk's first departure, as a worker host does.
+    """
+    return run_chunk(specs, box.pop())

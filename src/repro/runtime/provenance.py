@@ -25,13 +25,17 @@ from __future__ import annotations
 import math
 import os
 import subprocess
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .obs import PHASES
-from .trials import TrialResult
+
+if TYPE_CHECKING:  # annotations only: the store and the CLI need no trial runners
+    from .trials import TrialResult
 
 __all__ = [
+    "DEFAULT_CHECK_METRICS",
     "PHASE_METRICS",
+    "TREND_METRICS",
     "detect_git_revision",
     "metric_values",
     "phase_metric_values",
@@ -42,6 +46,20 @@ __all__ = [
 #: :data:`repro.runtime.obs.PHASES`).  Timing metrics are machine-dependent:
 #: reported for trend inspection, excluded from deterministic CI gates.
 PHASE_METRICS = tuple(f"phase_{name}" for name in PHASES)
+
+#: Metrics the trend tracker (:mod:`repro.runtime.trends`) knows how to
+#: extract.  ``quality`` and ``messages`` are per-trial samples
+#: (:func:`metric_values`); ``elapsed_seconds`` and the ``phase_*``
+#: timings are header-level samples (machine-dependent — reported, but
+#: excluded from CI gating defaults).
+TREND_METRICS: Tuple[str, ...] = (
+    "quality",
+    "messages",
+    "elapsed_seconds",
+) + PHASE_METRICS
+
+#: Metrics deterministic at fixed seeds — the sensible CI gate set.
+DEFAULT_CHECK_METRICS: Tuple[str, ...] = ("quality", "messages")
 
 #: Environment override consulted before asking git (CI sets this).
 REVISION_ENV = "REPRO_GIT_REVISION"

@@ -64,13 +64,27 @@ import pathlib
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    BinaryIO,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from ..overlay.arraygraph import ArrayOverlayGraph
 from .provenance import detect_git_revision, summarize_results
-from .trials import TrialResult
+
+if TYPE_CHECKING:  # the service reads and writes archives without trials
+    from .trials import TrialResult
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -517,22 +531,26 @@ class ResultsStore:
 
         Unreadable or schema-mismatched artifacts are misses, never
         errors: the store must always be safe to point at a stale cache
-        directory.
+        directory.  So is an artifact whose stored config has another
+        content address than the one it was read from (a file copied or
+        moved between addresses): it is never served as this config's
+        results.
         """
+        from .trials import TrialResult
+
         path = self.path_for(config)
         try:
             with path.open() as fh:
                 artifact = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if artifact.get("schema") != SCHEMA_VERSION:
-            return None
-        try:
+            if artifact["schema"] != SCHEMA_VERSION:
+                return None
+            if content_key(artifact["config"]) != path.stem:
+                return None
             results = [
                 TrialResult.from_dict(item)
                 for item in _decode_floats(artifact["results"])
             ]
-        except (KeyError, TypeError, ValueError):
+        except (OSError, KeyError, TypeError, ValueError):
             return None
         self._record_hit(path)
         return results

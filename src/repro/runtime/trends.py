@@ -42,9 +42,14 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.validation import BootstrapCI, bootstrap_mean_ci, variance_ratio_test
 from ..sim.rng import derive_seed
-from .provenance import PHASE_METRICS, metric_values, summarize_results
+from .provenance import (
+    DEFAULT_CHECK_METRICS,
+    PHASE_METRICS,
+    TREND_METRICS,
+    metric_values,
+    summarize_results,
+)
 from .store import ArtifactInfo, ResultsStore, _decode_floats, group_key
-from .trials import TrialResult
 
 __all__ = [
     "BASELINE_SCHEMA",
@@ -65,20 +70,6 @@ __all__ = [
     "scan_stores",
     "trend_report",
 ]
-
-#: Metrics the tracker knows how to extract.  ``quality`` and ``messages``
-#: are per-trial samples; ``elapsed_seconds`` and the ``phase_*`` timings
-#: (worker-side phase profiles, see :mod:`repro.runtime.obs`) are
-#: header-level samples (machine-dependent — reported, but excluded from
-#: CI gating defaults).
-TREND_METRICS: Tuple[str, ...] = (
-    "quality",
-    "messages",
-    "elapsed_seconds",
-) + PHASE_METRICS
-
-#: Metrics deterministic at fixed seeds — the sensible CI gate set.
-DEFAULT_CHECK_METRICS: Tuple[str, ...] = ("quality", "messages")
 
 #: Version stamp of the baseline JSON layout.
 BASELINE_SCHEMA = 1
@@ -168,6 +159,8 @@ def _backfill(info: ArtifactInfo) -> Tuple[str, Dict[str, Any]]:
     old enough to lack header provenance, and never fatally (unreadable
     files yield empty provenance and are dropped by the join).
     """
+    from .trials import TrialResult
+
     try:
         with info.path.open() as fh:
             artifact = json.load(fh)
@@ -236,6 +229,8 @@ def record_metric_samples(record: TrendRecord) -> Dict[str, List[float]]:
     whose payload no longer parses contribute nothing (consistent with the
     store treating them as misses).
     """
+    from .trials import TrialResult
+
     out: Dict[str, List[float]] = {}
     try:
         with record.info.path.open() as fh:

@@ -13,28 +13,33 @@ replaying.
 :class:`ServiceServer` exposes the service over a small HTTP/JSON
 endpoint (``/estimate``, ``/health``, ``/stats``, ``/ingest``) with
 token-bucket throttling and a bounded, load-shedding ingest queue, plus
-an optional length-prefixed binary mode reusing the framing discipline
-of :mod:`repro.runtime.cluster`.  :class:`ServiceClient` is the matching
-thin client.  Operational surface: ``repro-experiment serve`` and
-``docs/SERVICE.md``.
+an optional length-prefixed binary mode reusing the framing of
+:mod:`repro.runtime.framing`.  :class:`ServiceClient` is the matching
+thin client; importing it loads the stdlib and that framing module only.
+Operational surface: ``repro-experiment serve`` and ``docs/SERVICE.md``.
 """
 
-from .core import (
-    SERVICE_FAMILIES,
-    SERVICE_SCHEMA_VERSION,
-    EstimationService,
-    ServiceConfig,
-    TokenBucket,
-)
-from .server import ServiceClient, ServiceServer, recv_frame, send_frame
+from .. import _lazy
 
-__all__ = [
-    "SERVICE_FAMILIES",
-    "SERVICE_SCHEMA_VERSION",
-    "EstimationService",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceServer",
-    "recv_frame",
-    "send_frame",
-]
+#: Estimator families the service can keep warm.  Defined here rather
+#: than in :mod:`.core` so the CLI can name them without importing the
+#: service.
+SERVICE_FAMILIES = (
+    "sample_collide",
+    "hops_sampling",
+    "aggregation",
+)
+
+__getattr__, __dir__, __all__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "core": (
+            "SERVICE_SCHEMA_VERSION",
+            "EstimationService",
+            "ServiceConfig",
+            "TokenBucket",
+        ),
+        "server": ("ServiceClient", "ServiceServer", "recv_frame", "send_frame"),
+    },
+)
+__all__ += ["SERVICE_FAMILIES"]

@@ -62,6 +62,7 @@ from ..overlay.builders import heterogeneous_random
 from ..runtime.progress import NullProgress, ProgressReporter
 from ..runtime.store import _rejecting, read_archive, write_archive
 from ..sim.rng import RngHub, generator_from_state, generator_state
+from . import SERVICE_FAMILIES
 
 __all__ = [
     "SERVICE_FAMILIES",
@@ -75,13 +76,6 @@ __all__ = [
 #: is refused at restore rather than mis-restored.  Schema 2 carries the
 #: overlay and the monitor's per-node values as arrays.
 SERVICE_SCHEMA_VERSION = 2
-
-#: Estimator families the service can keep warm.
-SERVICE_FAMILIES: Tuple[str, ...] = (
-    "sample_collide",
-    "hops_sampling",
-    "aggregation",
-)
 
 
 def _event_fields(event: Mapping[str, Any]) -> Dict[str, Any]:

@@ -13,11 +13,11 @@ Two transports share one :class:`~repro.service.core.EstimationService`:
   ``Content-Length`` is a ``400``, one above :data:`MAX_BODY_BYTES` a
   ``413`` sent before anything is read, and both close the connection;
   a body that is not UTF-8 JSON is a ``400``.
-* **binary frames** — an optional listener speaking the same
-  length-prefixed framing discipline as :mod:`repro.runtime.cluster`
-  (8-byte big-endian length + payload), but carrying UTF-8 JSON instead
-  of pickles: the service faces untrusted clients, and JSON frames are
-  safe to parse where pickles are not.  One request dict in, one
+* **binary frames** — an optional listener speaking the length-prefixed
+  framing of :mod:`repro.runtime.framing`, which the cluster transport
+  shares (8-byte big-endian length + payload), but carrying UTF-8 JSON
+  instead of pickles: the service faces untrusted clients, and JSON
+  frames are safe to parse where pickles are not.  One request dict in, one
   response dict out, many per connection.  This is the "small
   self-describing request/response transport" shape of the Mercury RPC
   work cited in PAPERS.md.
@@ -25,7 +25,10 @@ Two transports share one :class:`~repro.service.core.EstimationService`:
 :class:`ServiceClient` is the thin HTTP client (used by
 ``examples/churn_monitoring.py`` and perfbench's ``service_mixed``
 workload): one persistent ``http.client`` connection per calling thread,
-stdlib only.  Endpoint semantics are documented in ``docs/SERVICE.md``.
+stdlib only.  This module imports the service for type checking alone,
+so importing the client loads neither numpy nor any ``repro`` module but
+the framing one (``tests/test_import_graph.py`` pins it).
+Endpoint semantics are documented in ``docs/SERVICE.md``.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..runtime.cluster import _HEADER, MAX_MESSAGE_BYTES, _Connections, _recv_exact
-from .core import EstimationService
+from ..runtime.framing import _HEADER, _Connections, _recv_exact, _recv_length
+
+if TYPE_CHECKING:  # the client never needs the service (or numpy)
+    from .core import EstimationService
 
 __all__ = [
     "MAX_BODY_BYTES",
@@ -73,18 +78,7 @@ def send_frame(sock: socket.socket, message: Mapping[str, Any]) -> None:
 
 def recv_frame(sock: socket.socket) -> Dict[str, Any]:
     """Receive one framed JSON message; :class:`EOFError` on clean close."""
-    header = sock.recv(_HEADER.size)
-    if not header:
-        raise EOFError("peer closed the connection")
-    if len(header) < _HEADER.size:
-        header += _recv_exact(sock, _HEADER.size - len(header))
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
-        raise OSError(
-            f"framed message of {length} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte limit (corrupt stream?)"
-        )
-    message = json.loads(_recv_exact(sock, length).decode("utf-8"))
+    message = json.loads(_recv_exact(sock, _recv_length(sock)).decode("utf-8"))
     if not isinstance(message, dict):
         raise OSError(f"expected a message dict, got {type(message).__name__}")
     return message
@@ -377,8 +371,10 @@ class ServiceServer:
 
 
 class ServiceClient:
-    """Thin stdlib client for a running :class:`ServiceServer`.
+    """Thin stdlib-only client for a running :class:`ServiceServer`.
 
+    Importing it loads no numpy and no service code (a test pins this),
+    so a load generator or monitor pays only for the standard library.
     ``address`` is the HTTP ``host:port``.  Each calling thread keeps one
     persistent ``http.client`` connection, so threads may share a client.
     :exc:`Throttled` surfaces 429 so callers can measure admission

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import shutil
+
 import pytest
 
 import repro.runtime.api as api
@@ -91,6 +94,25 @@ class TestCaching:
         run_trials(_specs(), store=store, force=True, progress=telemetry)
         assert telemetry.count("cache_hit") == 0
         assert telemetry.count("batch_start") == 1
+
+    def test_an_artifact_copied_to_another_address_is_a_miss(self, tmp_path):
+        """A file copied from config A's address to config B's is not B's
+        cache hit: the load is a miss and the batch recomputes B exactly."""
+        store = ResultsStore(tmp_path)
+        config_a, config_b = (batch_config(_specs(seed=s)) for s in (11, 12))
+        run_trials(_specs(seed=11), store=store)
+        expected = run_trials(_specs(seed=12))
+        store.path_for(config_b).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(store.path_for(config_a), store.path_for(config_b))
+        assert store.load(config_b) is None
+
+        telemetry = TelemetryCollector()
+        recomputed = run_trials(_specs(seed=12), store=store, progress=telemetry)
+        assert telemetry.count("cache_hit") == 0
+        assert [json.dumps(r.as_dict(), sort_keys=True) for r in recomputed] == [
+            json.dumps(r.as_dict(), sort_keys=True) for r in expected
+        ]
+        assert store.load(config_b) == recomputed
 
     def test_different_params_different_entry(self, tmp_path):
         store = ResultsStore(tmp_path)

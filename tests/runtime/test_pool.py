@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import os
 import signal
+import sys
+import weakref
 
 import pytest
 
 import repro.runtime.pool as pool_module
 from repro.analysis.obs_report import read_journal, validate_journal
+from repro.churn.models import shrinking_trace
 from repro.core.sample_collide import SampleCollideEstimator
+from repro.overlay.arraygraph import ArrayOverlayGraph
 from repro.runtime.obs import JournalReporter
 from repro.runtime.pool import TrialExecutor, chunk_specs
 from repro.runtime.progress import TelemetryCollector
-from repro.runtime.trials import EstimatorSpec, OverlaySpec, TrialSpec, run_chunk
+from repro.runtime.snapshots import ProbeReplayState
+from repro.runtime.trials import (
+    EstimatorSpec,
+    OverlaySpec,
+    TrialSpec,
+    run_chunk,
+    trace_to_payload,
+)
 from repro.sim.rng import RngHub
 
 
@@ -122,3 +134,68 @@ class TestWorkerDeath:
         [event] = [e for e in events if e["event"] == "partial_fallback"]
         assert event["total"] == 12
         assert event["done"] <= 9  # the killed chunk never counts as done
+
+
+class TestPayloadRelease:
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 a caller's stack holds its call arguments until the call returns",
+    )
+    def test_a_pool_worker_frees_the_payload_at_the_first_departure(
+        self, monkeypatch, tmp_path
+    ):
+        """A pool worker keeps no reference to a chunk's boundary payload,
+        as a worker host does not: the restored overlay holds the payload's
+        arrays alone, so they are freed when the chunk's first departure
+        swaps in a new twin, and are dead by its second churn step."""
+        steps = 12
+        trace = shrinking_trace(300, 0.5, start=1.0, end=float(steps), steps=steps - 1)
+        params = {"trace": trace_to_payload(trace), "time_per_estimation": 1.0, "max_degree": 10}
+        specs = [
+            TrialSpec(
+                "dynamic_probe",
+                17,
+                i,
+                overlay=OverlaySpec.heterogeneous(300),
+                estimator=EstimatorSpec.sample_collide(l=20, timer=5.0),
+                params=params,
+            )
+            for i in range(1, steps + 1)
+        ]
+        # Pool workers are forked: they inherit the watchers and report
+        # through a file, one line per event, keyed by pid.
+        log = tmp_path / "watch.log"
+        watched = []
+        unpack = ArrayOverlayGraph.unpack.__func__
+        advance = ProbeReplayState.advance
+
+        def report(event):
+            if multiprocessing.parent_process() is not None:
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {event}\n")
+
+        def watch_unpack(cls, packed):
+            watched[:] = [weakref.ref(packed["indices"])]
+            report("chunk")
+            return unpack(cls, packed)
+
+        def watch_advance(state, to_index):
+            report("alive" if watched and watched[0]() is not None else "dead")
+            advance(state, to_index)
+
+        monkeypatch.setattr(ArrayOverlayGraph, "unpack", classmethod(watch_unpack))
+        monkeypatch.setattr(ProbeReplayState, "advance", watch_advance)
+        results = TrialExecutor(workers=2, chunk_size=6).run(specs)
+        assert [r.index for r in results] == list(range(1, steps + 1))
+
+        chunks = collections.defaultdict(list)
+        for line in log.read_text().splitlines():
+            pid, event = line.split()
+            if event == "chunk":
+                chunks[pid].append([])
+            else:
+                chunks[pid][-1].append(event)
+        seen = [chunk for per_pid in chunks.values() for chunk in per_pid]
+        assert len(seen) == 2
+        for chunk in seen:
+            assert len(chunk) == 6 and chunk[:2] == ["alive", "dead"], chunk
