@@ -12,8 +12,9 @@ The protocol has two phases:
    traversed node; every node remembers the *lowest* hopCount it received —
    its estimated distance to the initiator.  Each newly informed node
    forwards the poll to ``gossipTo`` uniformly random neighbours for
-   ``gossipFor`` rounds; the spread stops after ``gossipUntil`` consecutive
-   rounds with no newly informed node.
+   ``gossipFor`` rounds; a node that receives a duplicate while idle
+   gossips one more round, up to ``gossipUntil`` times, and the spread
+   ends when no node is active.
 2. **Report** — a node at recorded distance ``h`` replies with probability
    1 if ``h < minHopsReporting`` and ``gossipTo^-(h − minHopsReporting)``
    otherwise (avoiding a reply flood near the initiator).  The initiator
@@ -53,6 +54,9 @@ from .kernels import (
 )
 
 __all__ = ["HopsSamplingEstimator", "GossipSampleEstimator", "SpreadResult"]
+
+#: Rows of the spread's outcome whose report coins are drawn per block.
+_REPORT_BLOCK = 1 << 13
 
 
 class SpreadResult:
@@ -110,7 +114,8 @@ class HopsSamplingEstimator(SizeEstimator):
     gossip_for:
         Rounds each node keeps gossiping after first informed (1).
     gossip_until:
-        Consecutive quiet rounds that terminate the spread (1).
+        Re-gossip budget: a node that receives a duplicate while idle
+        gossips one more round, up to this many times (1).
     min_hops_reporting:
         Distance below which nodes always reply (5).
     initiator:
@@ -187,18 +192,28 @@ class HopsSamplingEstimator(SizeEstimator):
         self.meter.add(MessageKind.SPREAD, spread.spread_messages)
 
         # Report phase: every reached non-initiator node flips its coin.
-        mask = (hops >= 1)
-        distances = hops[mask]
-        excess = np.maximum(distances - self.min_hops_reporting, 0)
-        reply_prob = np.power(float(self.gossip_to), -excess.astype(np.float64))
-        coins = self.rng.random(distances.shape[0])
-        replied = coins < reply_prob
-        replies = int(replied.sum())
+        # The coins are drawn block by block in row order, one stream as if
+        # drawn at once, and only the replied rows' excess is kept.
+        base = float(self.gossip_to)
+        replied = []
+        farthest = 0
+        for lo in range(0, hops.shape[0], _REPORT_BLOCK):
+            distances = hops[lo : lo + _REPORT_BLOCK]
+            distances = distances[distances >= 1]
+            if not distances.size:
+                continue
+            farthest = max(farthest, int(distances.max()))
+            excess = np.maximum(distances - self.min_hops_reporting, 0)
+            reply_prob = np.power(base, -excess.astype(np.float64))
+            coins = self.rng.random(distances.shape[0])
+            replied.append(excess[coins < reply_prob])
+        excess = np.concatenate(replied) if replied else np.zeros(0, dtype=hops.dtype)
+        replies = int(excess.shape[0])
         self.meter.add(MessageKind.REPLY, replies)
 
         # Initiator extrapolates: each reply from distance h stands for
         # gossipTo^(h - minHops) nodes (1 for h < minHops), plus itself.
-        weights = np.power(float(self.gossip_to), excess[replied].astype(np.float64))
+        weights = np.power(base, excess.astype(np.float64))
         value = 1.0 + float(weights.sum())
 
         return Estimate(
@@ -213,7 +228,7 @@ class HopsSamplingEstimator(SizeEstimator):
                 "spread_messages": spread.spread_messages,
                 "initiator": int(view.nodes[init_pos]),
                 "oracle_distances": self.oracle_distances,
-                "max_recorded_distance": int(distances.max()) if distances.size else 0,
+                "max_recorded_distance": farthest,
             },
         )
 
@@ -264,6 +279,8 @@ class GossipSampleEstimator(SizeEstimator):
             raise ValueError(
                 f"reply_probability must be in (0, 1], got {reply_probability}"
             )
+        if gossip_for < 1:
+            raise ValueError(f"gossip_for must be >= 1, got {gossip_for}")
         self.reply_probability = float(reply_probability)
         self.gossip_to = int(gossip_to)
         self.gossip_for = int(gossip_for)
@@ -290,9 +307,10 @@ class GossipSampleEstimator(SizeEstimator):
         self.meter.add(MessageKind.SPREAD, spread.spread_messages)
 
         reached_others = spread.reached - 1
-        replies = int(
-            (self.rng.random(reached_others) < self.reply_probability).sum()
-        ) if reached_others > 0 else 0
+        replies = 0
+        for lo in range(0, reached_others, _REPORT_BLOCK):
+            coins = self.rng.random(min(_REPORT_BLOCK, reached_others - lo))
+            replies += int(np.count_nonzero(coins < self.reply_probability))
         self.meter.add(MessageKind.REPLY, replies)
 
         value = 1.0 + replies / self.reply_probability

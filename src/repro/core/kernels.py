@@ -34,8 +34,8 @@ such split: both backends run the spread and the BFS below on the same
 twin, so their estimates are bit-identical.
 
 Every kernel gathers in the graph's own index dtype (``int32`` on a twin
-that fits it), and the spread holds its per-node state in ``int32``
-arrays allocated once.
+that fits it), and the spread holds its per-node state in arrays
+allocated once and sends each round in blocks of bounded size.
 
 Array-backend call sites profile kernel work under the ``kernel`` phase
 (:func:`kernel_phase`) when a recorder is installed (the trial runtime
@@ -257,6 +257,18 @@ def sample_collide_sweep(
 # ----------------------------------------------------------------------
 
 
+#: Most messages :func:`gossip_spread_kernel` sends per block of a round.
+_SPREAD_BLOCK = 1 << 13
+
+
+def _counter_dtype(limit: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds ``limit``."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if limit <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def gossip_spread_kernel(
     graph: ArrayOverlayGraph,
     init_pos: int,
@@ -266,8 +278,8 @@ def gossip_spread_kernel(
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, int, int]:
     """The §III-B synchronous push-gossip spread, one set of array
-    operations per round.  Returns ``(hops, spread_messages, rounds)``
-    with ``hops[pos] = -1`` for nodes the spread never reached.
+    operations per block of a round.  Returns ``(hops, spread_messages,
+    rounds)`` with ``hops[pos] = -1`` for nodes the spread never reached.
 
     Semantics (our reading of [17]/[11] with the paper's parameters):
 
@@ -286,53 +298,79 @@ def gossip_spread_kernel(
       non-reached nodes out of 100,000");
     * the spread terminates when no node is active.
 
-    The per-node state (hops, rounds left, re-gossip budget and the
-    round's minimum) lives in ``int32`` arrays allocated once, and the
-    round's n-sized masks are written into preallocated buffers, so a
-    round allocates only frontier-sized arrays.
+    The per-node state lives in arrays allocated once: hops and the
+    lowest hop offered in ``int32``, rounds left and re-gossip budget in the
+    narrowest signed dtype that holds ``gossip_for`` and ``gossip_until``.
+    A round's active rows send in blocks of at most ``_SPREAD_BLOCK``
+    messages, with senders in the twin's index dtype, and each block's
+    targets are folded into the state before the next block draws, so a
+    round allocates only block-sized arrays beyond its list of active
+    rows.  Folding block by block gives the whole round's result: a
+    target's minimum is the least of its blocks' minima; active targets
+    keep theirs pending until the round has sent, so every block sends
+    the hops the round began with; and a node informed or re-activated
+    by an earlier block has a round to go, so it is no duplicate.  Once
+    settled, the lowest offer never sits below a node's hops, so it
+    needs no reset between blocks or rounds.
     """
+    if gossip_for < 1:
+        raise ValueError(f"gossip_for must be >= 1, got {gossip_for}")
     n = graph.n
+    index = graph.indices.dtype
     hops = np.full(n, -1, dtype=np.int32)
     hops[init_pos] = 0
-    rounds_left = np.zeros(n, dtype=np.int32)
+    rounds_left = np.zeros(n, dtype=_counter_dtype(gossip_for))
     rounds_left[init_pos] = gossip_for
-    regossip_left = np.full(n, gossip_until, dtype=np.int32)
+    regossip_left = np.full(n, gossip_until, dtype=_counter_dtype(gossip_until))
     big = np.iinfo(np.int32).max
-    best = np.full(n, big, dtype=np.int32)  # the round's minimum; big = no hit
-    hit, newly, dup, mask = (np.empty(n, dtype=bool) for _ in range(4))
+    best = np.full(n, big, dtype=np.int32)  # lowest hop offered; big = none
+    mask = np.zeros(n, dtype=bool)  # the round's active rows
+    mask[init_pos] = True
+    step = max(_SPREAD_BLOCK // max(gossip_to, 1), 1)  # active rows per block
     active = np.array([init_pos])
     spread_messages = 0
     rounds = 0
 
     while active.size:
         rounds += 1
-        senders = np.repeat(active, gossip_to)
-        targets = graph.sample_neighbors(senders, rng)
-        ok = targets >= 0
-        spread_messages += int(ok.sum())
-        senders, targets = senders[ok], targets[ok]
-        np.minimum.at(best, targets, hops[senders] + 1)
-        np.less(best, big, out=hit)
-        np.less(hops, 0, out=newly)
-        newly &= hit
-        # Informed earlier and hit again, while inactive with re-gossip
-        # budget left: re-activate for one round.
-        np.greater_equal(hops, 0, out=dup)
-        dup &= hit
-        np.less_equal(rounds_left, 0, out=mask)
-        dup &= mask
-        np.greater(regossip_left, 0, out=mask)
-        dup &= mask
-        # Newly informed nodes take the round's minimum, informed ones a
-        # shorter path (best is big wherever the round did not hit).
-        np.less(best, hops, out=mask)
-        mask |= newly
-        np.copyto(hops, best, where=mask)
-        np.subtract(regossip_left, 1, out=regossip_left, where=dup)
-        rounds_left[active] -= 1
-        np.copyto(rounds_left, gossip_for, where=newly)
-        np.maximum(rounds_left, 1, out=rounds_left, where=dup)
-        best[targets] = big
+        for lo in range(0, active.size, step):
+            block = active[lo : lo + step].astype(index, copy=False)
+            senders = np.repeat(block, gossip_to)
+            targets = graph.sample_neighbors(senders, rng)
+            if targets.size and targets.min() < 0:
+                ok = targets >= 0
+                senders, targets = senders[ok], targets[ok]
+            spread_messages += targets.size
+            reach = hops[senders]
+            reach += 1
+            np.minimum.at(best, targets, reach)
+            # Active targets keep their minimum in best until the round has
+            # sent, so every block sends the hops the round began with.
+            targets = targets[~mask[targets]]
+            low = best[targets]
+            old = hops[targets]
+            fresh = old < 0
+            # Fresh nodes take the block's minimum, informed ones a
+            # shorter path; every copy of a target carries the same values.
+            shorter = low < old
+            shorter |= fresh
+            hops[targets[shorter]] = low[shorter]
+            rounds_left[targets[fresh]] = gossip_for
+            # Informed before and hit again, while inactive with re-gossip
+            # budget left: re-activate for one round (once per round, as
+            # the first re-activation leaves the node a round to go).
+            again = ~fresh
+            again &= rounds_left[targets] <= 0
+            again &= regossip_left[targets] > 0
+            dup = targets[again]
+            regossip_left[dup] -= 1
+            rounds_left[dup] = 1
+        for lo in range(0, active.size, step):
+            rows = active[lo : lo + step]
+            low = best[rows]
+            np.minimum(low, hops[rows], out=low)
+            hops[rows] = low
+            rounds_left[rows] -= 1
         np.greater(rounds_left, 0, out=mask)
         active = np.flatnonzero(mask)
 

@@ -24,20 +24,20 @@ are deterministic given it.
 :func:`heterogeneous_random` builds no per-node Python objects.  It wires
 into one preallocated ``int32`` slot table of ``n × max_degree`` neighbour
 slots (row u starts at ``u * max_degree``; a per-node degree count says
-how many of its slots are filled), then compacts the table into the CSR
-``indices`` of the array twin in bounded row blocks.  Node ids therefore
-must fit ``int32`` (``n <= 2**31``), and so do the twin's ``nodes`` and
-``indices``, which the table's rows fill without widening; its ``indptr``
-is ``int32`` too unless the half-edges outnumber ``2**31 - 1``.  The
-build's peak memory is the table plus the twin it returns (see
-``docs/KERNELS.md``).
+how many of its slots are filled), then compacts the table in place, in
+bounded row blocks, and shrinks it into the CSR ``indices`` of the array
+twin.  Node ids therefore must fit ``int32`` (``n <= 2**31``), and so do
+the twin's ``nodes`` and ``indices``, which the table's rows fill without
+widening; its ``indptr`` is ``int32`` too unless the half-edges outnumber
+``2**31 - 1``.  The build's peak memory is the table plus the twin's
+``indptr`` and ``nodes`` (see ``docs/KERNELS.md``).
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -57,7 +57,7 @@ __all__ = [
 #: Values the builders' block draws take per generator call.
 _DRAW_BLOCK = 1 << 12
 
-#: Slot-table rows :func:`_compact_slots` copies per block.
+#: Slot-table rows :func:`_compact_slots` moves per block.
 _ROW_BLOCK = 1 << 14
 
 #: Largest node id a slot-table slot (a C ``int``) holds.
@@ -105,9 +105,9 @@ def heterogeneous_random(
 
     The wiring fills one preallocated ``int32`` slot table of
     ``n × max_degree`` neighbour slots (no per-node containers), which is
-    compacted into the array twin; the returned graph is backed by that
-    twin and builds its adjacency dict only on first dict-only use
-    (:mod:`repro.overlay.graph`).
+    compacted in place into the array twin's ``indices``; the returned
+    graph is backed by that twin and builds its adjacency dict only on
+    first dict-only use (:mod:`repro.overlay.graph`).
     """
     _require_positive_n(n)
     if not (0 < min_degree <= max_degree):
@@ -120,19 +120,22 @@ def heterogeneous_random(
         max_degree = n - 1
         min_degree = min(min_degree, max_degree)
     gen = as_generator(rng, "overlay.heterogeneous")
-    slots = array("i", [0]) * (n * max_degree)
+    table = np.zeros(n * max_degree, dtype=np.intc)
     degree = array("i", [0]) * n
     if n > 1:
-        _wire_heterogeneous(slots, degree, gen, max_degree, min_degree, max_attempts_factor)
-    indptr, indices = _compact_slots(slots, degree, max_degree)
-    del slots, degree
+        with memoryview(table) as slots:
+            _wire_heterogeneous(
+                slots, degree, gen, max_degree, min_degree, max_attempts_factor
+            )
+    indptr = _compact_slots(table, degree, max_degree)
+    del degree
     # Ids are 0..n-1 in insertion order, so raw ids already are positions.
     nodes = np.arange(n, dtype=np.int32)
-    return OverlayGraph.from_array(ArrayOverlayGraph(nodes, indptr, indices, next_id=n))
+    return OverlayGraph.from_array(ArrayOverlayGraph(nodes, indptr, table, next_id=n))
 
 
 def _wire_heterogeneous(
-    slots: "array[int]",
+    slots: memoryview,
     degree: "array[int]",
     gen: np.random.Generator,
     max_degree: int,
@@ -193,29 +196,33 @@ def _wire_heterogeneous(
         gen.integers(n, size=used)
 
 
-def _compact_slots(
-    slots: "array[int]", degree: "array[int]", width: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` of the CSR holding each row's filled slots.
+def _compact_slots(table: np.ndarray, degree: "array[int]", width: int) -> np.ndarray:
+    """Turn the slot ``table`` into the CSR ``indices`` in place and return
+    the row pointer.
 
-    Row u keeps its first ``degree[u]`` slots in order.  ``indices`` has
-    the table's ``int32`` dtype and ``indptr`` is ``int32`` when the
-    half-edge count fits it.  The masked copy runs over ``_ROW_BLOCK``
-    rows at a time, so its temporaries stay small whatever the table size.
+    Row u keeps its first ``degree[u]`` slots in order.  Each block of
+    ``_ROW_BLOCK`` rows moves its filled slots forward to their CSR
+    positions; a block's output ends at ``indptr[hi] <= hi * width``, so
+    it never overwrites a later block's input, and the block's own input
+    is copied out before it is overwritten.  The table is then shrunk to
+    the half-edge count by a realloc, so no second half-edge array ever
+    exists.  ``indptr`` is ``int32`` when the half-edge count fits it.
     """
     n = len(degree)
     degrees = np.frombuffer(degree, dtype=np.intc)
     total = int(degrees.sum(dtype=np.int64))
     indptr = np.zeros(n + 1, dtype=np.intc if total <= _SLOT_MAX else np.int64)
     np.cumsum(degrees, dtype=indptr.dtype, out=indptr[1:])
-    indices = np.empty(total, dtype=np.intc)
-    table = np.frombuffer(slots, dtype=np.intc).reshape(n, width)
     cols = np.arange(width)
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
         filled = cols < degrees[lo:hi, None]
-        indices[indptr[lo] : indptr[hi]] = table[lo:hi][filled]
-    return indptr, indices
+        table[indptr[lo] : indptr[hi]] = table[lo * width : hi * width].reshape(
+            hi - lo, width
+        )[filled]
+    # No view of the table is alive, so the realloc cannot strand one.
+    table.resize(total, refcheck=False)
+    return indptr
 
 
 def homogeneous_random(
