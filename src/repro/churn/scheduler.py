@@ -183,10 +183,9 @@ class ChurnScheduler:
 
         ``snap["graph"]`` is either :meth:`OverlayGraph.snapshot`'s lists
         or, in a replay hand-off payload (``repro.runtime.snapshots``),
-        the packed twin of :meth:`ArrayOverlayGraph.pack`.  A packed twin
-        is validated and becomes a twin-backed graph: departures and
-        joins swap in a new twin, and its dict is built only by a
-        dict-only read.
+        the packed twin of :meth:`ArrayOverlayGraph.pack`.  Either is
+        validated (:meth:`ArrayOverlayGraph.unpack`,
+        :meth:`OverlayGraph.restore`) and becomes the graph's twin.
         """
         graph_snap = snap["graph"]
         if "indptr" in graph_snap:

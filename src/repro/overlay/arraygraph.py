@@ -1,38 +1,37 @@
-"""Insertion-ordered CSR twin of :class:`~repro.overlay.graph.OverlayGraph`.
+"""The overlay's CSR encoding: the one state of an overlay graph.
 
-:class:`ArrayOverlayGraph` is the overlay's one flat-array encoding:
-every estimator reads it on either backend (the batched kernels of
+:class:`ArrayOverlayGraph` is what an
+:class:`~repro.overlay.graph.OverlayGraph` holds, and every estimator
+reads it on either backend (the batched kernels of
 :mod:`repro.core.kernels` included), and so do the aggregation round and
 :mod:`repro.overlay.views`.  It holds node ids, a CSR row pointer and a
 flat neighbour array as contiguous numpy arrays, so a walker batch
-advances with gathers instead of dict lookups.  Each array is
+advances with gathers instead of per-node lookups.  Each array is
 ``int32`` when its values fit and ``int64`` otherwise (only ids of
 ``2**31`` and up, or more than ``2**31`` nodes or half-edges, need the
 wide form); every twin this module or the builders produce follows that
 rule, so the kernels gather over half the bytes.
 
-It is a lossless re-encoding of the dict graph's behavioural state:
-**rows and row contents keep the dict graph's insertion order** (the PR-5
-determinism contract, ``docs/SNAPSHOTS.md``), and because ids are never
-re-added below ``next_id`` that order is ascending id order, so the twin
-is also the graph's sorted CSR encoding (:meth:`position` is a binary
-search).  :meth:`to_overlay` reconstructs a graph whose node iteration
-order, neighbour iteration order and ``next_id`` are identical, and
-:meth:`snapshot` produces byte-for-byte the same payload as
-:meth:`OverlayGraph.snapshot`.  The equivalence suite
-(``tests/overlay/test_arraygraph_equivalence.py``) holds both properties
-under churn/repair round-trips.
+**Rows are in insertion order and each row lists its neighbours in the
+order the links were made** (the determinism contract,
+``docs/SNAPSHOTS.md``).  Because ids are never re-added below
+``next_id``, insertion order is ascending id order, so the twin is also
+the graph's sorted CSR encoding (:meth:`~ArrayOverlayGraph.position` is
+a binary search).  :meth:`~ArrayOverlayGraph.snapshot` writes the same
+order as per-node lists, which
+:meth:`OverlayGraph.restore <repro.overlay.graph.OverlayGraph.restore>`
+encodes back into an equal twin.
 
-The twin is immutable: it captures one graph state.  Every churn
-mutation maps one twin to the next with numpy, and the graph swaps the
-result in (:meth:`OverlayGraph.adopt_twin`): :meth:`without` drops the
-rows of departed nodes, and :meth:`with_links` splices in a batch of new
-links, plus fresh rows for joiners (:meth:`MembershipPolicy.join
+The twin is immutable: it captures one graph state.  Every mutation
+maps one twin to the next with numpy, and the graph swaps the result in
+(:meth:`OverlayGraph.adopt_twin
+<repro.overlay.graph.OverlayGraph.adopt_twin>`):
+:meth:`~ArrayOverlayGraph.without` drops the rows of departed nodes, and
+:meth:`~ArrayOverlayGraph.with_links` splices in a batch of new links,
+plus fresh rows for new nodes (the builders of
+:mod:`repro.overlay.builders`, :meth:`MembershipPolicy.join
 <repro.overlay.membership.MembershipPolicy.join>` and the repair rounds
-of :mod:`repro.overlay.repair`).  The graph :meth:`to_overlay` returns
-builds its adjacency dict from :meth:`iter_rows` only when a dict-only
-call first needs it; a graph whose dict exists encodes it once
-(:meth:`from_overlay`) when its twin is next read.
+of :mod:`repro.overlay.repair`).
 
 :meth:`ArrayOverlayGraph.pack` and :meth:`ArrayOverlayGraph.unpack` are
 the twin's hand-off form (``docs/SNAPSHOTS.md``): the replay-state
@@ -47,9 +46,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .graph import GraphError, OverlayGraph
-
-__all__ = ["ArrayOverlayGraph"]
+__all__ = ["ArrayOverlayGraph", "GraphError"]
 
 #: Rows decoded per block by :meth:`ArrayOverlayGraph.iter_rows`: bounds the
 #: temporaries of a full decode at a few MB whatever the graph size.
@@ -65,6 +62,10 @@ _SCAN_BLOCK = 1 << 12
 #: Array dtypes :meth:`ArrayOverlayGraph.unpack` accepts.
 _PACKED_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 _INT32 = np.iinfo(np.int32)
+
+
+class GraphError(ValueError):
+    """Raised on structurally invalid graph operations."""
 
 
 def _narrow(arr: np.ndarray) -> np.ndarray:
@@ -83,21 +84,20 @@ class ArrayOverlayGraph:
     Attributes
     ----------
     nodes:
-        Alive node ids in dict-graph insertion order, which is ascending
-        id order (:meth:`check_invariants`), shape ``(n,)``.
+        Alive node ids in insertion order, which is ascending id order
+        (:meth:`check_invariants`), shape ``(n,)``.
     indptr:
         CSR row pointer, shape ``(n + 1,)``.
     indices:
         Flat neighbour array holding *positions into* ``nodes`` (compact
         ``0..n-1`` space); the neighbours of row ``k`` are
-        ``indices[indptr[k]:indptr[k+1]]`` in per-node insertion order.
+        ``indices[indptr[k]:indptr[k+1]]`` in the order the links were made.
     next_id:
-        The dict graph's id counter, carried so round-trips preserve the
-        full behavioural state.
+        The graph's id counter, carried so round-trips preserve the full
+        behavioural state.
 
     The constructor keeps the arrays it is given; the module's producers
-    (:meth:`from_overlay`, :meth:`without`, :meth:`with_links`,
-    :meth:`unpack`, the builders)
+    (:meth:`without`, :meth:`with_links`, :meth:`unpack`, the builders)
     hand it arrays that follow the ``int32``-when-it-fits rule.
     """
 
@@ -131,45 +131,15 @@ class ArrayOverlayGraph:
         ``int64`` otherwise; arrays that already follow the rule are kept."""
         return cls(_narrow(nodes), _narrow(indptr), _narrow(indices), next_id)
 
-    @classmethod
-    def from_overlay(cls, graph: OverlayGraph) -> "ArrayOverlayGraph":
-        """Encode ``graph`` into its array twin (one bulk adjacency pass).
-
-        Raw neighbour ids translate to compact positions via a dense
-        id → position lookup table when ids are counter-dense (the normal
-        case: ids come from the graph's ``next_id`` counter, so
-        ``max_id < next_id ≈ n + departures``), and by a binary search over
-        the ascending ``nodes`` for sparse id spaces.
-        """
-        nodes, indptr, flat = graph.neighbour_arrays()
-        return cls._narrowed(
-            nodes, indptr, cls._compact_indices(nodes, flat), graph.next_id
-        )
-
-    @staticmethod
-    def _compact_indices(nodes: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        """Translate raw neighbour ids to positions into the ascending ``nodes``."""
-        if not flat.size:
-            return np.zeros(0, dtype=np.int32)
-        max_id = int(nodes[-1])
-        if max_id < 4 * nodes.shape[0] + 1024:
-            n = nodes.shape[0]
-            wide = n > _INT32.max + 1  # positions 0..n-1 need int64
-            lut = np.empty(max_id + 1, dtype=np.int64 if wide else np.int32)
-            lut[nodes] = np.arange(n, dtype=lut.dtype)
-            return lut[flat]
-        return np.searchsorted(nodes, flat)
-
     def without(self, victims: np.ndarray) -> "ArrayOverlayGraph":
         """This twin after the nodes ``victims`` (distinct ids) departed.
 
         Victim rows are dropped and every half-edge into a victim is
         masked out; the survivors keep their order and each row keeps its
-        neighbour order, so the result equals the twin of a dict graph
-        that called :meth:`OverlayGraph.remove_node` on each victim.  The
-        degree update reads the victims' own rows, which list exactly the
-        rows that lose a link because rows are symmetric without repeated
-        entries (:meth:`check_invariants`).  The new neighbour array is
+        neighbour order, so the result equals removing the victims one
+        at a time.  The degree update reads the victims' own rows, which
+        list exactly the rows that lose a link because rows are symmetric
+        without repeated entries (:meth:`check_invariants`).  The new neighbour array is
         filled one row block at a time, in this twin's own dtypes, so no
         temporary spans every half-edge.
         """
@@ -216,10 +186,10 @@ class ArrayOverlayGraph:
         creation order; rows ``n .. n + count - 1`` are fresh, with ids
         ``next_id ..``, and links may name them.  Each row keeps its old
         neighbours first and gains its new ones after them in creation
-        order, so the result equals the twin of a dict graph that added
-        ``count`` nodes and then each link in turn.  The old segments move
-        as one block copy; the new half-edges, stably sorted by row, land
-        at the ends of their rows' old segments.
+        order, so the result equals adding ``count`` nodes and then each
+        link in turn.  The old segments move as one block copy; the new
+        half-edges, stably sorted by row, land at the ends of their rows'
+        old segments.
         """
         rows = np.asarray(links, dtype=np.int64)
         n = self.n + count
@@ -238,26 +208,14 @@ class ArrayOverlayGraph:
         )
         return ArrayOverlayGraph._narrowed(nodes, indptr, indices, self.next_id + count)
 
-    def to_overlay(self) -> OverlayGraph:
-        """Decode back to a behaviorally identical dict graph.
-
-        Node order, per-node neighbour order and ``next_id`` all carry
-        over, so the result is indistinguishable from the graph this twin
-        was taken from — for every future mutation, sample and snapshot.
-        The result is backed by this twin
-        (:meth:`OverlayGraph.from_array`): its dict is built from
-        :meth:`iter_rows` only when first needed.
-        """
-        return OverlayGraph.from_array(self)
-
     def iter_rows(self) -> Iterator[Tuple[int, List[int]]]:
         """Yield ``(node id, neighbour ids)`` per row, in insertion order.
 
         Rows are decoded in bounded blocks, so a full pass never holds
         more than one block's temporaries.  Every yielded id is the same
-        int object as that node's entry in one shared id list: a dict
-        graph or snapshot built from the rows costs one int object per
-        node, not one per half-edge.
+        int object as that node's entry in one shared id list: a
+        snapshot built from the rows costs one int object per node, not
+        one per half-edge.
         """
         ids: List[int] = self.nodes.tolist()
         get = ids.__getitem__
@@ -270,22 +228,19 @@ class ArrayOverlayGraph:
                 yield u, flat[a:b]
 
     def snapshot(self) -> Dict[str, Any]:
-        """The *same* pure-data payload :meth:`OverlayGraph.snapshot` yields.
+        """The overlay as pure data: ``{"nodes", "adj", "next_id"}``, node
+        and per-node neighbour lists in row order.
 
-        Equality (and therefore content-hash equality) with the source
-        graph's snapshot is the structural half of the backend
-        cross-validation gate.
+        :meth:`OverlayGraph.snapshot
+        <repro.overlay.graph.OverlayGraph.snapshot>` returns it, and
+        :meth:`OverlayGraph.restore
+        <repro.overlay.graph.OverlayGraph.restore>` encodes it back.
         """
         return {
             "nodes": self.nodes.tolist(),
             "adj": [nbrs for _, nbrs in self.iter_rows()],
             "next_id": self.next_id,
         }
-
-    @classmethod
-    def restore(cls, snap: Mapping[str, Any]) -> "ArrayOverlayGraph":
-        """Build a twin straight from a :meth:`snapshot` payload."""
-        return cls.from_overlay(OverlayGraph.restore(snap))
 
     def pack(self) -> Dict[str, Any]:
         """The twin as its hand-off payload: three arrays plus ``next_id``.
@@ -338,7 +293,7 @@ class ArrayOverlayGraph:
 
     @property
     def size(self) -> int:
-        """Alias of :attr:`n`, mirroring :attr:`OverlayGraph.size`."""
+        """Alias of :attr:`n`, mirroring ``OverlayGraph.size``."""
         return self.n
 
     @property

@@ -19,31 +19,40 @@ Three families are provided:
 algorithms on a topology family with well-understood theory.
 
 All builders take an explicit RNG (seed, generator or :class:`RngHub`) and
-are deterministic given it.
+are deterministic given it.  Each returns a graph whose one state is an
+array twin (:mod:`repro.overlay.graph`), and none builds per-node Python
+containers.
 
-:func:`heterogeneous_random` builds no per-node Python objects.  It wires
-into one preallocated ``int32`` slot table of ``n × max_degree`` neighbour
-slots (row u starts at ``u * max_degree``; a per-node degree count says
-how many of its slots are filled), then compacts the table in place, in
-bounded row blocks, and shrinks it into the CSR ``indices`` of the array
-twin.  Node ids therefore must fit ``int32`` (``n <= 2**31``), and so do
-the twin's ``nodes`` and ``indices``, which the table's rows fill without
-widening; its ``indptr`` is ``int32`` too unless the half-edges outnumber
+:func:`heterogeneous_random` wires into one preallocated ``int32`` slot
+table of ``n × max_degree`` neighbour slots (row u starts at
+``u * max_degree``; a per-node degree count says how many of its slots
+are filled), then compacts the table in place, in bounded row blocks,
+and shrinks it into the CSR ``indices`` of the array twin.  Node ids
+therefore must fit ``int32`` (``n <= 2**31``), and so do the twin's
+``nodes`` and ``indices``, which the table's rows fill without widening;
+its ``indptr`` is ``int32`` too unless the half-edges outnumber
 ``2**31 - 1``.  The build's peak memory is the table plus the twin's
 ``indptr`` and ``nodes`` (see ``docs/KERNELS.md``).
+
+The other builders collect their links, in creation order, in one
+``array('i')`` of row pairs (plus a set of pair keys where they test
+"already linked") and splice them onto an empty twin at once
+(:meth:`ArrayOverlayGraph.with_links
+<repro.overlay.arraygraph.ArrayOverlayGraph.with_links>`), so each
+node's neighbour order is the order its links were made in.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from typing import List, Optional
+from typing import List, Optional, Set
 
 import numpy as np
 
 from ..sim.rng import RngLike, as_generator
-from .arraygraph import ArrayOverlayGraph
-from .graph import GraphError, OverlayGraph
+from .arraygraph import ArrayOverlayGraph, GraphError
+from .graph import OverlayGraph
 
 __all__ = [
     "heterogeneous_random",
@@ -105,9 +114,8 @@ def heterogeneous_random(
 
     The wiring fills one preallocated ``int32`` slot table of
     ``n × max_degree`` neighbour slots (no per-node containers), which is
-    compacted in place into the array twin's ``indices``; the returned
-    graph is backed by that twin and builds its adjacency dict only on
-    first dict-only use (:mod:`repro.overlay.graph`).
+    compacted in place into the array twin's ``indices``; that twin is
+    the returned graph's state.
     """
     _require_positive_n(n)
     if not (0 < min_degree <= max_degree):
@@ -225,6 +233,28 @@ def _compact_slots(table: np.ndarray, degree: "array[int]", width: int) -> np.nd
     return indptr
 
 
+def _wired(n: int, links: "array[int]") -> OverlayGraph:
+    """The overlay of ``n`` fresh nodes joined by ``links`` (row pairs
+    ``u0, v0, u1, v1, ...`` in creation order): one
+    :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.with_links` splice
+    onto an empty twin."""
+    empty = OverlayGraph().to_array()
+    return OverlayGraph.from_array(empty.with_links(np.frombuffer(links, dtype=np.intc), n))
+
+
+def _link_once(links: "array[int]", linked: Set[int], n: int, u: int, v: int) -> bool:
+    """Append the link ``{u, v}`` to ``links`` unless it is a self-loop or
+    ``linked`` (keys ``min * n + max``) already holds it; returns whether
+    it was added."""
+    key = u * n + v if u < v else v * n + u
+    if u == v or key in linked:
+        return False
+    linked.add(key)
+    links.append(u)
+    links.append(v)
+    return True
+
+
 def homogeneous_random(
     n: int,
     k: int = 8,
@@ -247,13 +277,10 @@ def homogeneous_random(
     if k >= n:
         k = n - 1
     gen = as_generator(rng, "overlay.homogeneous")
-    g = OverlayGraph()
-    g.add_nodes(n)
-    if n == 1 or k == 0:
-        return g
-
-    degrees = np.zeros(n, dtype=np.int64)
-    open_nodes = list(range(n))
+    links = array("i")
+    linked: Set[int] = set()
+    degrees = [0] * n
+    open_nodes = list(range(n))  # ascending: .remove keeps the order
     attempts = 0
     budget = max_attempts_factor * n * k
     while len(open_nodes) > 1 and attempts < budget:
@@ -263,9 +290,8 @@ def homogeneous_random(
         if i == j:
             continue
         u, v = open_nodes[i], open_nodes[j]
-        if g.has_edge(u, v):
+        if not _link_once(links, linked, n, u, v):
             continue
-        g.add_edge(u, v)
         degrees[u] += 1
         degrees[v] += 1
         # Only u and v can have just saturated.
@@ -276,7 +302,7 @@ def homogeneous_random(
         # Pairwise-linked open nodes have degree >= len - 1 (and < k), so
         # the end game can only start once len(open_nodes) <= k.
         if 1 < len(open_nodes) <= k and all(
-            g.has_edge(a, b) for a, b in itertools.combinations(open_nodes, 2)
+            a * n + b in linked for a, b in itertools.combinations(open_nodes, 2)
         ):
             left = 2 * (budget - attempts)  # two draws per attempt
             while left:
@@ -284,7 +310,7 @@ def homogeneous_random(
                 gen.integers(len(open_nodes), size=step)
                 left -= step
             break
-    return g
+    return _wired(n, links)
 
 
 def scale_free(
@@ -301,49 +327,38 @@ def scale_free(
     hubs with degree in the hundreds at n=100,000).
 
     The attachment step uses the classic "repeated-endpoints" array trick:
-    sampling a uniform element of the flat edge-endpoint list is exactly
-    degree-proportional sampling, and appending both endpoints of each new
-    edge keeps the list current in O(1).
+    the flat link list holds each node once per link, so sampling a
+    uniform element of it is exactly degree-proportional sampling, and
+    appending each new link keeps it current in O(1).
     """
     _require_positive_n(n)
     if m < 1:
         raise GraphError(f"m must be >= 1, got {m}")
     gen = as_generator(rng, "overlay.scale_free")
-    g = OverlayGraph()
     core = seed_clique if seed_clique is not None else m + 1
     core = min(core, n)
-    g.add_nodes(core)
-    repeated: list[int] = []
+    links = array("i")
     for u in range(core):
         for v in range(u + 1, core):
-            g.add_edge(u, v)
-            repeated.append(u)
-            repeated.append(v)
+            links.append(u)
+            links.append(v)
     if core < 2 and n > 1:
         # degenerate seed; fall back to a chain start
-        g.add_node()
-        g.add_edge(0, 1)
-        repeated.extend((0, 1))
+        links.extend((0, 1))
         core = 2
 
-    for _ in range(core, n):
-        u = g.add_node()
-        chosen: set[int] = set()
+    for u in range(core, n):
+        chosen: Set[int] = set()
         want = min(m, u)  # cannot attach to more nodes than exist
         guard = 0
         while len(chosen) < want and guard < 100 * want:
             guard += 1
-            if repeated:
-                v = repeated[int(gen.integers(len(repeated)))]
-            else:  # pragma: no cover - only for pathological tiny graphs
-                v = int(gen.integers(u))
-            if v != u and v not in chosen:
-                chosen.add(v)
+            chosen.add(links[int(gen.integers(len(links)))])
+        # The set's iteration order is u's neighbour order.
         for v in chosen:
-            g.add_edge(u, v)
-            repeated.append(u)
-            repeated.append(v)
-    return g
+            links.append(u)
+            links.append(v)
+    return _wired(n, links)
 
 
 def erdos_renyi(n: int, avg_degree: float = 8.0, rng: RngLike = None) -> OverlayGraph:
@@ -356,22 +371,18 @@ def erdos_renyi(n: int, avg_degree: float = 8.0, rng: RngLike = None) -> Overlay
     if avg_degree < 0:
         raise GraphError("avg_degree must be non-negative")
     gen = as_generator(rng, "overlay.er")
-    g = OverlayGraph()
-    g.add_nodes(n)
-    if n == 1:
-        return g
     target_edges = int(round(n * avg_degree / 2.0))
     max_possible = n * (n - 1) // 2
     target_edges = min(target_edges, max_possible)
-    added = 0
+    links = array("i")
+    linked: Set[int] = set()
     guard = 0
-    while added < target_edges and guard < 50 * target_edges + 100:
+    while len(linked) < target_edges and guard < 50 * target_edges + 100:
         guard += 1
         u = int(gen.integers(n))
         v = int(gen.integers(n))
-        if g.try_add_edge(u, v):
-            added += 1
-    return g
+        _link_once(links, linked, n, u, v)
+    return _wired(n, links)
 
 
 def ring_lattice(n: int, k: int = 2) -> OverlayGraph:
@@ -382,13 +393,9 @@ def ring_lattice(n: int, k: int = 2) -> OverlayGraph:
     _require_positive_n(n)
     if k < 1:
         raise GraphError("k must be >= 1")
-    g = OverlayGraph()
-    g.add_nodes(n)
-    if n == 1:
-        return g
+    links = array("i")
+    linked: Set[int] = set()
     for u in range(n):
         for delta in range(1, k + 1):
-            v = (u + delta) % n
-            if u != v:
-                g.try_add_edge(u, v)
-    return g
+            _link_once(links, linked, n, u, (u + delta) % n)
+    return _wired(n, links)

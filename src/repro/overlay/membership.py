@@ -90,7 +90,7 @@ class MembershipPolicy:
         bootstrap server learns of new arrivals immediately).  Degrees and
         the batch's links live in ``int`` buffers, and one
         :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.with_links`
-        splice swaps in the grown twin, so joins never build the dict.
+        splice swaps in the grown twin.
         """
         if count < 0:
             raise GraphError("count must be non-negative")
@@ -134,7 +134,7 @@ class MembershipPolicy:
         nodes than are alive.  The victims are drawn from
         :meth:`OverlayGraph.node_array` (which draws depend only on its
         length) and reach the graph in one :meth:`OverlayGraph.remove_nodes`
-        call, so a twin-backed graph applies them without building its dict.
+        call, one splice of its twin.
         """
         if count < 0:
             raise GraphError("count must be non-negative")

@@ -4,8 +4,8 @@ These helpers back Fig 7 (the scale-free degree distribution plot), the
 connectivity arguments in §IV-A (average degree over ``log10 N`` keeps the
 overlay connected) and §IV-D (aggregation degrades when departures disconnect
 the overlay), and the test-suite's structural assertions.  They read the
-graph's CSR twin (:meth:`~repro.overlay.graph.OverlayGraph.to_array`), so
-none of them builds the adjacency dict of a twin-backed graph.
+graph's CSR twin (:meth:`~repro.overlay.graph.OverlayGraph.to_array`)
+with numpy.
 """
 
 from __future__ import annotations

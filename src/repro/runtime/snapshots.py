@@ -23,8 +23,8 @@ This module makes the scenario state an explicit, transferable object:
   steps are *bit-identical* to the uninterrupted run's (every component
   guarantees this individually: see ``OverlayGraph.snapshot``,
   ``ChurnScheduler.pack``, ``AggregationProtocol.snapshot``,
-  ``generator_state``), over a twin-backed overlay whose dict is built
-  only when a dict-only read first needs it;
+  ``generator_state``), over an overlay whose state is the unpacked
+  twin;
 * :func:`snapshot_config` derives the content address a boundary snapshot
   is stored under — the *scenario prefix* configuration (overlay, seed,
   churn trace, scenario params, boundary index), deliberately excluding

@@ -618,9 +618,10 @@ class ResultsStore:
         :class:`SnapshotRejected` with the reason: an unreadable header,
         a missing or unreadable array file (read with
         ``allow_pickle=False``), arrays that differ from the manifest in
-        name, dtype, shape or sha256, or an overlay that
+        name, dtype, shape or sha256, or a ``scheduler.graph`` overlay
+        that is not a packed twin
         :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.unpack`
-        refuses.  Callers treat it as a miss, as
+        accepts.  Callers treat it as a miss, as
         :class:`~repro.runtime.pool.SnapshotBackbone` does after
         journaling it; a bad artifact is never restored.  A hit bumps the
         header's atime.
@@ -635,6 +636,9 @@ class ResultsStore:
             payload = _decode_floats(artifact["snapshot"])
             with np.load(path.with_suffix(".npz"), allow_pickle=False) as npz:
                 _join_arrays(payload, _checked_arrays(artifact["arrays"], npz))
+            # Only a packed overlay passed unpack's checks in _join_arrays.
+            if not isinstance(payload["scheduler"]["graph"].get("indptr"), np.ndarray):
+                raise SnapshotRejected("the snapshot's overlay is not a packed CSR twin")
         self._record_hit(path)
         return payload
 

@@ -77,8 +77,16 @@ def send_frame(sock: socket.socket, message: Mapping[str, Any]) -> None:
 
 
 def recv_frame(sock: socket.socket) -> Dict[str, Any]:
-    """Receive one framed JSON message; :class:`EOFError` on clean close."""
-    message = json.loads(_recv_exact(sock, _recv_length(sock)).decode("utf-8"))
+    """Receive one framed JSON message; :class:`EOFError` on clean close.
+
+    A frame that is not a UTF-8 JSON object raises :class:`OSError`, the
+    transport failure every caller already handles.
+    """
+    body = _recv_exact(sock, _recv_length(sock))
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise OSError(f"undecodable frame: {exc}") from exc
     if not isinstance(message, dict):
         raise OSError(f"expected a message dict, got {type(message).__name__}")
     return message
@@ -349,7 +357,7 @@ class ServiceServer:
                 while not self._closing.is_set():
                     try:
                         message = recv_frame(conn)
-                    except (EOFError, OSError, json.JSONDecodeError):
+                    except (EOFError, OSError):
                         return
                     op = str(message.get("op", ""))
                     status, payload = _dispatch(self.service, op, message)

@@ -395,7 +395,7 @@ def test_unpack_narrows_int64_payloads_and_keeps_big_ids_wide():
     back = ArrayOverlayGraph.unpack(wide)
     _assert_narrow(back)
     assert back.nodes.dtype == np.int32
-    big = _shifted(twin.to_overlay(), BIG).to_array()
+    big = _shifted(twin, BIG).to_array()
     back = ArrayOverlayGraph.unpack(big.pack())
     assert (back.nodes.dtype, back.indptr.dtype, back.indices.dtype) == (
         np.int64,

@@ -1,24 +1,122 @@
-"""Dict-based reference loops for batch joins and repair rounds.
+"""A dict-based reference overlay, and the join and repair loops on it.
 
-These are the join and repair loops as they ran on the adjacency dict,
-one ``add_node`` / ``degree`` / ``try_add_edge`` call per step.  The
-overlay code now runs them over the CSR twin and splices each batch in
-at once; the op-sequence tests hold the two to the same draws, links,
-arrays and generator end state.  Every function works on a graph whose
-dict it builds and mutates, and on a generator it draws from in place.
+:class:`DictGraph` is the overlay as it once was kept: one
+insertion-ordered dict of neighbours per node, edited in place, one
+``add_node`` / ``degree`` / ``try_add_edge`` call per step.  Its
+:meth:`DictGraph.to_array` encodes the dicts into a CSR twin directly,
+never through ``ArrayOverlayGraph.with_links`` or ``without``, which are
+what the tests check against it.  The loops below are the batch joins
+and repair rounds as they ran on the dict; the op-sequence tests hold
+the twin code to the same draws, links, arrays and generator end state.
+Every function mutates its graph in place and draws from its generator
+in place.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import itertools
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.overlay.graph import OverlayGraph
+from repro.overlay.arraygraph import ArrayOverlayGraph
+
+
+def _narrow(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as int32 when its values fit, else as int64."""
+    fits = not arr.size or (-(2**31) <= arr.min() and arr.max() < 2**31)
+    return arr.astype(np.int32 if fits else np.int64)
+
+
+class DictGraph:
+    """Undirected overlay as ``{node: {neighbour: None}}`` in insertion order."""
+
+    def __init__(self) -> None:
+        self.adj: Dict[int, Dict[int, None]] = {}
+        self.next_id = 0
+
+    @classmethod
+    def from_snapshot(cls, snap: Mapping[str, Any]) -> "DictGraph":
+        """The graph an ``OverlayGraph.snapshot()`` payload describes."""
+        g = cls()
+        g.adj = {u: dict.fromkeys(nbrs) for u, nbrs in zip(snap["nodes"], snap["adj"])}
+        g.next_id = int(snap["next_id"])
+        return g
+
+    @property
+    def size(self) -> int:
+        return len(self.adj)
+
+    @property
+    def num_edges(self) -> int:
+        return sum(map(len, self.adj.values())) // 2
+
+    def __contains__(self, node: int) -> bool:
+        return node in self.adj
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.adj)
+
+    def nodes(self) -> List[int]:
+        return list(self.adj)
+
+    def node_array(self) -> np.ndarray:
+        return np.array(list(self.adj), dtype=np.int64)
+
+    def neighbors(self, node: int) -> List[int]:
+        return list(self.adj[node])
+
+    def degree(self, node: int) -> int:
+        return len(self.adj[node])
+
+    def degrees(self) -> np.ndarray:
+        return np.array([len(nbrs) for nbrs in self.adj.values()], dtype=np.int64)
+
+    def add_node(self, node: Optional[int] = None) -> int:
+        node = self.next_id if node is None else node
+        assert node >= self.next_id, "ids ascend"
+        self.adj[node] = {}
+        self.next_id = node + 1
+        return node
+
+    def remove_node(self, node: int) -> None:
+        for v in self.adj.pop(node):
+            del self.adj[v][node]
+
+    def add_edge(self, u: int, v: int) -> None:
+        if not self.try_add_edge(u, v):
+            raise ValueError(f"cannot link {u} and {v}")
+
+    def try_add_edge(self, u: int, v: int) -> bool:
+        if u == v or u not in self.adj or v not in self.adj or v in self.adj[u]:
+            return False
+        self.adj[u][v] = None
+        self.adj[v][u] = None
+        return True
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {
+            "nodes": list(self.adj),
+            "adj": [list(nbrs) for nbrs in self.adj.values()],
+            "next_id": self.next_id,
+        }
+
+    def to_array(self) -> ArrayOverlayGraph:
+        """The CSR encoding of the dicts, each array int32 when it fits."""
+        nodes = self.node_array()
+        indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+        np.cumsum(self.degrees(), out=indptr[1:])
+        flat = np.fromiter(
+            itertools.chain.from_iterable(self.adj.values()),
+            dtype=np.int64,
+            count=int(indptr[-1]),
+        )
+        indices = np.searchsorted(nodes, flat)
+        return ArrayOverlayGraph(_narrow(nodes), _narrow(indptr), _narrow(indices), self.next_id)
 
 
 def join(
-    graph: OverlayGraph,
+    graph: DictGraph,
     count: int,
     gen: np.random.Generator,
     min_degree: int = 1,
@@ -51,7 +149,7 @@ def join(
 
 
 def _link_to_random_peers(
-    graph: OverlayGraph,
+    graph: DictGraph,
     gen: np.random.Generator,
     node: int,
     want: int,
@@ -72,7 +170,7 @@ def _link_to_random_peers(
 
 
 def degree_repair_round(
-    graph: OverlayGraph,
+    graph: DictGraph,
     gen: np.random.Generator,
     min_degree: int = 3,
     target_degree: int = 5,
@@ -98,7 +196,7 @@ def degree_repair_round(
 
 
 def full_repair_round(
-    graph: OverlayGraph, gen: np.random.Generator, target_degree: int = 7
+    graph: DictGraph, gen: np.random.Generator, target_degree: int = 7
 ) -> int:
     """``FullRepair.repair_round`` on the dict: the links formed."""
     if graph.size < 2:

@@ -1,12 +1,15 @@
-"""Structural equivalence of the array twin with the dict overlay.
+"""Structural equivalence of an overlay graph, its array twin and its
+snapshot.
 
-The exact half of the backend cross-validation gate (``docs/KERNELS.md``):
-:class:`~repro.overlay.arraygraph.ArrayOverlayGraph` must be a *lossless*
-re-encoding of the dict graph's behavioural state — identical node order,
-per-node neighbour order, ``next_id`` and therefore byte-identical
-``snapshot()`` payloads — including after churn, repair and
-snapshot-restore round-trips (the PR-5 determinism contract).  The
-distributional half lives in ``tests/core/test_kernel_distributions.py``.
+:class:`~repro.overlay.arraygraph.ArrayOverlayGraph` is the graph's whole
+state, so the graph's own queries (node order, per-node neighbour order,
+degrees, ``next_id``) must read it faithfully, and a graph restored from
+its ``snapshot()`` payload must hold equal arrays — including after
+churn, repair and snapshot-restore round-trips (the determinism
+contract).  The dict-based reference of the op-sequence tests
+(``test_arraygraph_properties.py``) checks the twin against an
+independent encoding; the distributional half of the backend gate lives
+in ``tests/core/test_kernel_distributions.py``.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ import pickle
 import numpy as np
 import pytest
 
+from dict_reference import DictGraph
 from repro.churn.models import shrinking_trace, steady_churn_trace
 from repro.churn.scheduler import ChurnScheduler
-from repro.core.hops_sampling import HopsSamplingEstimator
-from repro.core.sample_collide import SampleCollideEstimator
 from repro.overlay.arraygraph import ArrayOverlayGraph
 from repro.overlay.builders import heterogeneous_random
 from repro.overlay.graph import GraphError, OverlayGraph
@@ -37,9 +39,12 @@ def assert_twin_matches(graph: OverlayGraph) -> None:
     # Per-node neighbour order carries over exactly.
     for node in list(graph)[:50]:
         assert twin.neighbor_ids(node).tolist() == list(graph.neighbors(node))
-    # And the round-trip graph is behaviourally indistinguishable.
-    back = OverlayGraph.from_array(twin)
-    assert back.snapshot() == graph.snapshot()
+    # And the restored graph is behaviourally indistinguishable.
+    back = OverlayGraph.restore(graph.snapshot())
+    for name in ("nodes", "indptr", "indices"):
+        arr = getattr(back.to_array(), name)
+        assert arr.dtype == getattr(twin, name).dtype
+        np.testing.assert_array_equal(arr, getattr(twin, name))
     assert list(back) == list(graph)
     assert back.next_id == graph.next_id
 
@@ -76,7 +81,6 @@ class TestStaticEquivalence:
             lambda: g.add_node(),
             lambda: g.add_edge(2, 3),
             lambda: g.try_add_edge(0, 3),
-            lambda: g.remove_edge(0, 1),
             lambda: g.remove_node(3),
         ):
             before = g.to_array()
@@ -90,8 +94,8 @@ class TestStaticEquivalence:
             twin.neighbor_ids(999)
 
     def test_sparse_id_space_fallback(self):
-        # Ids far above the dense-LUT threshold exercise the binary-search
-        # translation over the ascending node ids.
+        # Ids far above the node count: restore translates them to rows
+        # by a binary search over the ascending node ids.
         ids = [7, 51, 10_000_003, 92_000_017]
         g = OverlayGraph(nodes=ids, edges=[(7, 51), (51, 92_000_017)])
         assert_twin_matches(g)
@@ -100,67 +104,31 @@ class TestStaticEquivalence:
         assert [twin.position(u) for u in (0, 52, -1, 2**40)] == [-1] * 4
 
 
-def _dict_built(graph: OverlayGraph) -> bool:
-    """Whether ``graph`` has built its adjacency dict (white-box probe)."""
-    return "_adj" in vars(graph)
-
-
 class TestTwinBackedGraph:
-    """``OverlayGraph.from_array``: the dict is built only when needed."""
+    """``OverlayGraph.from_array``: a graph whose state is a given twin."""
 
-    def test_twin_answers_without_building_the_dict(self, small_het_graph):
+    def test_twin_answers_reads(self, small_het_graph):
         twin = small_het_graph.to_array()
         g = OverlayGraph.from_array(twin)
-        assert not _dict_built(g)
         assert g.size == len(g) == small_het_graph.size
         assert g.num_edges == small_het_graph.num_edges
         assert g.next_id == small_het_graph.next_id
         assert g.to_array() is twin
         assert g.snapshot() == small_het_graph.snapshot()
-        assert not _dict_built(g)
 
     def test_builders_return_twin_backed_graphs(self):
         g = heterogeneous_random(300, rng=3)
-        assert not _dict_built(g)
         g.to_array().check_invariants()
         assert g.snapshot() == OverlayGraph.restore(g.snapshot()).snapshot()
 
-    @pytest.mark.parametrize("estimator", [HopsSamplingEstimator, SampleCollideEstimator])
-    def test_array_estimates_leave_the_dict_unbuilt(self, estimator):
-        g = heterogeneous_random(500, rng=4)
-        estimator(g, rng=np.random.default_rng(1), backend="array").estimate()
-        assert not _dict_built(g)
-
-    def test_first_mutation_builds_the_dict(self, small_het_graph):
-        g = OverlayGraph.from_array(small_het_graph.to_array())
-        reference = OverlayGraph.restore(small_het_graph.snapshot())
-        for graph in (g, reference):
-            graph.add_node()
-            graph.remove_node(0)
-        assert _dict_built(g)
-        g.check_invariants()
-        assert g.snapshot() == reference.snapshot()
-        assert g.to_array().snapshot() == reference.snapshot()
-
-    def test_first_read_builds_the_dict_and_keeps_the_twin(self, small_het_graph):
+    def test_batch_departure_swaps_the_twin(self, small_het_graph):
         twin = small_het_graph.to_array()
         g = OverlayGraph.from_array(twin)
-        assert list(g.neighbors(1)) == list(small_het_graph.neighbors(1))
-        assert _dict_built(g)
-        assert g.to_array() is twin  # no mutation: the twin is still current
-
-    def test_built_dict_shares_id_objects(self, small_het_graph):
-        g = OverlayGraph.from_array(small_het_graph.to_array())
-        g.degree(0)  # builds the dict; iteration then yields its keys
-        ids = {u: u for u in g}
-        assert all(v is ids[v] for u in g for v in g.neighbors(u))
-
-    def test_batch_departure_swaps_the_twin(self, small_het_graph):
-        g = OverlayGraph.from_array(small_het_graph.to_array())
-        reference = OverlayGraph.restore(small_het_graph.snapshot())
-        for graph in (g, reference):
-            graph.remove_nodes([0, 7, 3])
-        assert not _dict_built(g)
+        reference = DictGraph.from_snapshot(small_het_graph.snapshot())
+        g.remove_nodes([0, 7, 3])
+        for u in (0, 7, 3):
+            reference.remove_node(u)
+        assert g.to_array() is not twin
         assert g.num_edges == reference.num_edges and list(g) == list(reference)
         assert g.to_array().snapshot() == reference.snapshot()
 
@@ -176,18 +144,13 @@ class TestTwinBackedGraph:
     def test_copy_is_independent(self, small_het_graph):
         g = OverlayGraph.from_array(small_het_graph.to_array())
         clone = g.copy()
-        assert not _dict_built(clone)
         clone.remove_node(0)
         assert 0 in g and 0 not in clone
         assert g.snapshot() == small_het_graph.snapshot()
 
-    @pytest.mark.parametrize("built", [False, True])
-    def test_pickle_round_trip(self, small_het_graph, built):
+    def test_pickle_round_trip(self, small_het_graph):
         g = OverlayGraph.from_array(small_het_graph.to_array())
-        if built:
-            g.degree(0)
         back = pickle.loads(pickle.dumps(g))
-        assert _dict_built(back) == built
         assert back.snapshot() == small_het_graph.snapshot()
         back.add_edge(*_non_edge(back))
         back.check_invariants()
@@ -289,13 +252,9 @@ class TestChurnEquivalence:
         np.testing.assert_array_equal(a.indices, b.indices)
         assert a.next_id == b.next_id
 
-    def test_array_restore_classmethod(self, small_het_graph):
-        twin = ArrayOverlayGraph.restore(small_het_graph.snapshot())
-        assert twin.snapshot() == small_het_graph.snapshot()
-
 
 class TestCsrConsistency:
-    """The twin agrees with the dict graph on order-free facts."""
+    """The twin agrees with the graph's queries on order-free facts."""
 
     def test_same_edge_set(self, small_het_graph):
         twin = small_het_graph.to_array()
@@ -315,101 +274,94 @@ class TestCsrConsistency:
 
 
 class TestBulkAccessors:
-    """`OverlayGraph.degrees()` / `neighbour_arrays()` (the micro-fix)."""
+    """``OverlayGraph.degrees()``, aligned with the node order."""
 
     def test_degrees_matches_per_node(self, tiny_graph):
         degs = tiny_graph.degrees()
         assert degs.tolist() == [tiny_graph.degree(u) for u in tiny_graph]
 
-    def test_neighbour_arrays_flat_layout(self, tiny_graph):
-        nodes, indptr, flat = tiny_graph.neighbour_arrays()
-        assert nodes.tolist() == list(tiny_graph)
-        assert indptr[0] == 0 and indptr[-1] == flat.size
-        for k, u in enumerate(nodes.tolist()):
-            assert flat[indptr[k] : indptr[k + 1]].tolist() == list(
-                tiny_graph.neighbors(u)
-            )
-
     def test_empty_graph_accessors(self):
-        g = OverlayGraph()
-        assert g.degrees().size == 0
-        nodes, indptr, flat = g.neighbour_arrays()
-        assert nodes.size == 0 and flat.size == 0
-        assert indptr.tolist() == [0]
+        assert OverlayGraph().degrees().size == 0
 
 
-class TestReencodeAfterMutations:
-    """The twin after odd dict mutation sequences.
+class TestSpliceSequences:
+    """Odd mutation sequences through the one-splice edits.
 
-    Every test here reads a twin first, applies a tricky mutation sequence
-    and then holds the full exactness contract: the re-encoded twin
-    ``to_array`` caches equals a from-scratch encoding of the same graph.
+    Each sequence runs on an :class:`OverlayGraph` and on the dict
+    reference; the twin must equal the reference's own encoding, in
+    order and dtype, and hold the full exactness contract.
     """
 
     @staticmethod
-    def _assert_cached_equals_fresh(graph: OverlayGraph) -> None:
-        cached = graph.to_array()
-        fresh = ArrayOverlayGraph.from_overlay(graph)
-        np.testing.assert_array_equal(cached.nodes, fresh.nodes)
-        np.testing.assert_array_equal(cached.indptr, fresh.indptr)
-        np.testing.assert_array_equal(cached.indices, fresh.indices)
-        assert cached.next_id == fresh.next_id
+    def _assert_matches(graph: OverlayGraph, reference: DictGraph) -> None:
+        a, b = graph.to_array(), reference.to_array()
+        for name in ("nodes", "indptr", "indices"):
+            assert getattr(a, name).dtype == getattr(b, name).dtype
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.next_id == b.next_id
         assert_twin_matches(graph)
 
+    @staticmethod
+    def _pair(nodes, edges=()):
+        g = OverlayGraph(nodes=nodes, edges=edges)
+        return g, DictGraph.from_snapshot(g.snapshot())
+
     def test_remove_then_readd_same_id(self):
-        g = OverlayGraph(nodes=[0, 1, 2], edges=[(0, 1), (1, 2), (0, 2)])
-        g.to_array()
-        g.remove_node(1)
+        g, ref = self._pair([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+        for graph in (g, ref):
+            graph.remove_node(1)
         # A departed id is never reused, so rows stay in ascending order.
         with pytest.raises(GraphError, match="ascend"):
             g.add_node(1)
         assert list(g) == [0, 2]
-        self._assert_cached_equals_fresh(g)
+        self._assert_matches(g, ref)
 
     def test_add_remove_add_cycle(self):
-        g = OverlayGraph(nodes=[0, 1], edges=[(0, 1)])
-        g.to_array()
-        new = g.add_node()
-        g.add_edge(new, 0)
-        g.remove_node(new)
+        g, ref = self._pair([0, 1], [(0, 1)])
+        for graph in (g, ref):
+            new = graph.add_node()
+            graph.add_edge(new, 0)
+            graph.remove_node(new)
         with pytest.raises(GraphError, match="ascend"):
             g.add_node(new)  # the appended-then-removed id stays retired
-        assert g.add_node() == new + 1
-        g.add_edge(new + 1, 1)
-        self._assert_cached_equals_fresh(g)
+        for graph in (g, ref):
+            assert graph.add_node() == new + 1
+            graph.add_edge(new + 1, 1)
+        self._assert_matches(g, ref)
 
-    def test_removed_node_was_already_dirty(self):
-        g = OverlayGraph(nodes=[0, 1, 2, 3], edges=[(0, 1), (2, 3)])
-        g.to_array()
-        g.add_edge(1, 2)  # dirties rows 1 and 2 ...
-        g.remove_node(2)  # ... then 2 departs outright
-        self._assert_cached_equals_fresh(g)
+    def test_removed_node_had_just_linked(self):
+        g, ref = self._pair([0, 1, 2, 3], [(0, 1), (2, 3)])
+        for graph in (g, ref):
+            graph.add_edge(1, 2)  # rows 1 and 2 gain a neighbour ...
+            graph.remove_node(2)  # ... then 2 departs outright
+        self._assert_matches(g, ref)
 
-    def test_appended_then_removed_never_materializes(self):
-        g = OverlayGraph(nodes=[0, 1], edges=[(0, 1)])
-        g.to_array()
-        doomed = g.add_node()
-        g.remove_node(doomed)
-        assert list(g) == [0, 1]
-        self._assert_cached_equals_fresh(g)
+    def test_appended_then_removed_leaves_no_row(self):
+        g, ref = self._pair([0, 1], [(0, 1)])
+        for graph in (g, ref):
+            graph.remove_node(graph.add_node())
+        assert list(g) == [0, 1] and g.next_id == 3
+        self._assert_matches(g, ref)
 
-    def test_repeated_reencodes_accumulate(self, small_het_graph):
+    def test_repeated_churn_accumulates(self, small_het_graph):
         rng = np.random.default_rng(3)
-        g = small_het_graph
-        g.to_array()
+        g = OverlayGraph.from_array(small_het_graph.to_array())
+        ref = DictGraph.from_snapshot(g.snapshot())
         for _ in range(10):
-            victims = rng.choice(np.asarray(list(g)), size=5, replace=False)
-            for u in victims.tolist():
-                g.remove_node(u)
-            joined = [g.add_node() for _ in range(3)]
-            alive = list(g)
-            for u in joined:
-                g.try_add_edge(u, int(rng.choice(alive[:-3])))
-            self._assert_cached_equals_fresh(g)
+            victims = rng.choice(np.asarray(list(g)), size=5, replace=False).tolist()
+            alive = [u for u in g if u not in victims]
+            partners = [int(rng.choice(alive)) for _ in range(3)]
+            for graph in (g, ref):
+                for u in victims:
+                    graph.remove_node(u)
+                for v in partners:
+                    graph.try_add_edge(graph.add_node(), v)
+            self._assert_matches(g, ref)
+        assert small_het_graph.size == 500  # the shared fixture is untouched
 
     def test_wholesale_change(self):
-        g = OverlayGraph(nodes=range(40))
-        g.to_array()
-        for u in range(30):  # most of the rows depart
-            g.remove_node(u)
-        self._assert_cached_equals_fresh(g)
+        g, ref = self._pair(range(40))
+        for graph in (g, ref):
+            for u in range(30):  # most of the rows depart
+                graph.remove_node(u)
+        self._assert_matches(g, ref)

@@ -1,13 +1,14 @@
 """Property-based tests: the array twin under arbitrary operation sequences.
 
 Hypothesis drives random graph constructions and churn-like mutation
-sequences, then asserts the CSR ↔ dict round-trip is the identity on the
-full behavioural state: node order, per-node neighbour order, degree
-arrays, ``next_id`` and the content hash of the ``snapshot()`` payload.
-Departures also run through :class:`MembershipPolicy` (``leave``), which
-a twin-backed graph applies to its twin without building the dict.
-Batch joins and repair rounds, which splice into the twin, are checked
-against the dict-based loops of :mod:`dict_reference`.
+sequences on an :class:`OverlayGraph` and, op for op, on the dict-based
+:class:`dict_reference.DictGraph`, then asserts the two hold the same
+behavioural state: node order, per-node neighbour order, degree arrays,
+``next_id``, the CSR arrays in the same dtypes and the content hash of
+the ``snapshot()`` payload.  Departures run through
+:class:`MembershipPolicy` (``leave``), which applies them to the twin in
+one splice.  Batch joins and repair rounds, which splice into the twin,
+are checked against the dict-based loops of :mod:`dict_reference`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dict_reference
+from dict_reference import DictGraph
 from repro.overlay.arraygraph import ArrayOverlayGraph
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.membership import MembershipPolicy
@@ -32,15 +34,13 @@ from repro.sim.rng import generator_state
 # small node-id pool keeps collisions (dup edges, missing nodes) frequent.
 _ops = st.lists(
     st.tuples(
-        st.sampled_from(
-            ["add_node", "remove_node", "add_edge", "remove_edge", "join", "leave"]
-        ),
+        st.sampled_from(["add_node", "remove_node", "add_edge", "join", "leave"]),
         st.integers(0, 14),
         st.integers(0, 14),
     ),
     max_size=60,
 )
-# Departures only: the sequences a twin-backed graph applies dict-free.
+# Departures only: the sequences a batch of ``without`` splices applies.
 _leaves = st.lists(
     st.tuples(st.just("leave"), st.integers(0, 14), st.integers(0, 14)), max_size=8
 )
@@ -55,16 +55,27 @@ _policy_ops = st.lists(
 )
 
 
-def _apply(g: OverlayGraph, ops, offset: int = 0, seed: int = 0):
-    """Apply ``ops``; ``leave`` departs ``min(a, size)`` policy-drawn nodes.
+def _apply(g, ops, offset: int = 0, seed: int = 0):
+    """Apply ``ops`` to an :class:`OverlayGraph` or a :class:`DictGraph`.
 
-    Returns the policy (for its generator) and the victims of each leave.
+    ``leave`` departs ``min(a, size)`` nodes drawn by a generator seeded
+    ``seed``: through :class:`MembershipPolicy` on an overlay, by the
+    same draw and one dict removal per victim on the reference.  Returns
+    that generator and the victims of each leave.
     """
-    policy = MembershipPolicy(g, rng=seed)
+    gen = np.random.default_rng(seed)
+    policy = MembershipPolicy(g, rng=gen) if isinstance(g, OverlayGraph) else None
     victims = []
     for kind, a, b in ops:
         if kind == "leave":
-            victims.append(policy.leave(min(a, g.size)))
+            count = min(a, g.size)
+            if policy is not None:
+                victims.append(policy.leave(count))
+                continue
+            drawn = gen.choice(g.node_array(), size=count, replace=False).tolist()
+            for v in drawn:
+                g.remove_node(v)
+            victims.append(drawn)
             continue
         a, b = a + offset, b + offset
         if kind == "add_node":
@@ -76,13 +87,17 @@ def _apply(g: OverlayGraph, ops, offset: int = 0, seed: int = 0):
         elif kind == "add_edge":
             if a in g and b in g:
                 g.try_add_edge(a, b)
-        elif kind == "remove_edge":
-            if g.has_edge(a, b):
-                g.remove_edge(a, b)
         elif kind == "join":
             # Counter-allocated id, like a churn join.
             g.add_node()
-    return policy, victims
+    return gen, victims
+
+
+def _both(ops, offset: int = 0):
+    """An :class:`OverlayGraph` and its :class:`DictGraph` reference after ``ops``."""
+    g, reference = OverlayGraph(), DictGraph()
+    assert _apply(g, ops, offset)[1] == _apply(reference, ops, offset)[1]
+    return g, reference
 
 
 def _snapshot_hash(g_or_twin) -> str:
@@ -101,79 +116,80 @@ def _assert_narrow(twin: ArrayOverlayGraph) -> None:
         assert arr.dtype == _rule_dtype(arr)
 
 
+def _assert_same_arrays(a: ArrayOverlayGraph, b: ArrayOverlayGraph) -> None:
+    """Equal arrays in equal dtypes, each following the int32 rule."""
+    for name in ("nodes", "indptr", "indices"):
+        arr = getattr(a, name)
+        assert arr.dtype == getattr(b, name).dtype == _rule_dtype(arr)
+        np.testing.assert_array_equal(arr, getattr(b, name))
+    assert a.next_id == b.next_id
+
+
 @given(_ops, st.sampled_from([0, 2**31]))
 @example([], 0)
 @example([], 2**31)
 @example([("add_node", 3, 0), ("join", 0, 0)], 2**31)
 @settings(max_examples=120, deadline=None)
 def test_round_trip_is_identity(ops, offset):
-    g = OverlayGraph()
-    _apply(g, ops, offset)
-    twin = ArrayOverlayGraph.from_overlay(g)
+    g, reference = _both(ops, offset)
+    twin = g.to_array()
     twin.check_invariants()
-    _assert_narrow(twin)
-    back = twin.to_overlay()
-    assert list(back) == list(g)
-    assert back.next_id == g.next_id
-    for u in g:
-        assert list(back.neighbors(u)) == list(g.neighbors(u))
-    np.testing.assert_array_equal(back.degrees(), g.degrees())
+    _assert_same_arrays(twin, reference.to_array())
+    back = OverlayGraph.restore(g.snapshot())
+    _assert_same_arrays(back.to_array(), twin)
+    assert list(back) == list(reference)
+    assert back.next_id == reference.next_id
+    for u in reference:
+        assert list(back.neighbors(u)) == reference.neighbors(u)
+    np.testing.assert_array_equal(back.degrees(), reference.degrees())
     # The hand-off form: the twin's own narrow arrays (int64 only for ids
     # >= 2**31), which unpack keeps, to the same graph.
-    packed = g.to_array().pack()
+    packed = twin.pack()
     wide = g.size and max(g) >= 2**31
     assert packed["nodes"].dtype == (np.int64 if wide else np.int32)
     unpacked = ArrayOverlayGraph.unpack(packed)
     _assert_narrow(unpacked)
     for name in ("nodes", "indptr", "indices"):
         assert getattr(unpacked, name).dtype == packed[name].dtype
-    assert OverlayGraph.from_array(unpacked).snapshot() == g.snapshot()
+    assert OverlayGraph.from_array(unpacked).snapshot() == reference.snapshot()
 
 
 @given(_ops)
 @settings(max_examples=120, deadline=None)
 def test_snapshot_hashes_match(ops):
-    g = OverlayGraph()
-    _apply(g, ops)
-    twin = g.to_array()
-    assert _snapshot_hash(twin) == _snapshot_hash(g)
-    # Re-encoding the decoded graph is a fixed point.
-    assert _snapshot_hash(twin.to_overlay().to_array()) == _snapshot_hash(g)
+    g, reference = _both(ops)
+    assert _snapshot_hash(g) == _snapshot_hash(reference)
+    assert _snapshot_hash(g.to_array()) == _snapshot_hash(reference)
+    # Re-encoding the restored graph is a fixed point.
+    assert _snapshot_hash(OverlayGraph.restore(g.snapshot())) == _snapshot_hash(reference)
 
 
 @given(_ops)
 @settings(max_examples=120, deadline=None)
 def test_degree_arrays_consistent(ops):
-    g = OverlayGraph()
-    _apply(g, ops)
+    g, reference = _both(ops)
     twin = g.to_array()
-    np.testing.assert_array_equal(twin.degrees(), g.degrees())
-    nodes, indptr, flat = g.neighbour_arrays()
-    np.testing.assert_array_equal(np.diff(indptr), g.degrees())
-    np.testing.assert_array_equal(nodes, twin.nodes)
-    # Twin indices decode to the same raw ids neighbour_arrays lists.
-    if flat.size:
-        np.testing.assert_array_equal(twin.nodes[twin.indices], flat)
+    np.testing.assert_array_equal(twin.degrees(), reference.degrees())
+    np.testing.assert_array_equal(g.degrees(), reference.degrees())
+    np.testing.assert_array_equal(twin.nodes, reference.node_array())
+    # Twin indices decode to the raw ids the reference lists, in order.
+    flat = [v for u in reference for v in reference.neighbors(u)]
+    assert twin.nodes[twin.indices].tolist() == flat
 
 
 @given(_ops, st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_twin_cache_matches_fresh_encoding(ops, seed):
-    g = OverlayGraph()
-    _apply(g, ops)
-    cached = g.to_array()
-    fresh = ArrayOverlayGraph.from_overlay(g)
-    np.testing.assert_array_equal(cached.nodes, fresh.nodes)
-    np.testing.assert_array_equal(cached.indptr, fresh.indptr)
-    np.testing.assert_array_equal(cached.indices, fresh.indices)
-    assert cached.next_id == fresh.next_id
+    g, reference = _both(ops)
+    twin, fresh = g.to_array(), reference.to_array()
+    _assert_same_arrays(twin, fresh)
     # And sampling from either view draws from the same law-bearing state.
     if g.size:
         rng_a = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed)
-        pos = np.arange(cached.n, dtype=np.int64)
+        pos = np.arange(twin.n, dtype=np.int64)
         np.testing.assert_array_equal(
-            cached.sample_neighbors(pos, rng_a), fresh.sample_neighbors(pos, rng_b)
+            twin.sample_neighbors(pos, rng_a), fresh.sample_neighbors(pos, rng_b)
         )
 
 
@@ -183,35 +199,27 @@ def test_twin_cache_matches_fresh_encoding(ops, seed):
 @example([], [("leave", 0, 0)], 0, 0)
 @settings(max_examples=120, deadline=None)
 def test_twin_backed_graph_behaves_like_dict_graph(setup, ops, offset, seed):
-    """A graph backed by its twin (dict built on first use) and one built
-    from the same state's snapshot end every op sequence identically:
-    same victims, arrays, counters and generator end state.  Departures
-    alone leave the twin-backed graph's dict unbuilt, with sparse ids
-    (``offset`` 2**31) as with counter-dense ones."""
+    """A graph backed by a twin (``from_array``) and the dict reference
+    built from the same state's snapshot end every op sequence
+    identically: same victims, arrays, counters and generator end state,
+    with sparse ids (``offset`` 2**31) as with counter-dense ones."""
     base = OverlayGraph()
     _apply(base, setup, offset)
     twin_backed = OverlayGraph.from_array(base.to_array())
-    dict_built = OverlayGraph.restore(base.snapshot())
-    policy_t, victims_t = _apply(twin_backed, ops, offset, seed)
-    policy_d, victims_d = _apply(dict_built, ops, offset, seed)
+    reference = DictGraph.from_snapshot(base.snapshot())
+    gen_t, victims_t = _apply(twin_backed, ops, offset, seed)
+    gen_d, victims_d = _apply(reference, ops, offset, seed)
     assert victims_t == victims_d
-    assert generator_state(policy_t.rng) == generator_state(policy_d.rng)
-    if all(kind == "leave" for kind, _, _ in ops):
-        assert "_adj" not in vars(twin_backed)
-    a, b = twin_backed.to_array(), dict_built.to_array()
-    for name in ("nodes", "indptr", "indices"):
-        arr = getattr(a, name)
-        assert arr.dtype == getattr(b, name).dtype == _rule_dtype(arr)
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert generator_state(gen_t) == generator_state(gen_d)
+    _assert_same_arrays(twin_backed.to_array(), reference.to_array())
     assert (twin_backed.size, twin_backed.num_edges, twin_backed.next_id) == (
-        dict_built.size,
-        dict_built.num_edges,
-        dict_built.next_id,
+        reference.size,
+        reference.num_edges,
+        reference.next_id,
     )
-    assert a.next_id == dict_built.next_id
     twin_backed.check_invariants()
-    assert twin_backed.snapshot() == dict_built.snapshot()
-    assert _snapshot_hash(twin_backed.to_array()) == _snapshot_hash(dict_built)
+    assert twin_backed.snapshot() == reference.snapshot()
+    assert _snapshot_hash(twin_backed.to_array()) == _snapshot_hash(reference)
 
 
 # Degree policy of the policy-op test: a low cap saturates small graphs.
@@ -221,8 +229,9 @@ _FULL_TARGET = 5
 
 
 def _start(kind: str, setup, offset: int) -> OverlayGraph:
-    """A starting graph: twin-backed, dict-built, empty, or saturated (a
-    clique whose nodes all sit at ``_MAX_DEGREE``)."""
+    """A starting graph: backed by another graph's twin, restored from a
+    snapshot, empty, or saturated (a clique whose nodes all sit at
+    ``_MAX_DEGREE``)."""
     if kind == "empty":
         return OverlayGraph()
     if kind == "saturated":
@@ -256,7 +265,7 @@ def _policy_run(g: OverlayGraph, ops, seed: int):
     return log, [policy.rng, degree.rng, full.rng], repairs
 
 
-def _reference_run(g: OverlayGraph, ops, seed: int):
+def _reference_run(g: DictGraph, ops, seed: int):
     """:func:`_policy_run` through the dict-based reference loops."""
     gens = [np.random.default_rng(seed + k) for k in range(3)]
     log = []
@@ -279,7 +288,7 @@ def _reference_run(g: OverlayGraph, ops, seed: int):
 
 
 @given(
-    st.sampled_from(["twin", "dict", "empty", "saturated"]),
+    st.sampled_from(["twin", "restored", "empty", "saturated"]),
     _ops,
     _policy_ops,
     st.sampled_from([0, 2**31]),
@@ -300,27 +309,20 @@ def test_policy_ops_match_the_dict_reference(start, setup, ops, offset, seed):
     """Batch joins, leaves and repair rounds on the twin end every op
     sequence as the dict-based loops do: same join reports, victims and
     links formed, same arrays in the same dtypes, ``next_id`` and
-    generator end states.  None of them builds the dict, and a graph
-    that had one drops it at the first join."""
+    generator end states."""
     g = _start(start, setup, offset)
-    reference = OverlayGraph.restore(g.snapshot())
+    reference = DictGraph.from_snapshot(g.snapshot())
     log, gens, repairs = _policy_run(g, ops, seed)
     ref_log, ref_gens, ref_repairs = _reference_run(reference, ops, seed)
     assert log == ref_log
     assert repairs == ref_repairs
     for gen, ref_gen in zip(gens, ref_gens):
         assert generator_state(gen) == generator_state(ref_gen)
-    if start == "twin" or any(kind == "policy_join" and a for kind, a in ops):
-        assert "_adj" not in vars(g)
-    a, b = g.to_array(), reference.to_array()
-    for name in ("nodes", "indptr", "indices"):
-        arr = getattr(a, name)
-        assert arr.dtype == getattr(b, name).dtype == _rule_dtype(arr)
-        np.testing.assert_array_equal(arr, getattr(b, name))
-    assert (g.size, g.num_edges, g.next_id, a.next_id) == (
+    a = g.to_array()
+    _assert_same_arrays(a, reference.to_array())
+    assert (g.size, g.num_edges, g.next_id) == (
         reference.size,
         reference.num_edges,
-        reference.next_id,
         reference.next_id,
     )
     a.check_invariants()

@@ -31,7 +31,10 @@ def _sha(payload) -> str:
 
 
 def _golden(builder, *args, **kwargs):
-    """(snapshot sha256, end-of-build generator state sha256) of one build."""
+    """(snapshot sha256, end-of-build generator state sha256) of one build;
+    a builder that draws nothing (no ``seed``) pins its snapshot alone."""
+    if "seed" not in kwargs:
+        return _sha(builder(*args, **kwargs).snapshot()), None
     gen = np.random.default_rng(kwargs.pop("seed"))
     graph = builder(*args, rng=gen, **kwargs)
     return _sha(graph.snapshot()), _sha(gen.bit_generator.state)
@@ -54,9 +57,45 @@ GOLDEN_BUILDS = {
     "hom_n500": (homogeneous_random, (500,), {"k": 8, "seed": 0}),
     "hom_budget_exhausted": (homogeneous_random, (300,), {"k": 6, "seed": 1}),
     "hom_clamped": (homogeneous_random, (5,), {"k": 100, "seed": 2}),
+    # scale_free's neighbour order is its set of chosen targets' order,
+    # which fig8's estimates read: an equal edge set is not enough.
+    "ba_n2000": (scale_free, (2_000,), {"m": 3, "seed": 3}),
+    "ba_n300_m2": (scale_free, (300,), {"m": 2, "seed": 6}),
+    "ba_seed_clique": (scale_free, (500,), {"m": 3, "seed_clique": 6, "seed": 4}),
+    "ba_n2": (scale_free, (2,), {"m": 3, "seed": 0}),
+    "er_n2000": (erdos_renyi, (2_000,), {"seed": 1}),
+    # The target (100 links) exceeds n(n-1)/2 = 45.
+    "er_dense_clamped": (erdos_renyi, (10,), {"avg_degree": 20, "seed": 2}),
+    "ring_n100_k3": (ring_lattice, (100,), {"k": 3}),
+    # Wrap-around repeats the links 5 apart.
+    "ring_wraps": (ring_lattice, (10,), {"k": 5}),
 }
 
 GOLDEN_DIGESTS = {
+    "ba_n2": (
+        "2261dddbcd753e0918028cece5fb4f2b66c3b148b7942f267cb497b1e9d8a316",
+        "a78e041703e449d431f046ec34026d547900f02e5ffcae3bef259ed50d3c8789",
+    ),
+    "ba_n2000": (
+        "e849e92d02f1150636c4404e5e7eb74f2988477e3d7ac7d2a0e5a1056cc9a223",
+        "192988a308072da35a4cbe394df60b4bfe4fa2ba6180239cbd49e1bfb275a59b",
+    ),
+    "ba_n300_m2": (
+        "cf584974e1a8d5d167b175cf3245e7f831732e7747e3b4c4d48097d5b455c9bc",
+        "6c6fdc424041e7b47fa963cfb52b8d57d417b6b8346e7f50bff539efd03db8b9",
+    ),
+    "ba_seed_clique": (
+        "4e61e9e1bc2075ce1eec8af65a04a5fb66d43334bf15bbdb0b66dbc9fc8da5fc",
+        "251c4d5be652eedd6f017223da303bdf94a471c947464bf6ea5b7ae4f8cab334",
+    ),
+    "er_dense_clamped": (
+        "a48843ce08d50b21345a817387e528e20c23b09f03d9e0f651747d831750a013",
+        "4321c4610928d703b778f4e5b708e4e33f1bfb4e24706c53cb69cd229b63592c",
+    ),
+    "er_n2000": (
+        "cf0801eea2545ff60fb77181006c02899db0efb80fb2130f6dd2507c2d354deb",
+        "b479bde961706299b7eebf1ec0f10dd92dd52f1656452d915fdef0c2420d4927",
+    ),
     "het_budget_exhausted": (
         "3ab0588bd460feddf9d1d2585cbdd44fea8b489047cbf34e5d37321f836538f9",
         "91c3217d71e890e3a8a396dd4d2078bace7e36bb319c1a1e5015e59ec727175c",
@@ -92,6 +131,14 @@ GOLDEN_DIGESTS = {
     "hom_n500": (
         "c92546aeb7e7aa2202321b0531d8ff3980db6ffd1f2d97b3f640e0f793140047",
         "43e0bbc55a465389979e242296418c2ad8590311ab37f22f150e69ebe43e3d1d",
+    ),
+    "ring_n100_k3": (
+        "b9f525c8d2c0a5184412c12f98edbea201d3825385cfe0bd0065041f886e4b7b",
+        None,
+    ),
+    "ring_wraps": (
+        "fbdd7f5812c4f8f4116b9854bb89947458d99b8fec0353392abc149bd041ce30",
+        None,
     ),
 }
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import bfs_frontier_distances
+from repro.overlay.arraygraph import ArrayOverlayGraph
 from repro.overlay.graph import GraphError, OverlayGraph
 from repro.overlay.views import connected_component_sizes
 
@@ -69,6 +70,20 @@ class TestConstruction:
         snap["adj"] = [[1], [0], []]
         assert OverlayGraph.restore(snap).num_edges == 1
 
+    @pytest.mark.parametrize(
+        "adj, reason",
+        [
+            ([[0], [], []], "self-loop"),
+            ([[1], [], []], "asymmetric"),
+            ([[10**9], [], []], "not a node"),
+            ([[1], [0]], "one neighbour list per node"),
+        ],
+    )
+    def test_restore_refuses_lists_that_are_not_an_overlay(self, adj, reason):
+        snap = {"nodes": [0, 1, 2], "adj": adj, "next_id": 3}
+        with pytest.raises(GraphError, match=reason):
+            OverlayGraph.restore(snap)
+
 
 class TestEdges:
     def test_add_edge_is_bidirectional(self):
@@ -103,17 +118,6 @@ class TestEdges:
         g = OverlayGraph(nodes=[0, 1])
         assert g.try_add_edge(0, 1) is True
         assert g.num_edges == 1
-
-    def test_remove_edge(self):
-        g = OverlayGraph(nodes=[0, 1], edges=[(0, 1)])
-        g.remove_edge(0, 1)
-        assert not g.has_edge(0, 1)
-        assert g.num_edges == 0
-
-    def test_remove_missing_edge_rejected(self):
-        g = OverlayGraph(nodes=[0, 1])
-        with pytest.raises(GraphError):
-            g.remove_edge(0, 1)
 
     def test_edges_iterates_each_once(self, tiny_graph):
         edges = sorted(tiny_graph.edges())
@@ -177,6 +181,22 @@ class TestAccessors:
             v = tiny_graph.random_neighbor(1, seed)
             assert v in tiny_graph.neighbors(1)
 
+    def test_random_neighbor_draws_once_over_the_row(self, het_graph):
+        """One ``integers(degree)`` draw indexes the row in link order."""
+        for node in (0, 7, 1999):
+            row = list(het_graph.neighbors(node))
+            for seed in range(5):
+                expected = row[np.random.default_rng(seed).integers(len(row))]
+                assert het_graph.random_neighbor(node, seed) == expected
+
+    def test_queries_of_a_missing_node(self, tiny_graph):
+        with pytest.raises(GraphError):
+            tiny_graph.degree(99)
+        with pytest.raises(GraphError):
+            tiny_graph.random_neighbor(99, 0)
+        assert not tiny_graph.has_edge(0, 99)
+        assert not tiny_graph.has_edge(99, 0)
+
     def test_random_neighbor_isolated_returns_none(self):
         g = OverlayGraph(nodes=[0])
         assert g.random_neighbor(0, 1) is None
@@ -232,8 +252,6 @@ class TestTwin:
         v2 = g.to_array()
         assert v2 is not v1
         assert v2.m == 1
-        g.remove_edge(0, 1)
-        assert g.to_array().m == 0
 
     def test_empty_graph_view(self):
         view = OverlayGraph().to_array()
@@ -293,20 +311,20 @@ class TestInvariants:
     def test_check_invariants_clean(self, het_graph):
         het_graph.check_invariants()
 
+    @staticmethod
+    def _corrupt(rows):
+        """A graph whose twin holds the neighbour ``rows`` unchecked."""
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        flat = np.array(sum(rows, []), dtype=np.int64)
+        twin = ArrayOverlayGraph(np.arange(len(rows)), indptr, flat, len(rows))
+        return OverlayGraph.from_array(twin)
+
     def test_detects_asymmetry(self):
-        g = OverlayGraph(nodes=[0, 1], edges=[(0, 1)])
-        g._adj[0].pop(1)  # corrupt deliberately
+        g = self._corrupt([[], [0]])  # 1 -> 0 with no link back
         with pytest.raises(GraphError):
             g.check_invariants()
 
-    def test_detects_edge_count_drift(self):
-        g = OverlayGraph(nodes=[0, 1], edges=[(0, 1)])
-        g._edge_count = 5  # corrupt deliberately
-        with pytest.raises(GraphError, match="drift"):
-            g.check_invariants()
-
     def test_detects_self_loop(self):
-        g = OverlayGraph(nodes=[0])
-        g._adj[0][0] = None  # corrupt deliberately
+        g = self._corrupt([[0]])
         with pytest.raises(GraphError):
             g.check_invariants()

@@ -27,6 +27,7 @@ from repro.analysis.obs_report import read_journal, render_obs_summary, validate
 from repro.churn.models import catastrophic_trace, shrinking_trace
 from repro.churn.scheduler import ChurnScheduler
 from repro.core.aggregation import AggregationMonitor, AggregationProtocol
+from repro.overlay.arraygraph import ArrayOverlayGraph
 from repro.overlay.builders import heterogeneous_random
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.membership import MembershipPolicy
@@ -319,7 +320,7 @@ class TestReplayStates:
         resumed.advance(20)
         assert resumed.dead and resumed.position == death
 
-    def test_restored_state_stays_twin_backed_until_churn_mutates(self):
+    def test_restored_state_keeps_int32_twins_through_churn(self):
         spec = self._probe_spec()
         state = ProbeReplayState.boot(spec)
         state.advance(3)
@@ -329,23 +330,23 @@ class TestReplayStates:
             np.dtype(np.int32)
         }
         resumed = ProbeReplayState.restore(spec, payload)
-        assert "_adj" not in vars(resumed.graph)  # twin-backed, no dict yet
         twin = resumed.graph.to_array()
         for arr in (twin.nodes, twin.indptr, twin.indices):
             assert arr.dtype == np.int32
-        resumed.advance(4)  # the trace removes nodes at t=4: still no dict
-        assert "_adj" not in vars(resumed.graph)
+        resumed.advance(4)  # the trace removes nodes at t=4
         state.advance(4)
         assert resumed.graph.snapshot() == state.graph.snapshot()
         for replay in (resumed, state):
             replay.scheduler.policy.join(3)  # a join splices the twin
-        assert "_adj" not in vars(resumed.graph)
         assert resumed.graph.snapshot() == state.graph.snapshot()
+        twin = resumed.graph.to_array()
+        for arr in (twin.nodes, twin.indptr, twin.indices):
+            assert arr.dtype == np.int32
 
-    def test_restored_array_replay_never_builds_the_dict(self, monkeypatch):
+    def test_restored_array_replay_matches_prefix_replay(self, monkeypatch):
         """Resumed from a packed payload, an array S&C replay applies the
-        shrinking trace's departures to the twin and never builds the
-        dict; its results equal the prefix replay's."""
+        shrinking trace's departures to the twin; its results equal the
+        prefix replay's."""
         specs = apply_graph_backend(_specs("dynamic_probe"), "array")
         boundary = 4
         booted = ProbeReplayState.boot(specs[0])
@@ -363,7 +364,6 @@ class TestReplayStates:
         resumed = run_chunk([s for s in specs if s.index > boundary], payload)
         (state,) = restored
         assert state.position == COUNT and state.graph.size < N // 2 + 10
-        assert "_adj" not in vars(state.graph)
         assert any(math.isfinite(r.value) for r in resumed)
         assert_results_equal(resumed, run_chunk(specs)[boundary:])
 
@@ -517,7 +517,12 @@ class TestSnapshotStore:
     def test_save_load_round_trip_with_nan(self, tmp_path):
         store = ResultsStore(tmp_path)
         config = {"snapshot": 1, "kind": "repair_replay", "index": 3}
-        payload = {"index": 3, "hold": float("nan"), "values": [1.0, 2.5]}
+        payload = {
+            "index": 3,
+            "hold": float("nan"),
+            "values": [1.0, 2.5],
+            "scheduler": {"graph": heterogeneous_random(20, rng=1).to_array().pack()},
+        }
         store.save_snapshot(config, payload)
         loaded = store.load_snapshot(config)
         assert loaded["index"] == 3 and loaded["values"] == [1.0, 2.5]
@@ -684,6 +689,38 @@ def _next_id_to_max(path):
     _edit_header(path, edit)
 
 
+def _list_overlay(corrupt):
+    """Replace the packed overlay with the per-node lists
+    ``OverlayGraph.snapshot`` writes, after ``corrupt(lists)``; the
+    overlay's arrays leave the ``.npz`` and the manifest."""
+
+    def rewrite(path):
+        npz_path = path.with_suffix(".npz")
+        with np.load(npz_path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        header = json.loads(path.read_text())
+        graph = header["snapshot"]["scheduler"]["graph"]
+        for key in ("nodes", "indptr", "indices"):
+            graph[key] = arrays.pop(f"scheduler/graph/{key}")
+        lists = ArrayOverlayGraph.unpack(graph).snapshot()
+        corrupt(lists)
+        header["snapshot"]["scheduler"]["graph"] = lists
+        header["arrays"] = [e for e in header["arrays"] if e["name"] in arrays]
+        np.savez(npz_path, **arrays)
+        path.write_text(json.dumps(header))
+
+    return rewrite
+
+
+def _bad_links(lists):
+    """A self-loop, a link with no link back and a neighbour id that is
+    no node."""
+    nodes, adj = lists["nodes"], lists["adj"]
+    adj[0].append(nodes[0])
+    adj[1].append(next(v for v in nodes[2:] if v not in adj[1]))
+    adj[2].append(10**9)
+
+
 #: fault -> (corrupt the artifact at ``path``, expected rejection reason)
 ARTIFACT_FAULTS = {
     "truncated_npz": (
@@ -717,6 +754,8 @@ ARTIFACT_FAULTS = {
     ),
     "next_id_not_above_ids": (_next_id_to_max, "next_id must exceed"),
     "asymmetric_link": (lambda path: _rewrite_arrays(path, _asymmetric_link), "asymmetric"),
+    "list_overlay": (_list_overlay(lambda lists: None), "not a packed CSR twin"),
+    "list_overlay_bad_links": (_list_overlay(_bad_links), "not a packed CSR twin"),
     "object_array": (
         lambda path: _rewrite_arrays(
             path, _set("nodes", lambda a: a.astype(object)), manifest=False

@@ -426,6 +426,17 @@ class TestBinary:
                 json.loads(body.decode("utf-8"))  # must parse as plain JSON
 
 
+    @pytest.mark.parametrize("body", [b"\xff\xfe", b"{not json", b"[1, 2]"])
+    def test_undecodable_frames_are_transport_errors(self, body):
+        """A frame that is not a UTF-8 JSON object raises OSError, on which
+        the serving loop closes the connection."""
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            sender.sendall(len(body).to_bytes(8, "big") + body)
+            with pytest.raises(OSError):
+                recv_frame(receiver)
+
+
 class TestDispatch:
     def test_status_codes(self, service):
         assert _dispatch(service, "health", {})[0] == 200
