@@ -21,6 +21,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from ..overlay.arraygraph import ArrayOverlayGraph
 from ..overlay.graph import OverlayGraph
 from ..sim.messages import MessageMeter
 from ..sim.rng import RngLike, as_generator
@@ -81,6 +82,10 @@ class SizeEstimator(abc.ABC):
     #: Human-readable algorithm name; subclasses override.
     name: str = "estimator"
 
+    #: Fixed initiating node id; ``None`` picks a uniformly random alive
+    #: node per estimate.  Estimators that take an ``initiator`` set it.
+    initiator: Optional[int] = None
+
     def __init__(
         self,
         graph: OverlayGraph,
@@ -103,6 +108,16 @@ class SizeEstimator(abc.ABC):
     def _require_nonempty(self) -> None:
         if self.graph.size == 0:
             raise EstimatorError(f"{self.name}: overlay is empty")
+
+    def _initiator_pos(self, view: ArrayOverlayGraph) -> int:
+        """The initiator's row in ``view``: the fixed one's, or one
+        ``integers(n)`` draw over the rows."""
+        if self.initiator is not None:
+            pos = view.position(self.initiator)
+            if pos < 0:
+                raise EstimatorError(f"{self.name}: initiator {self.initiator} departed")
+            return pos
+        return int(self.rng.integers(view.n))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(n={self.graph.size})"

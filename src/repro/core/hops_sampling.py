@@ -45,7 +45,7 @@ from ..overlay.arraygraph import ArrayOverlayGraph
 from ..overlay.graph import OverlayGraph
 from ..sim.messages import MessageKind, MessageMeter
 from ..sim.rng import RngLike
-from .base import Estimate, EstimatorError, SizeEstimator
+from .base import Estimate, SizeEstimator
 from .kernels import (
     GRAPH_BACKENDS,
     bfs_frontier_distances,
@@ -232,18 +232,6 @@ class HopsSamplingEstimator(SizeEstimator):
             },
         )
 
-    # ------------------------------------------------------------------
-
-    def _initiator_pos(self, view: ArrayOverlayGraph) -> int:
-        if self.initiator is not None:
-            pos = view.position(self.initiator)
-            if pos < 0:
-                raise EstimatorError(
-                    f"hops_sampling: initiator {self.initiator} departed"
-                )
-            return pos
-        return int(self.rng.integers(view.n))
-
 
 class GossipSampleEstimator(SizeEstimator):
     """Fixed-probability polling — the *gossipSample*-style heuristic.
@@ -292,14 +280,7 @@ class GossipSampleEstimator(SizeEstimator):
         self._require_nonempty()
         before = self.meter.total
         view = self.graph.to_array()
-        if self.initiator is not None:
-            init_pos = view.position(self.initiator)
-            if init_pos < 0:
-                raise EstimatorError(
-                    f"gossip_sample: initiator {self.initiator} departed"
-                )
-        else:
-            init_pos = int(self.rng.integers(view.n))
+        init_pos = self._initiator_pos(view)
 
         spread = _gossip_spread(
             view, init_pos, self.gossip_to, self.gossip_for, self.gossip_until, self.rng

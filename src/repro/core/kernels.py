@@ -14,19 +14,20 @@ shape a later numba/GPU backend can adopt without an algorithm rewrite:
 * :func:`collision_cutoff` — vectorized pairwise collision counting: a
   stable argsort turns each draw's number of earlier equal draws into a
   rank inside its sorted run, and the running sum of those ranks is exactly
-  the serial loop's pairwise-with-multiplicity collision count.
+  the per-sample loop's pairwise-with-multiplicity collision count.
 * :func:`sample_collide_sweep` — the full Sample&Collide sampling loop
   (analytically sized batches, adaptive top-up, cutoff at ``l``
-  collisions) built from the two kernels above.
+  collisions) built from the two kernels above.  Both graph backends run
+  it.
 * :func:`gossip_spread_kernel` / :func:`bfs_frontier_distances` — the
   HopsSampling spread and the oracle-distance BFS as frontier-array
   kernels.
 
-**RNG-lineage caveat** (docs/KERNELS.md): the Sample&Collide walkers
-draw the same *distributions* as the serial reference but consume
-generator output in a different order and quantity (whole pre-drawn
-blocks per step instead of per-walk draws), so array-backend
-Sample&Collide estimates are not bit-identical to dict-backend ones.
+**RNG-lineage caveat** (docs/KERNELS.md): Sample&Collide's backends run
+the same sweep and differ only in its first batch's size (60% of the
+expected draws on ``"dict"``, 115% on ``"array"``).  The batch sizes set
+which generator output each walk consumes, so every later batch and draw
+differs too, and the estimates of the two backends are not bit-identical.
 They are exchangeable samples of the same estimator law — the property
 ``tests/core/test_kernel_distributions.py`` verifies with KS/bootstrap-CI
 gates against ``baselines/kernel_tolerances.json``.  HopsSampling has no
@@ -67,8 +68,9 @@ __all__ = [
     "set_phase_recorder",
 ]
 
-#: Estimator backends: ``"dict"`` runs the serial reference algorithm and
-#: ``"array"`` the batched kernels; both read the overlay's CSR twin.
+#: Estimator backends.  Both run the kernels below on the overlay's CSR
+#: twin; only ``"array"`` times them as the ``kernel`` phase, and
+#: Sample&Collide sizes its first batch per backend.
 GRAPH_BACKENDS = ("dict", "array")
 
 
@@ -111,21 +113,21 @@ def advance_walkers(
     """Advance ``count`` timer walks from row ``init_pos``; returns
     ``(final_positions, hops)``.
 
-    Protocol semantics match :class:`~repro.core.sampling.UniformWalkSampler`
-    exactly: the initiator forwards ``T`` to a uniform neighbour without
-    decrementing (isolated initiator ⇒ the walk ends on it with 0 hops);
-    every visited node then decrements by ``Exp(1)/deg`` — infinite at a
-    dead end, which absorbs the walk — and forwards while ``T > 0``; walks
-    exceeding ``max_hops`` stop in place.
+    The §III-A protocol: the initiator forwards ``T`` to a uniform
+    neighbour without decrementing (isolated initiator ⇒ the walk ends on
+    it with 0 hops); every visited node then decrements by
+    ``Exp(1)/deg`` and forwards while ``T > 0``; walks exceeding
+    ``max_hops`` stop in place.  A walk reaches a row only over one of
+    its links, so no visited node has degree 0.
 
     Each loop iteration handles one hop for the whole surviving frontier:
-    an exponential block scaled by the cached inverse-degree gather
-    decrements every walker's TTL (``inf`` rows absorb dead-end walks), a
-    uniform block drawn *only for the survivors* selects their next
-    neighbour, and the frontier arrays are compacted to those survivors.
-    All live walkers advance in lock step, so a walker's hop count is
-    simply the round it stopped in — written once at stop time instead of
-    incremented across the frontier every round.
+    an exponential block divided by the degrees gathered for the
+    frontier decrements every walker's TTL, a uniform block drawn *only
+    for the survivors* selects their next neighbour, and the frontier
+    arrays are compacted to those survivors.  All live walkers advance in
+    lock step, so a walker's hop count is simply the round it stopped in
+    — written once at stop time instead of incremented across the
+    frontier every round.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -139,14 +141,15 @@ def advance_walkers(
     if deg0 == 0:
         return final_pos, hops
 
-    inv_deg = graph.inv_degrees()
     first = (rng.random(count) * deg0).astype(indptr.dtype)
     cur = indices[start0 + first]
     ids = np.arange(count, dtype=np.int64)
     budget = np.full(count, float(timer))
     hop_round = 1
     while True:
-        budget -= rng.standard_exponential(ids.size) * inv_deg[cur]
+        starts = indptr[cur]
+        deg = indptr[cur + 1] - starts
+        budget -= rng.standard_exponential(ids.size) / deg
         cont = budget > 0.0
         if hop_round >= max_hops:
             cont[:] = False
@@ -156,11 +159,8 @@ def advance_walkers(
         ids = ids[cont]
         if not ids.size:
             break
-        cur = cur[cont]
-        starts = indptr[cur]
-        deg = indptr[cur + 1] - starts
-        offsets = (rng.random(ids.size) * deg).astype(indptr.dtype)
-        cur = indices[starts + offsets]
+        offsets = (rng.random(ids.size) * deg[cont]).astype(indptr.dtype)
+        cur = indices[starts[cont] + offsets]
         budget = budget[cont]
         hop_round += 1
     return final_pos, hops
@@ -208,30 +208,30 @@ def sample_collide_sweep(
     timer: float,
     rng: np.random.Generator,
     hint: int,
-    max_hops: int = 10_000,
+    first_batch: float,
 ) -> Tuple[float, int, int, int, int]:
-    """The full Sample&Collide sampling loop on the array backend.
+    """The Sample&Collide sampling loop: walks until ``l`` collisions.
 
     Draws walker batches sized by the analytic prediction
     ``sqrt(2·l·N̂)``, scans for the ``l``-th pairwise collision, and
-    returns ``(value, draws, collisions, distinct, walk_hops)``.  Unlike
-    the serial estimator (first batch at 60% of the prediction), the first
-    batch covers 115% of it: over-drawing costs a slightly wider vector
-    op instead of a second kernel dispatch, the ``(cut, collisions)`` law
-    is batch-size invariant (samples are i.i.d. regardless of batching),
-    and only the walks before the cutoff are charged to ``walk_hops`` —
-    unconsumed pre-drawn walks model messages never sent.  Top-up batches
-    sized from the running point estimate cover bad hints.
+    returns ``(value, draws, collisions, distinct, walk_hops)``.  The
+    first batch covers ``first_batch`` of the prediction at ``N̂ = hint``;
+    top-up batches sized from the running point estimate cover bad
+    hints.  The ``(cut, collisions)`` law is batch-size invariant
+    (samples are i.i.d. regardless of batching), but the batch sizes set
+    which draws each walk takes, so two first-batch sizes give two RNG
+    lineages.  Only the walks before the cutoff are charged to
+    ``walk_hops`` — unconsumed pre-drawn walks model messages never sent.
     """
     samples: List[np.ndarray] = []
     walk_hops: List[np.ndarray] = []
-    batch = max(int(1.15 * math.sqrt(2.0 * l * max(hint, 1))), 16)
+    batch = max(int(first_batch * math.sqrt(2.0 * l * max(hint, 1))), 16)
     guard = 0
     while True:
         guard += 1
         if guard > 10_000:  # pragma: no cover - defensive
             raise EstimatorError("sample_collide: failed to accumulate collisions")
-        pos, hops = advance_walkers(graph, init_pos, batch, timer, rng, max_hops)
+        pos, hops = advance_walkers(graph, init_pos, batch, timer, rng)
         samples.append(pos)
         walk_hops.append(hops)
         drawn = np.concatenate(samples) if len(samples) > 1 else samples[0]

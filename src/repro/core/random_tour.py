@@ -70,12 +70,7 @@ class RandomTourEstimator(SizeEstimator):
         self._require_nonempty()
         before = self.meter.total
         view = self.graph.to_array()
-        if self.initiator is not None:
-            init_pos = view.position(self.initiator)
-            if init_pos < 0:
-                raise EstimatorError(f"random_tour: initiator {self.initiator} departed")
-        else:
-            init_pos = int(self.rng.integers(view.n))
+        init_pos = self._initiator_pos(view)
         degrees = view.degrees()
         d_init = int(degrees[init_pos])
         if d_init == 0:

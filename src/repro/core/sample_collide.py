@@ -21,26 +21,45 @@ upon: stop at the *first* collision and return ``X²/2``.  It is implemented
 both for completeness and because the paper's §II uses it to motivate why
 Sample&Collide "uses samples more efficiently".
 
-Implementation notes: samples are drawn from the walk sampler in vectorized
-batches sized by the analytic prediction ``sqrt(2·l·N̂_guess)``; only the
-walks actually *consumed* before the ``l``-th collision are charged to the
-message meter (unconsumed pre-drawn walks model messages never sent).
+Implementation notes: both graph backends run one loop,
+:func:`~repro.core.kernels.sample_collide_sweep`, over the lock-step timer
+walkers of :func:`~repro.core.kernels.advance_walkers`.  Samples are drawn
+in vectorized batches sized by the analytic prediction
+``sqrt(2·l·N̂_guess)``; only the walks actually *consumed* before the
+``l``-th collision are charged to the message meter (unconsumed pre-drawn
+walks model messages never sent).  The backends differ only in the first
+batch's size, and so in every later batch and draw (docs/KERNELS.md, "The
+RNG-lineage caveat").
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from contextlib import nullcontext
+from typing import List, Optional
+
+import numpy as np
 
 from ..overlay.graph import OverlayGraph
 from ..sim.messages import MessageKind, MessageMeter
 from ..sim.rng import RngLike
 from .base import Estimate, EstimatorError, SizeEstimator
-from .birthday import invert_first_collision, sample_collide_estimate
-from .kernels import GRAPH_BACKENDS, kernel_phase, sample_collide_sweep
-from .sampling import UniformWalkSampler
+from .birthday import invert_first_collision
+from .kernels import (
+    GRAPH_BACKENDS,
+    advance_walkers,
+    collision_cutoff,
+    kernel_phase,
+    sample_collide_sweep,
+)
 
 __all__ = ["SampleCollideEstimator", "InvertedBirthdayEstimator"]
+
+#: The first batch of walks as a fraction of the expected draws
+#: ``sqrt(2·l·N̂)``, per backend: ``"dict"`` draws 60% and tops up
+#: adaptively, ``"array"`` over-draws at 115% so a second batch is rare.
+#: Each fraction fixes its backend's RNG lineage.
+_FIRST_BATCH = {"dict": 0.6, "array": 1.15}
 
 
 class SampleCollideEstimator(SizeEstimator):
@@ -63,11 +82,12 @@ class SampleCollideEstimator(SizeEstimator):
         of pre-drawn walks; wrong guesses cost a little extra batching, not
         correctness.
     backend:
-        ``"dict"`` (reference, per-sample Python accounting) or
-        ``"array"`` — the batched walker kernels of
-        :mod:`repro.core.kernels`.  Both read the overlay's CSR twin, and
-        are distributionally — not draw-for-draw — equivalent
-        (docs/KERNELS.md).
+        ``"dict"`` or ``"array"``.  Both run the same sweep over the
+        overlay's CSR twin; ``"dict"`` sizes the first batch at 60% of the
+        expected draws and ``"array"`` at 115% (:data:`_FIRST_BATCH`), so
+        their estimates are distributionally — not draw-for-draw —
+        equivalent (docs/KERNELS.md).  Only ``"array"`` times the sweep
+        as the ``kernel`` phase.
     """
 
     name = "sample_collide"
@@ -86,6 +106,8 @@ class SampleCollideEstimator(SizeEstimator):
         super().__init__(graph, rng=rng, meter=meter)
         if l < 1:
             raise ValueError(f"collision target l must be >= 1, got {l}")
+        if timer <= 0:
+            raise ValueError(f"timer budget must be positive, got {timer}")
         if backend not in GRAPH_BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; have {GRAPH_BACKENDS}"
@@ -95,108 +117,26 @@ class SampleCollideEstimator(SizeEstimator):
         self.initiator = initiator
         self.batch_hint = batch_hint
         self.backend = backend
-        self._sampler = UniformWalkSampler(graph, timer=timer, rng=self.rng)
 
     # ------------------------------------------------------------------
 
     def estimate(self) -> Estimate:
-        """Draw samples until ``l`` collisions; return ``C(C−1)/(2l)``."""
-        if self.backend == "array":
-            return self._estimate_array()
-        self._require_nonempty()
-        before = self.meter.total
-        initiator = self._pick_initiator()
+        """Draw samples until ``l`` collisions; return ``C(C−1)/(2l)``.
 
-        # Collision counting is PAIRWISE (with multiplicity): a draw that
-        # matches k earlier copies contributes k collisions.  This is what
-        # makes E[collisions | C draws] = C(C-1)/(2N) exact and the
-        # C(C-1)/(2l) inversion unbiased; counting mere set-membership
-        # instead inflates the estimate by ≈ 2l/sqrt(2lN) (measurable:
-        # ≈ +7% at N=2·10⁴, l=200).
-        seen: Dict[int, int] = {}
-        collisions = 0
-        draws = 0
-        walk_hops = 0
-
-        hint = self.batch_hint if self.batch_hint is not None else self.graph.size
-        hint = max(int(hint), 1)
-        # Expected total draws is sqrt(2 l N); first batch covers ~60% of it,
-        # later batches top up adaptively.
-        batch = max(int(0.6 * math.sqrt(2.0 * self.l * hint)), 16)
-
-        guard = 0
-        while collisions < self.l:
-            guard += 1
-            if guard > 10_000:  # pragma: no cover - defensive
-                raise EstimatorError("sample_collide: failed to accumulate collisions")
-            result = self._sampler.sample_batch(initiator, batch, meter=None)
-            consumed = 0
-            for node, hops in zip(result.samples, result.hops):
-                consumed += 1
-                draws += 1
-                walk_hops += int(hops)
-                node = int(node)
-                copies = seen.get(node, 0)
-                seen[node] = copies + 1
-                if copies:
-                    collisions += copies
-                    if collisions >= self.l:
-                        break
-            # Charge only the walks actually consumed: hops already summed
-            # per-walk above, one reply per consumed walk.
-            if collisions >= self.l:
-                break
-            # Next batch sized from the current point estimate of N.
-            n_guess = max(len(seen), 1)
-            if collisions > 0:
-                n_guess = max(n_guess, int(sample_collide_estimate(max(draws, 2), collisions)))
-            remaining = math.sqrt(2.0 * self.l * n_guess) - draws
-            batch = max(int(remaining * 1.2), 16)
-
-        self.meter.add(MessageKind.WALK, walk_hops)
-        self.meter.add(MessageKind.REPLY, draws)
-        value = sample_collide_estimate(draws, collisions)
-        return Estimate(
-            value=value,
-            messages=self.meter.total - before,
-            algorithm=self.name,
-            meta={
-                "draws": draws,
-                "collisions": collisions,
-                "distinct": len(seen),
-                "walk_hops": walk_hops,
-                "initiator": initiator,
-                "l": self.l,
-                "timer": self.timer,
-            },
-        )
-
-    # ------------------------------------------------------------------
-
-    def _estimate_array(self) -> Estimate:
-        """Array-backend estimation via the batched walker kernels.
-
-        Same protocol, sizing policy and meta keys as the reference path;
-        walker advancement and collision counting run as vector kernels on
-        the overlay's CSR twin.  The initiator draw consumes one uniform
-        integer over the same rows either way; the documented RNG-lineage
-        split is in the walkers.
+        Collision counting is PAIRWISE (with multiplicity): a draw that
+        matches k earlier copies contributes k collisions.  This is what
+        makes E[collisions | C draws] = C(C-1)/(2N) exact and the
+        C(C-1)/(2l) inversion unbiased; counting mere set-membership
+        instead inflates the estimate by ≈ 2l/sqrt(2lN) (measurable:
+        ≈ +7% at N=2·10⁴, l=200).
         """
         self._require_nonempty()
         before = self.meter.total
         view = self.graph.to_array()
-        if self.initiator is not None:
-            init_pos = view.position(self.initiator)
-            if init_pos < 0:
-                raise EstimatorError(
-                    f"sample_collide: initiator {self.initiator} departed"
-                )
-            initiator = self.initiator
-        else:
-            init_pos = int(self.rng.integers(view.n))
-            initiator = int(view.nodes[init_pos])
-        hint = self.batch_hint if self.batch_hint is not None else self.graph.size
-        with kernel_phase():
+        init_pos = self._initiator_pos(view)
+        hint = self.batch_hint if self.batch_hint is not None else view.n
+        phase = kernel_phase() if self.backend == "array" else nullcontext()
+        with phase:
             value, draws, collisions, distinct, walk_hops = sample_collide_sweep(
                 view,
                 init_pos,
@@ -204,7 +144,7 @@ class SampleCollideEstimator(SizeEstimator):
                 self.timer,
                 self.rng,
                 max(int(hint), 1),
-                max_hops=self._sampler.max_hops,
+                _FIRST_BATCH[self.backend],
             )
         self.meter.add(MessageKind.WALK, walk_hops)
         self.meter.add(MessageKind.REPLY, draws)
@@ -217,20 +157,11 @@ class SampleCollideEstimator(SizeEstimator):
                 "collisions": collisions,
                 "distinct": distinct,
                 "walk_hops": walk_hops,
-                "initiator": initiator,
+                "initiator": int(view.nodes[init_pos]),
                 "l": self.l,
                 "timer": self.timer,
             },
         )
-
-    def _pick_initiator(self) -> int:
-        if self.initiator is not None:
-            if self.initiator not in self.graph:
-                raise EstimatorError(
-                    f"sample_collide: initiator {self.initiator} departed"
-                )
-            return self.initiator
-        return self.graph.random_node(self.rng)
 
 
 class InvertedBirthdayEstimator(SizeEstimator):
@@ -252,45 +183,30 @@ class InvertedBirthdayEstimator(SizeEstimator):
         meter: Optional[MessageMeter] = None,
     ) -> None:
         super().__init__(graph, rng=rng, meter=meter)
+        if timer <= 0:
+            raise ValueError(f"timer budget must be positive, got {timer}")
         self.timer = float(timer)
         self.initiator = initiator
-        self._sampler = UniformWalkSampler(graph, timer=timer, rng=self.rng)
 
     def estimate(self) -> Estimate:
         """Sample until the first collision; return ``X²/2``."""
         self._require_nonempty()
         before = self.meter.total
-        if self.initiator is not None:
-            if self.initiator not in self.graph:
-                raise EstimatorError(
-                    f"inverted_birthday: initiator {self.initiator} departed"
-                )
-            initiator = self.initiator
-        else:
-            initiator = self.graph.random_node(self.rng)
-
-        seen: Set[int] = set()
-        draws = 0
-        walk_hops = 0
-        batch = max(int(math.sqrt(2.0 * self.graph.size)), 8)
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 10_000:  # pragma: no cover - defensive
+        view = self.graph.to_array()
+        init_pos = self._initiator_pos(view)
+        samples: List[np.ndarray] = []
+        hops: List[np.ndarray] = []
+        batch = max(int(math.sqrt(2.0 * view.n)), 8)
+        collisions = 0
+        while not collisions:
+            if len(samples) >= 10_000:  # pragma: no cover - defensive
                 raise EstimatorError("inverted_birthday: no collision found")
-            result = self._sampler.sample_batch(initiator, batch, meter=None)
-            collided = False
-            for node, hops in zip(result.samples, result.hops):
-                draws += 1
-                walk_hops += int(hops)
-                node = int(node)
-                if node in seen:
-                    collided = True
-                    break
-                seen.add(node)
-            if collided:
-                break
+            pos, walked = advance_walkers(view, init_pos, batch, self.timer, self.rng)
+            samples.append(pos)
+            hops.append(walked)
+            draws, collisions, _ = collision_cutoff(np.concatenate(samples), 1)
             batch = max(batch // 2, 8)
+        walk_hops = int(np.concatenate(hops)[:draws].sum())
 
         self.meter.add(MessageKind.WALK, walk_hops)
         self.meter.add(MessageKind.REPLY, draws)
@@ -301,7 +217,7 @@ class InvertedBirthdayEstimator(SizeEstimator):
             meta={
                 "draws": draws,
                 "walk_hops": walk_hops,
-                "initiator": initiator,
+                "initiator": int(view.nodes[init_pos]),
                 "timer": self.timer,
             },
         )

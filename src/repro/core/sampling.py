@@ -18,25 +18,26 @@ degree — whose stationary distribution is *uniform*.  Stopping at a fixed
 time budget ``T`` therefore lands uniformly as ``T`` grows (mixing governed
 by graph expansion; the paper uses ``T = 10``).
 
-Implementation notes (per the HPC guides): walks are advanced in vectorized
-lock-step batches over the overlay's CSR twin — one NumPy pass per hop for the
-whole batch — instead of one Python loop per walk.  Expected hops per walk
-is ``T · d̄`` (each visited node consumes ``Exp(1)/d_i`` of budget and the
-degree-biased jump chain spends ``1/d̄`` per hop on average), so a batch of
-``B`` walks costs ``O(T · d̄)`` NumPy operations of width ``≈ B``.
+Implementation notes: :func:`~repro.core.kernels.advance_walkers` advances
+the walks in vectorized lock-step batches over the overlay's CSR twin — one
+NumPy pass per hop for the whole batch — instead of one Python loop per
+walk.  Expected hops per walk is ``T · d̄`` (each visited node consumes
+``Exp(1)/d_i`` of budget and the degree-biased jump chain spends ``1/d̄``
+per hop on average), so a batch of ``B`` walks costs ``O(T · d̄)`` NumPy
+operations of width ``≈ B``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..overlay.arraygraph import ArrayOverlayGraph
 from ..overlay.graph import OverlayGraph
 from ..sim.messages import MessageKind, MessageMeter
 from ..sim.rng import RngLike, as_generator
+from .kernels import advance_walkers
 
 __all__ = ["WalkBatch", "UniformWalkSampler"]
 
@@ -127,62 +128,14 @@ class UniformWalkSampler:
             return WalkBatch(
                 samples=np.empty(0, dtype=np.int64), hops=np.empty(0, dtype=np.int64)
             )
-        pos, hops = self._advance(view, init_pos, count)
+        pos, hops = advance_walkers(
+            view, init_pos, count, self.timer, self.rng, self.max_hops
+        )
         samples = view.nodes[pos]
         if meter is not None:
             meter.add(MessageKind.WALK, int(hops.sum()))
             meter.add(MessageKind.REPLY, count)
         return WalkBatch(samples=samples, hops=hops)
-
-    # ------------------------------------------------------------------
-
-    def _advance(
-        self, view: ArrayOverlayGraph, init_pos: int, count: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Lock-step advance ``count`` walks; returns (positions, hops)."""
-        rng = self.rng
-        degrees = view.degrees()
-
-        pos = np.full(count, init_pos, dtype=np.int64)
-        hops = np.zeros(count, dtype=np.int64)
-        budget = np.full(count, self.timer, dtype=np.float64)
-
-        # First hop: the initiator sends T to a uniform neighbour (no
-        # decrement at the initiator itself).  Isolated initiator => the
-        # walk terminates immediately on itself.
-        first = view.sample_neighbors(pos, rng)
-        movable = first >= 0
-        pos[movable] = first[movable]
-        hops[movable] = 1
-        active = movable.copy()
-
-        hop_round = 1
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            cur = pos[idx]
-            deg = degrees[cur]
-            # Current node decrements the budget by Exp(1)/degree.  A
-            # degree-0 node (possible mid-churn) absorbs the walk: treat its
-            # decrement as infinite.
-            draw = rng.standard_exponential(idx.shape[0])
-            dec = np.where(deg > 0, draw / np.maximum(deg, 1), np.inf)
-            budget[idx] -= dec
-            cont = budget[idx] > 0.0
-            if hop_round >= self.max_hops:
-                cont[:] = False
-            movers = idx[cont]
-            if movers.size:
-                nxt = view.sample_neighbors(pos[movers], rng)
-                ok = nxt >= 0
-                pos[movers[ok]] = nxt[ok]
-                hops[movers[ok]] += 1
-                # walks whose current node somehow lost all neighbours stop
-                stopped = movers[~ok]
-                active[stopped] = False
-            done = idx[~cont]
-            active[done] = False
-            hop_round += 1
-        return pos, hops
 
     # ------------------------------------------------------------------
 

@@ -42,7 +42,7 @@ them before a twin is built from them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class ArrayOverlayGraph:
     hand it arrays that follow the ``int32``-when-it-fits rule.
     """
 
-    __slots__ = ("nodes", "indptr", "indices", "next_id", "_inv_deg")
+    __slots__ = ("nodes", "indptr", "indices", "next_id")
 
     def __init__(
         self,
@@ -114,7 +114,6 @@ class ArrayOverlayGraph:
         self.indptr = indptr
         self.indices = indices
         self.next_id = int(next_id)
-        self._inv_deg: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArrayOverlayGraph(n={self.n}, m={self.m})"
@@ -317,18 +316,6 @@ class ArrayOverlayGraph:
     def degrees(self) -> np.ndarray:
         """Degree per row, aligned with :attr:`nodes` (insertion order)."""
         return np.diff(self.indptr)
-
-    def inv_degrees(self) -> np.ndarray:
-        """``1/degree`` per row, ``inf`` at dead ends (cached).
-
-        The walker kernels multiply exponential TTL decrements by this
-        vector; the ``inf`` rows make a dead end absorb any walk that
-        reaches it without a separate liveness mask.
-        """
-        if self._inv_deg is None:
-            with np.errstate(divide="ignore"):
-                self._inv_deg = 1.0 / np.diff(self.indptr)
-        return self._inv_deg
 
     def average_degree(self) -> float:
         """Mean degree (0.0 for the empty graph)."""

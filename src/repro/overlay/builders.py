@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_left
 from typing import List, Optional, Set
 
 import numpy as np
@@ -280,7 +281,7 @@ def homogeneous_random(
     links = array("i")
     linked: Set[int] = set()
     degrees = [0] * n
-    open_nodes = list(range(n))  # ascending: .remove keeps the order
+    open_nodes = list(range(n))  # ascending, so a bisect finds a node's slot
     attempts = 0
     budget = max_attempts_factor * n * k
     while len(open_nodes) > 1 and attempts < budget:
@@ -296,9 +297,9 @@ def homogeneous_random(
         degrees[v] += 1
         # Only u and v can have just saturated.
         if degrees[u] >= k:
-            open_nodes.remove(u)
+            del open_nodes[bisect_left(open_nodes, u)]
         if degrees[v] >= k:
-            open_nodes.remove(v)
+            del open_nodes[bisect_left(open_nodes, v)]
         # Pairwise-linked open nodes have degree >= len - 1 (and < k), so
         # the end game can only start once len(open_nodes) <= k.
         if 1 < len(open_nodes) <= k and all(

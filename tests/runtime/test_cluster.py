@@ -201,6 +201,11 @@ N, COUNT = 300, 15
 #: Server kwargs for a worker that dies after serving one chunk.
 KILL_AFTER_ONE = {"faults": WorkerFaults(kill_after_chunks=1)}
 
+#: Server kwargs for a worker that dies on the first chunk it is handed.
+#: Its first chunk heads its dealt queue and peers steal only from the
+#: tail, so it is handed one whatever the thread timing.
+KILL_ON_FIRST = {"faults": WorkerFaults(kill_after_chunks=0)}
+
 
 def _static_specs(count=40, seed=7):
     overlay = OverlaySpec.heterogeneous(N)
@@ -457,7 +462,7 @@ class TestWorkerLoss:
         specs = _replay_specs()
         serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
         telemetry = TelemetryCollector()
-        with cluster(3, each=[KILL_AFTER_ONE, {}, {}]) as hosts:
+        with cluster(3, each=[KILL_ON_FIRST, {}, {}]) as hosts:
             executor = ClusterExecutor(
                 hosts, chunk_size=3, progress=telemetry, retries=1, backoff=0.01
             )
@@ -899,7 +904,7 @@ class TestClusterJournal:
         journal_path = tmp_path / "cluster.jsonl"
         specs = _replay_specs()
         with JournalReporter(journal_path) as journal:
-            with cluster(3, each=[KILL_AFTER_ONE, {}, {}]) as hosts:
+            with cluster(3, each=[KILL_ON_FIRST, {}, {}]) as hosts:
                 # retries=0 so the crashed host is declared lost on first
                 # failure — with backoff, healthy peers can steal all of
                 # its work before retries exhaust and the loss never fires.
