@@ -35,10 +35,10 @@ Two interfaces are provided:
 
 Performance: the pairwise-averaging round is inherently sequential (each
 contact must see the current values of both parties or mass conservation —
-and with it exactness — is lost).  Per the HPC guides we vectorize what can
-be vectorized (partner selection over the overlay's CSR twin, value remapping
-after churn) and run the contact loop over plain Python lists, which are
-≈5× faster than NumPy scalar indexing for this access pattern.
+and with it exactness — is lost).  Partner selection and the value join
+after churn are vectorized; the contact loop runs over memoryviews of the
+``float64`` value array, the permutation and the partner array, so no
+per-node Python object outlives a round.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..overlay.arraygraph import ArrayOverlayGraph
 from ..overlay.graph import OverlayGraph
 from ..sim.messages import MessageKind, MessageMeter
 from ..sim.rng import RngLike, as_generator, generator_from_state, generator_state
@@ -67,6 +66,11 @@ class AggregationProtocol:
         departed nodes take their value with them, joiners enter at 0).
     rng, meter:
         Random source and message accounting.
+
+    The state is two row arrays: ``_nodes``, the twin's ids at the last
+    round or epoch start (ascending), and ``_values``, one ``float64``
+    per row.  A departed node's value stays in them until the next round
+    joins them onto the churned overlay.
     """
 
     name = "aggregation"
@@ -80,15 +84,11 @@ class AggregationProtocol:
         self.graph = graph
         self.rng = as_generator(rng, self.name)
         self.meter = meter if meter is not None else MessageMeter()
-        self._values: Dict[int, float] = {}
+        self._nodes = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0)
         self._epoch = 0
         self._rounds_in_epoch = 0
         self._initiator: Optional[int] = None
-        # Per-round fast path: values aligned with the cached CSR twin so
-        # the dict round-trip is only paid when the overlay actually changed.
-        self._cached_view: Optional[ArrayOverlayGraph] = None
-        self._cached_vals: Optional[List[float]] = None
-        self._values_stale = False
 
     # ------------------------------------------------------------------
     # epoch lifecycle
@@ -126,11 +126,10 @@ class AggregationProtocol:
         self._epoch += 1
         self._rounds_in_epoch = 0
         self._initiator = initiator
-        self._values = {u: 0.0 for u in self.graph.nodes()}
-        self._values[initiator] = 1.0
-        self._cached_view = None
-        self._cached_vals = None
-        self._values_stale = False
+        view = self.graph.to_array()
+        self._nodes = view.nodes
+        self._values = np.zeros(view.n)
+        self._values[view.position(initiator)] = 1.0
         return self._epoch
 
     # ------------------------------------------------------------------
@@ -151,24 +150,21 @@ class AggregationProtocol:
         n = view.n
         if n == 0:
             return 0
-        vals = self._sync_values(view)
+        if view.nodes is not self._nodes:  # membership changed since the last sync
+            self._values = self._carried(view.nodes)
+            self._nodes = view.nodes
 
-        # Vectorized partner choice, then the sequential averaging sweep.
+        # Vectorized partner choice, then the sequential averaging sweep;
+        # an isolated node (partner -1) has nobody to exchange with.
         order = self.rng.permutation(n)
         partners = view.sample_neighbors(order, self.rng)
-        contacts = 0
-        order_list = order.tolist()
-        partner_list = partners.tolist()
-        for i, j in zip(order_list, partner_list):
-            if j < 0:
-                continue  # isolated node: nobody to exchange with this round
-            mean = (vals[i] + vals[j]) * 0.5
-            vals[i] = mean
-            vals[j] = mean
-            contacts += 1
+        vals = memoryview(self._values)
+        for i, j in zip(memoryview(order), memoryview(partners)):
+            if j >= 0:
+                vals[i] = vals[j] = (vals[i] + vals[j]) * 0.5
+        contacts = int(np.count_nonzero(partners >= 0))
 
         self.meter.add(MessageKind.EXCHANGE, 2 * contacts)
-        self._values_stale = True  # the dict no longer mirrors the cache
         self._rounds_in_epoch += 1
         return contacts
 
@@ -191,11 +187,10 @@ class AggregationProtocol:
         """
         if node not in self.graph:
             raise EstimatorError(f"aggregation: node {node} is not alive")
-        self._flush_cache()
-        try:
-            return self._values[node]
-        except KeyError:
-            raise EstimatorError(f"aggregation: node {node} not participating") from None
+        row = self._row(node)
+        if row < 0:
+            raise EstimatorError(f"aggregation: node {node} not participating")
+        return float(self._values[row])
 
     def read(self, node: Optional[int] = None) -> Estimate:
         """Estimate ``N̂ = 1/value`` read at ``node``.
@@ -206,10 +201,9 @@ class AggregationProtocol:
         available at each node" (§V).  Raises when the read node's value is
         not yet positive (the epidemic has not reached it).
         """
-        self._flush_cache()
         if node is None:
             node = self._initiator
-            if node is None or node not in self._values or node not in self.graph:
+            if node is None or self._row(node) < 0 or node not in self.graph:
                 node = self._best_informed()
         v = self.value_of(node)
         if v <= 0.0:
@@ -233,16 +227,17 @@ class AggregationProtocol:
 
         Ordered by the rows of the overlay's CSR twin (ascending ids).
         """
-        self._flush_cache()
-        view = self.graph.to_array()
-        vals = np.array([self._values.get(int(u), 0.0) for u in view.nodes])
+        vals = self._carried(self.graph.to_array().nodes)
         with np.errstate(divide="ignore"):
             return np.where(vals > 0, 1.0 / np.maximum(vals, 1e-300), np.inf)
 
     def total_mass(self) -> float:
-        """Sum of all alive values — 1.0 in a static epoch (conservation)."""
-        self._flush_cache()
-        return float(sum(self._values.values()))
+        """Sum of all alive values — 1.0 in a static epoch (conservation).
+
+        A left-to-right sum in row order, so the result is bit-stable
+        (numpy's pairwise ``sum`` would round differently).
+        """
+        return float(sum(memoryview(self._values)))
 
     def estimate(self, rounds: int = 50, initiator: Optional[int] = None) -> Estimate:
         """Convenience one-shot: fresh epoch, ``rounds`` cycles, read.
@@ -272,19 +267,19 @@ class AggregationProtocol:
         The meter is an injected dependency captured by the caller (in the
         ``repair_replay`` hand-off the relevant meter is the repair one;
         the protocol's internal exchange meter does not influence any
-        recorded result).  Values are listed in the flushed dict's
-        iteration order so a restored protocol's value dict iterates
-        identically — keeping even order-sensitive reductions
-        (:meth:`total_mass`) bit-stable.
+        recorded result).  ``nodes`` (``int64``) and ``values``
+        (``float64``) are copies of the two row arrays: ascending ids in
+        the twin's row order at the last sync, so a restored protocol
+        sums them in the same order and order-sensitive reductions
+        (:meth:`total_mass`) stay bit-stable.
         """
-        self._flush_cache()
         return {
             "epoch": self._epoch,
             "rounds_in_epoch": self._rounds_in_epoch,
             "initiator": self._initiator,
             "rng": generator_state(self.rng),
-            "nodes": list(self._values.keys()),
-            "values": list(self._values.values()),
+            "nodes": self._nodes.astype(np.int64),
+            "values": self._values.copy(),
         }
 
     @classmethod
@@ -300,69 +295,59 @@ class AggregationProtocol:
         be restored to the captured instant — the replay-state classes in
         ``repro.runtime.snapshots`` orchestrate that.  The generator is
         rebuilt from the captured state, so future rounds proceed
-        bit-identically to the uninterrupted run.
+        bit-identically to the uninterrupted run.  ``nodes`` and
+        ``values`` must be arrays, the ids ascending (the store's
+        ``values`` group check); both are copied.
         """
+        nodes, values = snap["nodes"], snap["values"]
+        if not (isinstance(nodes, np.ndarray) and isinstance(values, np.ndarray)):
+            raise TypeError("aggregation: a snapshot's nodes and values must be arrays")
         proto = cls(graph, rng=generator_from_state(snap["rng"]), meter=meter)
         proto._epoch = int(snap["epoch"])
         proto._rounds_in_epoch = int(snap["rounds_in_epoch"])
         initiator = snap.get("initiator")
         proto._initiator = None if initiator is None else int(initiator)
-        proto._values = {
-            int(u): float(v) for u, v in zip(snap["nodes"], snap["values"])
-        }
+        proto._nodes = nodes.astype(np.int64)
+        proto._values = values.astype(np.float64)
         return proto
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _sync_values(self, view: ArrayOverlayGraph) -> List[float]:
-        """Array-of-values aligned with ``view``; rebuilt only on change.
+    def _join(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted-array join of ascending ``ids`` with the state's ids:
+        a mask of the ``ids`` the state holds, and their rows in it."""
+        nodes = self._nodes
+        if not nodes.size:
+            return np.zeros(ids.shape, dtype=bool), np.empty(0, dtype=np.intp)
+        pos = np.minimum(np.searchsorted(nodes, ids), nodes.size - 1)
+        found = nodes[pos] == ids
+        return found, pos[found]
 
-        When the overlay churned since the last round, values are carried
-        over by a vectorized sorted-array join (node ids ascend in every
-        twin, and so in the value dict, which is filled in twin row order):
-        present nodes keep their value, joiners enter at 0, leavers drop
-        their value (the mass-loss the paper's "conservative effect"
-        discussion hinges on).  The id→value dict is only materialized on
-        demand (:meth:`_flush_cache`) for point reads.
-        """
-        if view is self._cached_view and self._cached_vals is not None:
-            return self._cached_vals
-        if self._cached_view is not None and self._cached_vals is not None:
-            old_nodes = self._cached_view.nodes
-            old_vals = np.asarray(self._cached_vals, dtype=np.float64)
-        else:
-            count = len(self._values)
-            old_nodes = np.fromiter(self._values.keys(), dtype=np.int64, count=count)
-            old_vals = np.fromiter(self._values.values(), dtype=np.float64, count=count)
-        new_vals = np.zeros(view.n)
-        if old_nodes.size:
-            pos = np.minimum(np.searchsorted(old_nodes, view.nodes), old_nodes.size - 1)
-            found = old_nodes[pos] == view.nodes
-            new_vals[found] = old_vals[pos[found]]
-        vals = new_vals.tolist()
-        self._cached_view = view
-        self._cached_vals = vals
-        self._values_stale = True
+    def _carried(self, ids: np.ndarray) -> np.ndarray:
+        """Values on the rows of ``ids``: present nodes keep their value,
+        joiners enter at 0, and leavers' values are dropped (the mass loss
+        the paper's "conservative effect" discussion hinges on)."""
+        found, rows = self._join(ids)
+        vals = np.zeros(ids.shape[0])
+        vals[found] = self._values[rows]
         return vals
 
-    def _flush_cache(self) -> None:
-        if (
-            self._values_stale
-            and self._cached_view is not None
-            and self._cached_vals is not None
-        ):
-            nodes = self._cached_view.nodes.tolist()
-            self._values = dict(zip(nodes, self._cached_vals))
-            self._values_stale = False
+    def _row(self, node: int) -> int:
+        """Row of ``node`` in the state, or ``-1`` (one binary search)."""
+        nodes = self._nodes
+        row = int(np.searchsorted(nodes, node))
+        return row if row < nodes.shape[0] and nodes[row] == node else -1
 
     def _best_informed(self) -> int:
-        self._flush_cache()
-        alive = [(v, u) for u, v in self._values.items() if u in self.graph]
-        if not alive:
+        """The alive participant with the largest value, ties to the
+        largest id (the last such row, as ids ascend)."""
+        _, rows = self._join(self.graph.to_array().nodes)
+        if not rows.size:
             raise EstimatorError("aggregation: no participating node alive")
-        return max(alive)[1]
+        vals = self._values[rows]
+        return int(self._nodes[rows[np.flatnonzero(vals == vals.max())[-1]]])
 
 
 class AggregationMonitor:

@@ -16,10 +16,10 @@ This module makes the scenario state an explicit, transferable object:
   and round driver — and advances them step by step exactly as the serial
   loop did;
 * :meth:`ReplayState.snapshot` captures the state as a **hand-off
-  payload**: JSON data plus the overlay as its packed CSR twin
-  (:meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.pack`, numpy
-  arrays), picklable as it is and stored as a JSON header beside an
-  ``.npz``; :meth:`ReplayState.restore` rebuilds a state whose future
+  payload**: JSON data plus numpy arrays, the overlay as its packed CSR
+  twin (:meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.pack`) and a
+  monitor's ids and values, picklable as it is and stored as a JSON
+  header beside an ``.npz``; :meth:`ReplayState.restore` rebuilds a state whose future
   steps are *bit-identical* to the uninterrupted run's (every component
   guarantees this individually: see ``OverlayGraph.snapshot``,
   ``ChurnScheduler.pack``, ``AggregationProtocol.snapshot``,

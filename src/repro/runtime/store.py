@@ -275,6 +275,7 @@ def _join_arrays(payload: Dict[str, Any], arrays: Mapping[str, np.ndarray]) -> N
       :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.unpack`'s
       structural checks, raising ``GraphError``;
     * per-node values (it has ``values``): a 1-D integer ``nodes`` array
+      of strictly ascending ids, the order every join of them assumes,
       and one finite ``float64`` value per node, raising
       :class:`SnapshotRejected`.
 
@@ -301,10 +302,11 @@ def _join_arrays(payload: Dict[str, Any], arrays: Mapping[str, np.ndarray]) -> N
             and nodes.ndim == 1
             and values.shape == nodes.shape
             and np.isfinite(values).all()
+            and (nodes[1:] > nodes[:-1]).all()
         ):
             raise SnapshotRejected(
                 f"array group {path!r} is neither a packed overlay nor one "
-                "finite float64 value per integer node id"
+                "finite float64 value per integer node id, ids ascending"
             )
 
 
@@ -586,7 +588,8 @@ class ResultsStore:
         always be recomputed.
 
         The payload's numpy arrays (the packed overlay,
-        :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.pack`) go to
+        :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.pack`, and a
+        ``repair_replay`` monitor's ids and values) go to
         ``<key>.npz``, named by their key path; the JSON header keeps the
         rest plus an ``arrays`` manifest (name, dtype, shape, sha256 per
         array).  The array file is written first, so a header on disk
@@ -618,10 +621,11 @@ class ResultsStore:
         :class:`SnapshotRejected` with the reason: an unreadable header,
         a missing or unreadable array file (read with
         ``allow_pickle=False``), arrays that differ from the manifest in
-        name, dtype, shape or sha256, or a ``scheduler.graph`` overlay
+        name, dtype, shape or sha256, a ``scheduler.graph`` overlay
         that is not a packed twin
         :meth:`~repro.overlay.arraygraph.ArrayOverlayGraph.unpack`
-        accepts.  Callers treat it as a miss, as
+        accepts, or a monitor whose ids and values are not a ``values``
+        array group.  Callers treat it as a miss, as
         :class:`~repro.runtime.pool.SnapshotBackbone` does after
         journaling it; a bad artifact is never restored.  A hit bumps the
         header's atime.
@@ -636,9 +640,14 @@ class ResultsStore:
             payload = _decode_floats(artifact["snapshot"])
             with np.load(path.with_suffix(".npz"), allow_pickle=False) as npz:
                 _join_arrays(payload, _checked_arrays(artifact["arrays"], npz))
-            # Only a packed overlay passed unpack's checks in _join_arrays.
+            # Only array groups passed the checks in _join_arrays.
             if not isinstance(payload["scheduler"]["graph"].get("indptr"), np.ndarray):
                 raise SnapshotRejected("the snapshot's overlay is not a packed CSR twin")
+            monitor = payload.get("monitor")
+            if monitor is not None and not isinstance(
+                monitor["protocol"].get("values"), np.ndarray
+            ):
+                raise SnapshotRejected("the snapshot's monitor values are not arrays")
         self._record_hit(path)
         return payload
 

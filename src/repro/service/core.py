@@ -50,8 +50,6 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Any, Deque, Dict, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..churn.models import ChurnEvent, ChurnTrace
 from ..churn.scheduler import ChurnScheduler
 from ..core.aggregation import AggregationMonitor
@@ -291,14 +289,10 @@ class _AggregationFamily:
         return float(value), int(rnd)
 
     def snapshot(self) -> Dict[str, Any]:
-        """Pure-data state: the monitor's own snapshot payload, with the
-        protocol's per-node ids and values as arrays in the value dict's
-        order (an order-sensitive sum like ``total_mass`` stays bit-stable)."""
-        snap = self.monitor.snapshot()
-        protocol = snap["protocol"]
-        protocol["nodes"] = np.array(protocol["nodes"], dtype=np.int64)
-        protocol["values"] = np.array(protocol["values"], dtype=np.float64)
-        return {"monitor": snap}
+        """Pure-data state: the monitor's own snapshot payload, whose
+        protocol ids and values are arrays in the twin's row order at the
+        last sync, ids ascending."""
+        return {"monitor": self.monitor.snapshot()}
 
     @classmethod
     def restore(

@@ -9,7 +9,8 @@ Two layers of guarantees (docs/SNAPSHOTS.md):
   results at workers 1 and 4, with snapshot hand-off on or off, cold or
   warm cache;
 * **trust boundary** — a stored snapshot artifact that fails any check
-  is rejected with its reason, journaled and recomputed, never restored.
+  is rejected with its reason, journaled and recomputed, never restored;
+  a mutated one either restores to the original state or is rejected.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ import json
 import math
 import re
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.obs_report import read_journal, render_obs_summary, validate_journal
 from repro.churn.models import catastrophic_trace, shrinking_trace
@@ -721,6 +725,35 @@ def _bad_links(lists):
     adj[2].append(10**9)
 
 
+def _permute_monitor(seed):
+    """Shuffle the monitor's (id, value) pairs, each pair kept intact."""
+
+    def mutate(arrays):
+        order = np.random.default_rng(seed).permutation(
+            arrays["monitor/protocol/nodes"].size
+        )
+        for key in ("nodes", "values"):
+            name = f"monitor/protocol/{key}"
+            arrays[name] = arrays[name][order]
+
+    return mutate
+
+
+def _list_monitor(path):
+    """Move the monitor's ids and values out of the ``.npz`` and the
+    manifest into the header, as the lists ``snapshot()`` once wrote."""
+    npz_path = path.with_suffix(".npz")
+    with np.load(npz_path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    header = json.loads(path.read_text())
+    protocol = header["snapshot"]["monitor"]["protocol"]
+    for key in ("nodes", "values"):
+        protocol[key] = arrays.pop(f"monitor/protocol/{key}").tolist()
+    header["arrays"] = [e for e in header["arrays"] if e["name"] in arrays]
+    np.savez(npz_path, **arrays)
+    path.write_text(json.dumps(header))
+
+
 #: fault -> (corrupt the artifact at ``path``, expected rejection reason)
 ARTIFACT_FAULTS = {
     "truncated_npz": (
@@ -764,6 +797,26 @@ ARTIFACT_FAULTS = {
     ),
 }
 
+#: The same for the monitor of a ``repair_replay`` boundary.
+MONITOR_FAULTS = {
+    "monitor_ids_permuted": (
+        lambda path: _rewrite_arrays(path, _permute_monitor(0)),
+        "ids ascending",
+    ),
+    "list_monitor": (_list_monitor, "monitor values are not arrays"),
+}
+
+
+def _clean_store(kind, root):
+    """Run ``kind``'s specs through a 2-worker store at ``root``; the
+    stored boundaries are 3, 6 and 9."""
+    specs = _specs(kind)
+    run_trials(
+        specs,
+        runtime=RuntimeOptions(workers=2, chunk_size=3, store=ResultsStore(root)),
+    )
+    return specs
+
 
 class TestSnapshotArtifactFaults:
     """Every corrupted artifact is rejected with its reason, journaled,
@@ -773,22 +826,26 @@ class TestSnapshotArtifactFaults:
 
     @pytest.fixture(scope="class")
     def clean(self, tmp_path_factory):
-        specs = _specs("dynamic_probe")
-        root = tmp_path_factory.mktemp("clean-store")
-        run_trials(
-            specs,
-            runtime=RuntimeOptions(workers=2, chunk_size=3, store=ResultsStore(root)),
-        )
-        serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
-        return specs, root, serial
+        runs = {}
 
-    @pytest.mark.parametrize("fault", sorted(ARTIFACT_FAULTS))
+        def run(kind):
+            if kind not in runs:
+                root = tmp_path_factory.mktemp(f"clean-{kind}")
+                specs = _clean_store(kind, root)
+                serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
+                runs[kind] = specs, root, serial
+            return runs[kind]
+
+        return run
+
+    @pytest.mark.parametrize("fault", sorted({**ARTIFACT_FAULTS, **MONITOR_FAULTS}))
     def test_bad_artifact_is_a_journaled_miss(self, clean, fault, tmp_path):
-        specs, root, serial = clean
+        kind = "repair_replay" if fault in MONITOR_FAULTS else "dynamic_probe"
+        specs, root, serial = clean(kind)
         shutil.copytree(root, tmp_path / "store")
         store = ResultsStore(tmp_path / "store")
         config = snapshot_config(specs[0], self.TARGET)
-        corrupt, reason = ARTIFACT_FAULTS[fault]
+        corrupt, reason = {**ARTIFACT_FAULTS, **MONITOR_FAULTS}[fault]
         corrupt(store.path_for(config))
         with pytest.raises(SnapshotRejected, match=reason):
             store.load_snapshot(config)
@@ -816,3 +873,105 @@ class TestSnapshotArtifactFaults:
             t: "computed" if t == self.TARGET else "hit" for t in outcomes
         }
         assert store.load_snapshot(config) is not None  # recomputed and overwritten
+
+
+# ----------------------------------------------------------------------
+# mutation: a stored snapshot restores equal to the original or is rejected
+# ----------------------------------------------------------------------
+
+
+_MONITOR_TARGET = 3
+
+
+@pytest.fixture(scope="module")
+def stored_repair(tmp_path_factory):
+    """A stored ``repair_replay`` boundary: (spec, config, header, npz bytes)."""
+    root = tmp_path_factory.mktemp("repair-store")
+    specs = _clean_store("repair_replay", root)
+    config = snapshot_config(specs[0], _MONITOR_TARGET)
+    path = ResultsStore(root).path_for(config)
+    return specs[0], config, path.read_bytes(), path.with_suffix(".npz").read_bytes()
+
+
+def _state_key(state) -> str:
+    """The state's hand-off payload as canonical JSON, arrays with dtypes."""
+
+    def plain(obj):
+        if isinstance(obj, np.ndarray):
+            return [obj.dtype.str, obj.tolist()]
+        if isinstance(obj, dict):
+            return {k: plain(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [plain(v) for v in obj]
+        return obj
+
+    return json.dumps(plain(state.snapshot()), sort_keys=True)
+
+
+def _mutate_stored(path, mutation) -> None:
+    kind, *args = mutation
+    npz = path.with_suffix(".npz")
+    data = npz.read_bytes()
+    if kind == "truncate":
+        npz.write_bytes(data[: args[0] % len(data)])
+    elif kind == "flip":
+        at = args[0] % len(data)
+        npz.write_bytes(data[:at] + bytes([data[at] ^ args[1]]) + data[at + 1 :])
+    elif kind == "drop":
+        _edit_header(path, lambda header: header["arrays"].pop(args[0] % len(header["arrays"])))
+    elif kind == "permute":
+        _rewrite_arrays(path, _permute_monitor(args[0]))
+    else:  # "retype" / "reshape" one array, re-deriving the manifest or not
+        pick, change, manifest = args
+
+        def mutate(arrays):
+            name = sorted(arrays)[pick % len(arrays)]
+            arr = arrays[name]
+            if kind == "retype":
+                arrays[name] = arr.astype(change)
+            else:
+                arrays[name] = arr[1:] if change == "shorter" else arr.reshape(-1, 1)
+
+        _rewrite_arrays(path, mutate, manifest=manifest)
+
+
+_STORED_MUTATIONS = st.one_of(
+    st.integers(0, 10**6).map(lambda at: ("truncate", at)),
+    st.tuples(st.integers(0, 10**6), st.integers(1, 255)).map(lambda p: ("flip",) + p),
+    st.integers(0, 10**6).map(lambda pick: ("drop", pick)),
+    st.integers(0, 10**6).map(lambda seed: ("permute", seed)),
+    st.tuples(
+        st.integers(0, 10**6),
+        st.sampled_from(("<i4", "<i8", "<f8", "<f4", "<u4", "|i1")),
+        st.booleans(),
+    ).map(lambda p: ("retype",) + p),
+    st.tuples(
+        st.integers(0, 10**6), st.sampled_from(("shorter", "2d")), st.booleans()
+    ).map(lambda p: ("reshape",) + p),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=_STORED_MUTATIONS)
+def test_a_mutated_stored_snapshot_restores_equal_or_is_rejected(stored_repair, mutation):
+    """``load_snapshot`` raises ``SnapshotRejected`` or returns a payload
+    whose restored state equals the original's, now and two rounds on;
+    nothing fails later with an ``IndexError`` or ``KeyError``."""
+    spec, config, header, npz = stored_repair
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResultsStore(tmp)
+        path = store.path_for(config)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(header)
+        path.with_suffix(".npz").write_bytes(npz)
+        original = RepairReplayState.restore(spec, store.load_snapshot(config))
+        _mutate_stored(path, mutation)
+        try:
+            payload = store.load_snapshot(config)
+        except SnapshotRejected:
+            return
+    restored = RepairReplayState.restore(spec, payload)
+    assert _state_key(restored) == _state_key(original)
+    for state in (original, restored):
+        state.advance(_MONITOR_TARGET + 2)
+    assert _state_key(restored) == _state_key(original)

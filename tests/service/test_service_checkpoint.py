@@ -109,6 +109,33 @@ def test_overlay_must_be_packed(checkpoint, tmp_path):
         EstimationService.from_checkpoint(str(target))
 
 
+def test_monitor_ids_out_of_order_exit_2(checkpoint, tmp_path):
+    """Shuffled (id, value) pairs, each pair intact, once restored: the
+    next round's join dropped the epoch's mass and reads failed."""
+    target = tmp_path / "svc.npz"
+    target.write_bytes(checkpoint)
+    payload = read_archive(target)
+    protocol = payload["families"]["aggregation"]["monitor"]["protocol"]
+    order = np.random.default_rng(0).permutation(protocol["nodes"].size)
+    protocol["nodes"], protocol["values"] = protocol["nodes"][order], protocol["values"][order]
+    _rewrite(target, payload)
+    with pytest.raises(SnapshotRejected, match="ids ascending"):
+        read_archive(target)
+    code, lines = _serve(target)
+    assert code == 2 and len(lines) == 1
+
+
+def test_monitor_state_must_be_arrays(checkpoint, tmp_path):
+    target = tmp_path / "svc.npz"
+    target.write_bytes(checkpoint)
+    payload = read_archive(target)
+    protocol = payload["families"]["aggregation"]["monitor"]["protocol"]
+    protocol["nodes"], protocol["values"] = protocol["nodes"].tolist(), protocol["values"].tolist()
+    _rewrite(target, payload)
+    with pytest.raises(SnapshotRejected, match="must be arrays"):
+        EstimationService.from_checkpoint(str(target))
+
+
 @pytest.mark.parametrize(
     "pending, reason",
     [
